@@ -9,6 +9,7 @@ unusable.
 """
 
 from fractions import Fraction
+from functools import cached_property
 import itertools
 import json
 import random
@@ -16,14 +17,18 @@ import sys
 
 import click
 
-from .cohomology import d_cohomology, induced_table, t_cohomology, t_cup
+from .cohomology import (
+    d_cohomology, d_complex_keys, induced_table, t_cohomology,
+    t_complex_keys, t_cup,
+)
 from .contraction import (
     d_contraction, d_perturbation, t_contraction, t_perturbation,
 )
-from .core import Vec, mi_upto, mi_weight
+from .core import Vec, mi_unit, mi_weight, mi_zero
 from .dpoly import DPoly
 from .liepair import (
-    Connection, PairError, a_form_algebra, d_a_bott, parse_pair_spec,
+    Connection, PairError, SpecError, a_form_algebra, d_a_bott,
+    parse_pair_spec,
 )
 from .matched import MatchedD, MatchedT, is_matched
 from .pbw import d_a_u
@@ -79,25 +84,36 @@ class Runner:
         return all(c["status"] == "pass" for c in self.checks)
 
 
-def t_small_keys(sp):
-    fa = a_form_algebra(sp.pair)
-    out = []
-    for fw in fa.words(max_weight=0):
-        for q in range(sp.r + 1):
-            for xs in itertools.combinations(range(sp.r), q):
-                out.append((fw, xs))
-    return out
+class Pipeline:
+    """The resolution objects the suites share for one pair.  Each is
+    built at most once, when a suite first asks for it."""
 
+    def __init__(self, sp, conn, trunc):
+        self.sp, self.conn, self.trunc = sp, conn, trunc
 
-def d_small_keys(sp, max_weight=1, max_arity=2):
-    fa = a_form_algebra(sp.pair)
-    clsets = []
-    for arity in range(1, max_arity + 1):
-        for cls in itertools.product(list(mi_upto(sp.r, max_weight)),
-                                     repeat=arity):
-            if sum(sum(J) for J in cls) <= max_weight:
-                clsets.append(cls)
-    return [(fw, cls) for fw in fa.words(max_weight=0) for cls in clsets]
+    @cached_property
+    def T(self):
+        return TPoly(self.sp, self.conn, self.trunc)
+
+    @cached_property
+    def D(self):
+        return DPoly(self.sp, self.conn, self.trunc)
+
+    @cached_property
+    def pt(self):
+        return t_contraction(self.T).perturb(t_perturbation(self.T))
+
+    @cached_property
+    def pd(self):
+        return d_contraction(self.D).perturb(d_perturbation(self.D))
+
+    @cached_property
+    def tr(self):
+        return t_transfer(self.T, self.pt)
+
+    @cached_property
+    def td(self):
+        return d_transfer(self.D, self.pd)
 
 
 def run_validate(run, pair, sp, conn):
@@ -129,19 +145,17 @@ def run_fedosov(run, sp, conn, trunc):
         "correction": [vec_json(X[k]) for k in range(sp.r)]}
 
 
-def run_contraction(run, sp, conn, trunc):
-    T = TPoly(sp, conn, trunc)
-    D = DPoly(sp, conn, trunc)
+def run_contraction(run, p):
+    sp, trunc, T, D, pt, pd = p.sp, p.trunc, p.T, p.D, p.pt, p.pd
     ct, cd = t_contraction(T), d_contraction(D)
-    zero = tuple(0 for _ in range(sp.r))
-    e0 = (1,) + (0,) * (sp.r - 1)
+    zero = mi_zero(sp.r)
+    # with A = L (r = 0) the only slot multi-index is the empty one
+    e0 = mi_unit(sp.r, 0) if sp.r else zero
+    tkeys, dkeys = t_complex_keys(sp), d_complex_keys(sp)
     # raw contraction identities, exhaustive at the depth bounds
-    run.all_zero("contraction:t:projection",
-                 ((k, ct.defect_projection(Vec({k: 1})))
-                  for k in t_small_keys(sp)))
-    run.all_zero("contraction:d:projection",
-                 ((k, cd.defect_projection(Vec({k: 1})))
-                  for k in d_small_keys(sp)))
+    for side, c, keys in (("t", ct, tkeys), ("d", cd, dkeys)):
+        run.all_zero("contraction:%s:projection" % side,
+                     ((k, c.defect_projection(Vec({k: 1}))) for k in keys))
     run.all_zero("contraction:t:homotopy",
                  ((w, ct.defect_homotopy(Vec({w: 1})))
                   for w in T.alg.words(max_weight=trunc - 1)))
@@ -149,14 +163,9 @@ def run_contraction(run, sp, conn, trunc):
                  ((w, ct.defect_side_sh(Vec({w: 1})))
                   for w in T.alg.words(max_weight=trunc - 1)))
     # perturbed contraction identities, exact within the weight window
-    pt = ct.perturb(t_perturbation(T))
-    pd = cd.perturb(d_perturbation(D))
-    run.all_zero("contraction:t:perturbed-projection",
-                 ((k, pt.defect_projection(Vec({k: 1})))
-                  for k in t_small_keys(sp)))
-    run.all_zero("contraction:d:perturbed-projection",
-                 ((k, pd.defect_projection(Vec({k: 1})))
-                  for k in d_small_keys(sp)))
+    for side, c, keys in (("t", pt, tkeys), ("d", pd, dkeys)):
+        run.all_zero("contraction:%s:perturbed-projection" % side,
+                     ((k, c.defect_projection(Vec({k: 1}))) for k in keys))
     run.all_zero(
         "contraction:t:perturbed-homotopy",
         ((w, T.restrict_weight(pt.defect_homotopy(Vec({w: 1})),
@@ -172,12 +181,12 @@ def run_contraction(run, sp, conn, trunc):
         "contraction:t:perturbed-inclusion-chain-map",
         ((k, T.restrict_weight(pt.defect_chain_tau(Vec({k: 1})),
                                trunc - 2))
-         for k in t_small_keys(sp)))
+         for k in tkeys))
     run.all_zero(
         "contraction:d:perturbed-inclusion-chain-map",
         ((k, D.restrict_weight(pd.defect_chain_tau(Vec({k: 1})),
                                trunc - 2))
-         for k in d_small_keys(sp, max_arity=1)))
+         for k in d_complex_keys(sp, max_arity=1)))
     run.all_zero(
         "contraction:t:perturbed-projection-chain-map",
         ((w, pt.defect_chain_sigma(Vec({w: 1})))
@@ -190,19 +199,17 @@ def run_contraction(run, sp, conn, trunc):
     run.all_zero(
         "contraction:t:small-differential-is-flat-one",
         ((k, pt.d_small(Vec({k: 1})) - d_a_bott(sp, Vec({k: 1})))
-         for k in t_small_keys(sp)))
+         for k in tkeys))
     run.all_zero(
         "contraction:d:small-differential-is-flat-one",
         ((k, pd.d_small(Vec({k: 1}))
           - d_a_u(D.P, Vec({k: 1})) - D.dh_small(Vec({k: 1})))
-         for k in d_small_keys(sp)))
+         for k in dkeys))
 
 
-def run_transfer_t(run, sp, conn, trunc, arity, seed):
-    T = TPoly(sp, conn, trunc)
-    pt = t_contraction(T).perturb(t_perturbation(T))
-    tr = t_transfer(T, pt)
-    keys = t_small_keys(sp)
+def run_transfer_t(run, p, arity, seed):
+    sp, tr = p.sp, p.tr
+    keys = t_complex_keys(sp)
     run.all_zero("transfer-t:unary-bracket-is-differential",
                  ((k, tr.lam_keys((k,)) - d_a_bott(sp, Vec({k: 1})))
                   for k in keys))
@@ -227,11 +234,9 @@ def run_transfer_t(run, sp, conn, trunc, arity, seed):
     run.artifacts["transfer-t"] = {"binary-table-nonzero": table}
 
 
-def run_transfer_d(run, sp, conn, trunc, arity, seed):
-    D = DPoly(sp, conn, trunc)
-    pd = d_contraction(D).perturb(d_perturbation(D))
-    td = d_transfer(D, pd)
-    keys = d_small_keys(sp)
+def run_transfer_d(run, p, arity, seed):
+    td = p.td
+    keys = d_complex_keys(p.sp)
     run.all_zero("transfer-d:jacobi-arity-1",
                  ((tup, td.jacobi_defect(tup))
                   for tup in itertools.product(keys[::2], repeat=1)))
@@ -244,22 +249,18 @@ def run_transfer_d(run, sp, conn, trunc, arity, seed):
                      exhaustive=False, seed=seed)
 
 
-def run_matched(run, sp, conn, trunc, seed):
+def run_matched(run, p, seed):
+    sp = p.sp
     matched = is_matched(sp)
     run.artifacts["matched"] = {"complement-closed": matched}
     if not matched:
         run.add("matched:not-applicable", True, count=0)
         return
-    T = TPoly(sp, conn, trunc)
-    D = DPoly(sp, conn, trunc)
-    pt = t_contraction(T).perturb(t_perturbation(T))
-    pd = d_contraction(D).perturb(d_perturbation(D))
-    tr = t_transfer(T, pt)
-    td = d_transfer(D, pd)
+    T, pt, tr, td = p.T, p.pt, p.tr, p.td
     mt = MatchedT(sp)
-    md = MatchedD(D.P)
-    tkeys = t_small_keys(sp)
-    dkeys = d_small_keys(sp)
+    md = MatchedD(p.D.P)
+    tkeys = t_complex_keys(sp)
+    dkeys = d_complex_keys(sp)
 
     def de_susp(sdeg, val):
         return -1 * val if sdeg % 2 else val
@@ -305,6 +306,10 @@ def second_choice(sp, conn):
 
 
 def run_uniqueness(run, sp, conn, trunc):
+    if not sp.r:
+        # with A = L there is no complement to choose: one admissible choice
+        run.add("uniqueness:not-applicable", True, count=0)
+        return
     conn2 = second_choice(sp, conn)
     uni = Uniqueness(sp, conn, sp, conn2, trunc)
     pd1 = d_contraction(uni.D1).perturb(d_perturbation(uni.D1))
@@ -313,21 +318,16 @@ def run_uniqueness(run, sp, conn, trunc):
         "uniqueness:composition-is-identity",
         ((k, uni.composition(pd1, pd2, Vec({k: 1}))
           - uni.small_relabel(Vec({k: 1})))
-         for k in d_small_keys(sp)))
-    defects = []
-    for w in uni.W1.alg.words(max_weight=2):
-        d = uni.scalar_chain_defect(Vec({w: 1}))
-        low = Vec(((k, c) for k, c in d.items()
-                   if mi_weight(k[-1]) < trunc))
-        defects.append((w, low))
-    run.all_zero("uniqueness:transport-intertwines-differentials",
-                 defects)
+         for k in d_complex_keys(sp)))
+    run.all_zero(
+        "uniqueness:transport-intertwines-differentials",
+        ((w, uni.W2.restrict_weight(uni.scalar_chain_defect(Vec({w: 1})),
+                                    trunc - 1))
+         for w in uni.W1.alg.words(max_weight=2)))
 
 
-def run_cohomology(run, sp, conn, trunc):
-    T = TPoly(sp, conn, trunc)
-    pt = t_contraction(T).perturb(t_perturbation(T))
-    tr = t_transfer(T, pt)
+def run_cohomology(run, p):
+    sp, T, pt, tr = p.sp, p.T, p.pt, p.tr
     coh = t_cohomology(sp)
     run.artifacts["cohomology"] = {
         "polyvector-dims": {str(n): d for n, d in coh.dims().items()}}
@@ -345,22 +345,19 @@ def run_cohomology(run, sp, conn, trunc):
                             = [frac_str(c) for c in v]
             if n1 + n2 + 1 in coh.degrees:
                 tab = induced_table(coh, cup, n1, n2, n1 + n2 + 1)
+                back = induced_table(coh, cup, n2, n1, n1 + n2 + 1)
+                s = -1 if ((n1 + 1) * (n2 + 1)) % 2 else 1
                 for (i, j), v in tab.items():
                     if any(v):
                         tables["cup(%d,%d,%d,%d)" % (n1, i, n2, j)] \
                             = [frac_str(c) for c in v]
-                    s = -1 if ((n1 + 1) * (n2 + 1)) % 2 else 1
-                    back = induced_table(coh, cup, n2, n1,
-                                         n1 + n2 + 1)[(j, i)]
-                    diff = [a - s * b for a, b in zip(v, back)]
+                    diff = [a - s * b for a, b in zip(v, back[(j, i)])]
                     defects.append((((n1, i), (n2, j)),
                                     Vec({t: c for t, c in
                                          enumerate(diff) if c})))
     run.all_zero("cohomology:cup-graded-commutative", defects)
     run.artifacts["cohomology"]["tables-nonzero"] = tables
-    D = DPoly(sp, conn, trunc)
-    pd = d_contraction(D).perturb(d_perturbation(D))
-    dcoh = d_cohomology(sp, pd.d_small, max_weight=2)
+    dcoh = d_cohomology(sp, p.pd.d_small, max_weight=2)
     run.artifacts["cohomology"]["polydifferential-window-dims"] = {
         str(n): d for n, d in dcoh.dims().items()
         if n in dcoh.valid_degrees}
@@ -399,6 +396,9 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     run = Runner()
     try:
         pair, sp, conn = parse_pair_spec(spec)
+    except SpecError as e:
+        click.echo("error: malformed pair spec: %s" % e, err=True)
+        sys.exit(2)
     except PairError as e:
         run.add("validate:pair-structure", False,
                 witness={"input": str(e)})
@@ -408,22 +408,23 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     run.add("validate:pair-structure", True, count=1)
 
     wanted = SUITES[:-1] if suite == "all" else [suite]
+    p = Pipeline(sp, conn, trunc)
     if "validate" in wanted:
         run_validate(run, pair, sp, conn)
     if "fedosov" in wanted:
         run_fedosov(run, sp, conn, trunc)
     if "contraction" in wanted:
-        run_contraction(run, sp, conn, trunc)
+        run_contraction(run, p)
     if "transfer-t" in wanted:
-        run_transfer_t(run, sp, conn, trunc, arity, seed)
+        run_transfer_t(run, p, arity, seed)
     if "transfer-d" in wanted:
-        run_transfer_d(run, sp, conn, trunc, arity, seed)
+        run_transfer_d(run, p, arity, seed)
     if "matched" in wanted:
-        run_matched(run, sp, conn, trunc, seed)
+        run_matched(run, p, seed)
     if "uniqueness" in wanted:
         run_uniqueness(run, sp, conn, trunc)
     if "cohomology" in wanted:
-        run_cohomology(run, sp, conn, trunc)
+        run_cohomology(run, p)
 
     _emit(run, pair.name or pair_path, trunc, arity, suite, seed,
           out_path)

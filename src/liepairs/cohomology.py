@@ -14,8 +14,9 @@ representatives.
 from fractions import Fraction
 import itertools
 
-from .core import Vec, mi_upto, rref
+from .core import Vec, kernel_basis, mi_upto, rref
 from .liepair import a_form_algebra, d_a_bott
+from .transfer import small_sdeg
 
 
 class Cohomology:
@@ -50,7 +51,8 @@ class Cohomology:
         # kernel of d_n, then representatives modulo the image
         self.reps = {}
         for n in self.degrees:
-            ker = self._kernel(n)
+            ker = kernel_basis([list(col) for col in zip(*self._rows[n])],
+                               len(self.by_deg[n]))
             im_rows, im_piv = self._image[n]
             reduced = []
             for v in ker:
@@ -84,25 +86,6 @@ class Cohomology:
                 dd = self.diff(self.diff(Vec({key: 1})))
                 if not dd.is_zero():
                     raise ValueError("differential does not square to zero")
-
-    def _kernel(self, n):
-        rows = self._rows[n]
-        dim = len(self.by_deg[n])
-        if not rows:
-            return []
-        cols = [[rows[i][j] for i in range(dim)]
-                for j in range(len(rows[0]))]
-        red, piv = rref(cols or [[Fraction(0)] * dim])
-        out = []
-        for j in range(dim):
-            if j in piv:
-                continue
-            v = [Fraction(0)] * dim
-            v[j] = Fraction(1)
-            for i, p in enumerate(piv):
-                v[p] = -red[i][j]
-            out.append(v)
-        return out
 
     @staticmethod
     def _reduce(v, rows, piv):
@@ -153,16 +136,14 @@ def t_complex_keys(sp):
 def t_cohomology(sp):
     """Cohomology of the polyvector small complex (finite), graded by
     the shifted total degree."""
-    keys = t_complex_keys(sp)
-
-    def deg(key):
-        fw, xs = key
-        return len(fw[0]) + len(xs) - 1
-
-    return Cohomology(keys, lambda x: d_a_bott(sp, x), deg)
+    return Cohomology(t_complex_keys(sp), lambda x: d_a_bott(sp, x),
+                      small_sdeg)
 
 
-def d_complex_keys(sp, max_weight, max_arity):
+def d_complex_keys(sp, max_weight=1, max_arity=2):
+    """Polydifferential small keys: A-form words with slot classes of
+    arity at most max_arity and total class weight at most max_weight;
+    the defaults give the window the CLI checks probe."""
     fa = a_form_algebra(sp.pair)
     out = []
     for fw in fa.words(max_weight=0):
@@ -186,14 +167,10 @@ def d_cohomology(sp, d_small, max_weight=2, max_arity=None):
     keys = d_complex_keys(sp, max_weight, max_arity)
     keyset = set(keys)
 
-    def deg(key):
-        fw, cls = key
-        return len(fw[0]) + len(cls) - 1
-
     def clamped(x):
         return Vec(((k, c) for k, c in d_small(x).items() if k in keyset))
 
-    coh = Cohomology(keys, clamped, deg,
+    coh = Cohomology(keys, clamped, small_sdeg,
                      square_check_max=max_arity - 3)
     coh.valid_degrees = [n for n in coh.degrees if n <= max_arity - 2]
     return coh

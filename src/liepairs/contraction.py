@@ -22,25 +22,21 @@ class Contraction:
         """New contraction for the perturbed differential d_big + rho."""
         kmax = self.kmax
 
-        def tau_new(x):
-            acc = self.tau(x)
-            term = acc
-            for _ in range(kmax):
-                term = -1 * self.h(rho(term))
-                if term.is_zero():
-                    break
-                acc = acc + term
-            return acc
+        def series(first):
+            """x -> sum_k (-h rho)^k first(x); raises if the terms have not
+            died out after kmax passes."""
+            def apply(x):
+                acc = term = first(x)
+                for _ in range(kmax):
+                    term = -1 * self.h(rho(term))
+                    if term.is_zero():
+                        return acc
+                    acc = acc + term
+                raise RuntimeError("perturbation series did not terminate "
+                                   "within %d passes" % kmax)
+            return apply
 
-        def h_new(x):
-            acc = self.h(x)
-            term = acc
-            for _ in range(kmax):
-                term = -1 * self.h(rho(term))
-                if term.is_zero():
-                    break
-                acc = acc + term
-            return acc
+        tau_new = series(self.tau)
 
         def d_small_new(x):
             return self.d_small(x) + self.sigma(rho(tau_new(x)))
@@ -48,7 +44,7 @@ class Contraction:
         def d_big_new(x):
             return self.d_big(x) + rho(x)
 
-        return Contraction(self.sigma, tau_new, h_new, d_big_new,
+        return Contraction(self.sigma, tau_new, series(self.h), d_big_new,
                            d_small_new, kmax)
 
     # -- identity checks, each returning the defect --------------------------
@@ -80,28 +76,21 @@ class Contraction:
         return self.d_big(self.tau(x)) - self.tau(self.d_small(x))
 
 
-def t_contraction(T):
-    """Unperturbed polyvector-side contraction; the perturbation is the
-    lifted flat part of the differential.  The big differential is minus
-    the letter-lowering map, so the homotopy carries a matching sign."""
+def t_contraction(side):
+    """Unperturbed contraction of the polyvector (a TPoly) or the
+    polydifferential (a DPoly) side.  The big differential is minus the
+    letter-lowering map, so the homotopy carries a matching sign; the
+    perturbation is the lifted flat part of the differential, plus the
+    insertion coboundary on the polydifferential side."""
     def d_small(x):
         return x * 0
 
-    return Contraction(T.project_small, T.include_small,
-                       lambda x: -1 * T.h(x),
-                       lambda x: -1 * T.delta(x), d_small, T.N + 2)
+    return Contraction(side.project_small, side.include_small,
+                       lambda x: -1 * side.h(x),
+                       lambda x: -1 * side.delta(x), d_small, side.N + 2)
 
 
-def d_contraction(D):
-    """Unperturbed polydifferential-side contraction; the perturbation is
-    the lifted flat part plus the insertion coboundary."""
-
-    def d_small(x):
-        return x * 0
-
-    return Contraction(D.project_small, D.include_small,
-                       lambda x: -1 * D.h(x),
-                       lambda x: -1 * D.delta(x), d_small, D.N + 2)
+d_contraction = t_contraction
 
 
 def t_perturbation(T):

@@ -98,6 +98,16 @@ def sym_comul(J):
     return out
 
 
+def falling(K, J):
+    """Falling-factorial coefficient of d^J on chi^K: the product of
+    K_i (K_i - 1) ... (K_i - J_i + 1)."""
+    out = 1
+    for a, b in zip(K, J):
+        for t in range(b):
+            out *= a - t
+    return out
+
+
 def pair_dual(K, J):
     """Dual pairing of the monomial chi^K against the operator d^J: K! if K=J."""
     return Fraction(mi_fact(K)) if K == J else Fraction(0)
@@ -194,6 +204,19 @@ class Vec(dict):
         return not self
 
 
+def tensor_product(coef, factors):
+    """coef times the tensor product of the given Vecs (or dicts), as a
+    Vec over the tuples of their keys."""
+    acc = Vec({(): coef})
+    for f in factors:
+        nxt = Vec()
+        for pre, cp in acc.items():
+            for k, ck in f.items():
+                nxt.iadd_term(pre + (k,), cp * ck)
+        acc = nxt
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # the word algebra
 
@@ -246,9 +269,6 @@ class WordAlgebra:
     def form_deg(self, w):
         return sum(len(w[c]) for c in range(self.n_colours))
 
-    def weight(self, w):
-        return mi_weight(w[-1])
-
     def words(self, max_weight=None, colour_caps=None):
         """Enumerate all basis words with even weight <= max_weight."""
         mw = self.trunc if max_weight is None else max_weight
@@ -287,18 +307,6 @@ class WordAlgebra:
                     continue
                 sign, w = r
                 out.iadd_term(w, c1 * c2 * sign)
-        return out
-
-    def mul_many(self, *xs):
-        out = self.one()
-        for x in xs:
-            out = self.mul(out, x)
-        return out
-
-    def power(self, x, n):
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, x)
         return out
 
     # -- derivations and morphisms ------------------------------------------
@@ -366,6 +374,10 @@ class WordAlgebra:
         """Interior product with the dual of one odd generator."""
         return self.derive({(colour, idx): self.one()}, 1, x)
 
+    def dchi(self, k, x):
+        """d/dchi_k: the even derivation along one even generator."""
+        return self.derive({(EVEN, k): self.one()}, 0, x)
+
 
 # ---------------------------------------------------------------------------
 # exact dense linear algebra (small matrices of Fractions)
@@ -396,10 +408,6 @@ def rref(rows):
     return rows, pivots
 
 
-def mat_rank(rows):
-    return len(rref(rows)[1])
-
-
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of the matrix given by `rows`."""
     if not rows:
@@ -417,28 +425,6 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def solve_coords(basis_rows, vector):
-    """Coordinates of `vector` in the span of basis_rows, or None."""
-    if not basis_rows:
-        return [] if all(v == 0 for v in vector) else None
-    n = len(vector)
-    aug = [[Fraction(basis_rows[i][c]) for i in range(len(basis_rows))] +
-           [Fraction(vector[c])] for c in range(n)]
-    red, pivots = rref(aug)
-    k = len(basis_rows)
-    if k in pivots:
-        return None
-    coords = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coords[pc] = red[r][k]
-    return coords
-
-
-def mat_mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
-
-
 def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
@@ -452,6 +438,3 @@ def mat_inv(a):
         raise ValueError("matrix not invertible")
     return [row[n:] for row in red]
 
-
-def identity_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -14,11 +14,10 @@ commutator with the vertical directions.
 """
 
 from fractions import Fraction
-import itertools
 
 from .core import (
-    EVEN, Vec, mi_add, mi_fact, mi_sub, mi_unit, mi_weight, mi_zero,
-    sym_comul,
+    Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, sym_comul,
+    tensor_product,
 )
 from .pbw import Pbw
 from .weyl import Weyl
@@ -48,24 +47,12 @@ class DPoly:
         self.W.solve()
         self.P = Pbw(splitting, conn, trunc)
         self.alg = self.W.alg
-        # commutator of the flat differential with the vertical directions:
-        # [rho, d_k] = sum_l c[k][l] d_l
-        rho_chi = [self.W.rho(Vec({self.alg.even_word(mi_unit(r, l)):
-                                   Fraction(1)})) for l in range(r)]
-        self.c_vert = [[-1 * self._dchi(rho_chi[l], k) for l in range(r)]
-                       for k in range(r)]
+        self.c_vert = self.W.vertical_commutator()
         self._q_slot_cache = {}
-
-    def _dchi(self, x, k):
-        return self.alg.derive({(EVEN, k): self.alg.one()}, 0, x)
 
     def deg(self, key):
         w, slots = key
         return self.alg.form_deg(w) + len(slots) - 1
-
-    def unit_element(self):
-        return Vec({(self.alg.unit_word(), (mi_zero(self.r),)):
-                    Fraction(1)})
 
     def mult_element(self):
         z = mi_zero(self.r)
@@ -73,31 +60,18 @@ class DPoly:
 
     # -- coefficients sliding past a slot ---------------------------------------
 
-    def _apply_partial(self, P, w):
-        """The operator d^P applied to the coefficient word w: returns
-        (falling-factorial coefficient, lowered word) or None."""
-        I = w[-1]
-        low = mi_sub(I, P)
-        if low is None:
-            return None
-        c = 1
-        for a, b in zip(I, P):
-            for t in range(b):
-                c *= a - t
-        return Fraction(c), w[:-1] + (low,)
-
     def _slot_into(self, M, w2, K):
         """d^M composed with the coefficient-carrying slot (w2, d^K):
         Vec over (word, slot) pairs via the higher Leibniz rule."""
         out = []
         for Ptup, rest, cc in sym_comul(M):
-            hit = self._apply_partial(Ptup, w2)
-            if hit is None:
+            low = mi_sub(w2[-1], Ptup)
+            if low is None:
                 continue
-            c, w = hit
+            c = falling(w2[-1], Ptup)
             if c == 0:
                 continue
-            out.append((w, mi_add(rest, K), cc * c))
+            out.append((w2[:-1] + (low,), mi_add(rest, K), cc * c))
         return out
 
     # -- word-wise operators from the scalar resolution ---------------------------
@@ -118,8 +92,7 @@ class DPoly:
         return self._wordwise(self.W.h, x)
 
     def restrict_weight(self, x, wmax):
-        return Vec(((k, c) for k, c in x.items()
-                    if mi_weight(k[0][-1]) <= wmax), truncated=x.truncated)
+        return self._wordwise(lambda y: self.W.restrict_weight(y, wmax), x)
 
     # -- the lifted flat differential ---------------------------------------------
 
@@ -139,7 +112,7 @@ class DPoly:
                 for w, c in cv.items():
                     out.iadd_term((w, mi_add(Jm, mi_unit(self.r, l))), c)
             for (w, M), c in self._q_slot(Jm).items():
-                dw = self._dchi(Vec({w: c}), k0)
+                dw = self.alg.dchi(k0, Vec({w: c}))
                 for w2, c2 in dw.items():
                     out.iadd_term((w2, M), c2)
                 out.iadd_term((w, mi_add(M, mi_unit(self.r, k0))), c)
@@ -147,12 +120,8 @@ class DPoly:
         return out
 
     def rho(self, x):
-        out = Vec(truncated=x.truncated)
+        out = self._wordwise(self.W.rho, x)
         for (w, slots), c in x.items():
-            img = self.W.rho(Vec({w: c}))
-            out.truncated = out.truncated or img.truncated
-            for w2, c2 in img.items():
-                out.iadd_term((w2, slots), c2)
             base = -1 if self.alg.form_deg(w) % 2 else 1
             for t, J in enumerate(slots):
                 for (cw, newJ), c2 in self._q_slot(J).items():
@@ -164,8 +133,7 @@ class DPoly:
                             (w3, slots[:t] + (newJ,) + slots[t + 1:]), c3)
         return out
 
-    def q_op(self, x):
-        return -1 * self.delta(x) + self.rho(x)
+    q_op = Weyl.q_op
 
     # -- the Hochschild-type operator ----------------------------------------------
 
@@ -240,13 +208,8 @@ class DPoly:
                 val = Vec(truncated=arg.truncated)
                 for K, ck in arg.items():
                     low = mi_sub(K, J)
-                    if low is None:
-                        continue
-                    f = 1
-                    for a, b in zip(K, J):
-                        for t in range(b):
-                            f *= a - t
-                    val.iadd_term(low, ck * f)
+                    if low is not None:
+                        val.iadd_term(low, ck * falling(K, J))
                 acc = self.alg.mul(acc, Vec(
                     {self.alg.even_word(K): ck for K, ck in val.items()},
                     truncated=val.truncated))
@@ -262,14 +225,8 @@ class DPoly:
         for (w, slots), c in x.items():
             if w[1] or mi_weight(w[-1]) != 0:
                 continue
-            acc = Vec({(): c})
-            for J in slots:
-                img = self.P.pbw(Vec({J: Fraction(1)}))
-                nxt = Vec()
-                for pre, cp in acc.items():
-                    for K, ck in img.items():
-                        nxt.iadd_term(pre + (K,), cp * ck)
-                acc = nxt
+            acc = tensor_product(c, [self.P.pbw(Vec({J: Fraction(1)}))
+                                     for J in slots])
             for cls, cc in acc.items():
                 out.iadd_term(((w[0], ()), cls), cc)
         return out
@@ -278,32 +235,12 @@ class DPoly:
         zero = mi_zero(self.r)
         out = Vec(truncated=x.truncated)
         for (fw, cls), c in x.items():
-            acc = Vec({(): c})
-            for K in cls:
-                img = self.P.pbw_inv(Vec({K: Fraction(1)}))
-                nxt = Vec()
-                for pre, cp in acc.items():
-                    for J, cj in img.items():
-                        nxt.iadd_term(pre + (J,), cp * cj)
-                acc = nxt
+            acc = tensor_product(c, [self.P.pbw_inv(Vec({K: Fraction(1)}))
+                                     for K in cls])
             for slots, cc in acc.items():
                 out.iadd_term(((fw[0], (), zero), slots), cc)
         return out
 
-    def dh_small(self, x):
-        """The same insertion coboundary on the small complex, where the
-        comultiplication of a class is the shuffle comultiplication."""
-        zero = mi_zero(self.r)
-        out = Vec(truncated=x.truncated)
-        for (fw, cls), c in x.items():
-            pref = -1 if len(fw[0]) % 2 else 1
-            k = len(cls)
-            out.iadd_term((fw, (zero,) + cls), c * pref)
-            for i in range(1, k + 1):
-                s = -pref if i % 2 else pref
-                for K, M, mult in sym_comul(cls[i - 1]):
-                    out.iadd_term((fw, cls[:i - 1] + (K, M) + cls[i:]),
-                                  c * s * mult)
-            s = -pref if (k + 1) % 2 else pref
-            out.iadd_term((fw, cls + (zero,)), c * s)
-        return out
+    # on small keys the coefficient is an A-form word and the slots are
+    # classes, whose comultiplication is the same shuffle count
+    dh_small = d_h

@@ -10,19 +10,16 @@ choices the rest of the pipeline depends on.
 
 from fractions import Fraction
 
-from .core import (
-    Vec, WordAlgebra, mat_inv, mat_vec, mi_zero,
-)
+from .core import Vec, WordAlgebra, mat_inv, mat_vec, sort_sign
 
 
 class PairError(ValueError):
-    """Raised on malformed or inconsistent pair data, with a witness."""
+    """Raised on inconsistent pair data, with a witness."""
 
 
-def _frac(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+class SpecError(ValueError):
+    """Raised when a pair spec cannot be read as one: not an object, a
+    required key missing, or an entry that is not a number."""
 
 
 class LiePair:
@@ -46,15 +43,19 @@ class LiePair:
 
         self._c = {}
         for (i, j), coeffs in brackets.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise PairError("bracket index out of range in [x%d, x%d]"
+                                % (i, j))
             if i == j:
                 if any(v != 0 for v in coeffs.values()):
                     raise PairError("nonzero bracket [x%d, x%d]" % (i, i))
                 continue
             if i > j:
-                i, j, coeffs = j, i, {k: -_frac(v) for k, v in coeffs.items()}
+                i, j = j, i
+                coeffs = {k: -Fraction(v) for k, v in coeffs.items()}
             cur = self._c.setdefault((i, j), {})
             for k, v in coeffs.items():
-                v = _frac(v)
+                v = Fraction(v)
                 if (k in cur and cur[k] != v) or not (0 <= k < dim):
                     raise PairError("inconsistent bracket entry (%d,%d,%d)"
                                     % (i, j, k))
@@ -119,11 +120,6 @@ class LiePair:
         """Projection L -> B in the canonical frame (reference complement)."""
         return [Fraction(x[c]) for c in self.comp]
 
-    def a_coords(self, x):
-        """A-coordinates of a vector known to lie in span(A) after removing
-        the reference-complement part (used for the canonical decomposition)."""
-        return [Fraction(x[a]) for a in self.a_indices]
-
 
 class Splitting:
     """A section j: B -> L of q, plus the data derived from it.
@@ -140,7 +136,7 @@ class Splitting:
         if jmatrix is None:
             jmatrix = [[Fraction(int(i == pair.comp[k])) for k in range(r)]
                        for i in range(d)]
-        self.j = [[_frac(v) for v in row] for row in jmatrix]
+        self.j = [[Fraction(v) for v in row] for row in jmatrix]
         # splitting axiom: q(j(d_k)) = d_k
         for k in range(r):
             col = [self.j[i][k] for i in range(d)]
@@ -175,11 +171,6 @@ class Splitting:
             return dict(self.struct.get((u, v), {}))
         return {w: -c for w, c in self.struct.get((v, u), {}).items()}
 
-    def p_coords(self, x):
-        """Induced projection L -> A (depends on j), original coords in."""
-        adapted = mat_vec(self._to_adapted, [_frac(v) for v in x])
-        return adapted[:self.m]
-
     def bott(self, s, k):
         """Canonical flat A-action on B: q[a_s, j(d_k)], as {B-index: coef}."""
         br = self.pair.bracket(self.adapted[s], self.adapted[self.m + k])
@@ -200,19 +191,18 @@ class Connection:
         self.splitting = splitting
         d = splitting.pair.dim
         r = splitting.r
-        self.gamma = [[[_frac(gamma[l][b][k]) for k in range(r)]
+        self.gamma = [[[Fraction(gamma[l][b][k]) for k in range(r)]
                        for b in range(r)] for l in range(d)]
 
     def nabla(self, l, b):
-        """{k: Fraction} coordinates of nabla_{E_l} d_b."""
-        return {k: c for k, c in enumerate(self.gamma[l][b]) if c != 0}
+        """nabla_{E_l} d_b in the B-frame, as a Vec over B-indices."""
+        return Vec(enumerate(self.gamma[l][b]))
 
     def nabla_vec(self, l, bvec):
-        out = {}
+        out = Vec()
         for b, c in bvec.items():
-            for k, g in self.nabla(l, b).items():
-                out[k] = out.get(k, Fraction(0)) + c * g
-        return {k: v for k, v in out.items() if v != 0}
+            out.iadd_scaled(c, self.nabla(l, b))
+        return out
 
     def extends_bott(self):
         sp = self.splitting
@@ -225,16 +215,11 @@ class Connection:
     def torsion(self, u, v):
         """T(E_u, E_v) = nabla_u q(E_v) - nabla_v q(E_u) - q[E_u, E_v]."""
         sp = self.splitting
-        out = {}
-        for k, c in self.nabla_vec(u, sp.q_of_adapted(v)).items():
-            out[k] = out.get(k, Fraction(0)) + c
-        for k, c in self.nabla_vec(v, sp.q_of_adapted(u)).items():
-            out[k] = out.get(k, Fraction(0)) - c
-        br = sp.struct_const(u, v)
-        for w, c in br.items():
-            for k, qc in sp.q_of_adapted(w).items():
-                out[k] = out.get(k, Fraction(0)) - c * qc
-        return {k: v for k, v in out.items() if v != 0}
+        out = self.nabla_vec(u, sp.q_of_adapted(v))
+        out -= self.nabla_vec(v, sp.q_of_adapted(u))
+        for w, c in sp.struct_const(u, v).items():
+            out.iadd_scaled(-c, Vec(sp.q_of_adapted(w)))
+        return out
 
     def is_torsion_free(self):
         d = self.splitting.pair.dim
@@ -246,16 +231,11 @@ class Connection:
 
     def curvature(self, u, v, b):
         """R(E_u, E_v) d_b in the B-frame."""
-        sp = self.splitting
-        out = {}
-        for k, c in self.nabla_vec(u, self.nabla(v, b)).items():
-            out[k] = out.get(k, Fraction(0)) + c
-        for k, c in self.nabla_vec(v, self.nabla(u, b)).items():
-            out[k] = out.get(k, Fraction(0)) - c
-        for w, c in sp.struct_const(u, v).items():
-            for k, g in self.nabla(w, b).items():
-                out[k] = out.get(k, Fraction(0)) - c * g
-        return {k: c for k, c in out.items() if c != 0}
+        out = self.nabla_vec(u, self.nabla(v, b))
+        out -= self.nabla_vec(v, self.nabla(u, b))
+        for w, c in self.splitting.struct_const(u, v).items():
+            out.iadd_scaled(-c, self.nabla(w, b))
+        return out
 
 
 def default_connection(splitting):
@@ -331,7 +311,6 @@ def bott_action_on_lambda_b(splitting):
     sp = splitting
 
     def action(s, ck):
-        from .core import sort_sign
         out = Vec()
         for t, b in enumerate(ck):
             for k, c in sp.bott(s, b).items():
@@ -354,27 +333,73 @@ def d_a_bott(splitting, x):
 # ---------------------------------------------------------------------------
 # JSON pair specifications
 
+def _entry(obj, key, kind=object, default=None):
+    """obj[key] of a JSON object, checked to be a `kind`; a missing key
+    gives the default, or SpecError when there is none."""
+    if not isinstance(obj, dict):
+        raise SpecError("expected a JSON object, got %.60r" % (obj,))
+    v = obj.get(key)
+    if v is None:
+        if default is None:
+            raise SpecError("missing key %r" % key)
+        return default
+    if not isinstance(v, kind):
+        raise SpecError("%r must be a JSON %s" % (
+            key, "array" if kind is list else "object"))
+    return v
+
+
+def _number(kind, v):
+    """kind(v) for kind int or Fraction, or SpecError."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise SpecError("%r is not %s" % (
+            v, "an integer" if kind is int else "a rational number")) \
+            from None
+
+
+def _array(v, shape):
+    """Nested JSON arrays of the given shape, entries read as Fractions."""
+    if not shape:
+        return _number(Fraction, v)
+    if not isinstance(v, list) or len(v) != shape[0]:
+        raise SpecError("expected an array of length %d, got %.60r"
+                        % (shape[0], v))
+    return [_array(x, shape[1:]) for x in v]
+
+
 def parse_pair_spec(d):
     """Build (pair, splitting, connection) from a parsed JSON dict.
 
     Omitted splitting defaults to the reference complement; omitted
     connection to the canonical torsion-free extension.  The connection
     array, when given, is indexed in the adapted frame: [l][b][k] with l
-    running over (A-basis..., j(d_k)...).
+    running over (A-basis..., j(d_k)...).  A spec that cannot be read
+    raises SpecError; one that reads but is not a Lie pair, PairError.
     """
-    dim = int(d["dimL"])
+    dim = _number(int, _entry(d, "dimL"))
+    if dim < 0:
+        raise SpecError("dimL must not be negative")
     brackets = {}
-    for entry in d.get("brackets", []):
-        i, j = int(entry["i"]), int(entry["j"])
-        coeffs = {int(k): _frac(v) for k, v in entry.get("coeffs", {}).items()}
-        brackets[(i, j)] = coeffs
-    pair = LiePair(dim, [int(i) for i in d["aIndices"]], brackets,
-                   basis=d.get("basis"), name=d.get("name", ""))
-    if "dimA" in d and int(d["dimA"]) != pair.dim_a:
+    for entry in _entry(d, "brackets", list, []):
+        i, j = (_number(int, _entry(entry, n)) for n in "ij")
+        brackets[(i, j)] = {
+            _number(int, k): _number(Fraction, v)
+            for k, v in _entry(entry, "coeffs", dict, {}).items()}
+    pair = LiePair(dim, [_number(int, i)
+                         for i in _entry(d, "aIndices", list)],
+                   brackets, basis=_entry(d, "basis", list, []),
+                   name=d.get("name", ""))
+    if "dimA" in d and _number(int, d["dimA"]) != pair.dim_a:
         raise PairError("dimA=%s does not match aIndices" % d["dimA"])
-    splitting = Splitting(pair, d.get("splitting"))
+    jmatrix = d.get("splitting")
+    if jmatrix is not None:
+        jmatrix = _array(jmatrix, (dim, pair.rank))
+    splitting = Splitting(pair, jmatrix)
     if "connection" in d:
-        conn = Connection(splitting, d["connection"])
+        conn = Connection(splitting, _array(d["connection"],
+                                            (dim, pair.rank, pair.rank)))
         ok, witness = conn.extends_bott()
         if not ok:
             raise PairError("connection does not extend the canonical "

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from .core import (
     Vec, mat_inv, mat_vec, mi_add, mi_all, mi_fact, mi_sub, mi_unit,
-    mi_upto, mi_weight, mi_zero, sym_comul,
+    mi_upto, mi_zero, sym_comul, tensor_product,
 )
+from .liepair import ce_differential
 
 
 class Pbw:
@@ -153,34 +154,34 @@ class Pbw:
         return sym_comul(J)
 
 
+def relabel(src, dst):
+    """The map rewriting classes labelled in src's normal form into
+    dst's: each y-monomial is expanded over dst's adapted frame and
+    reduced there (the identity when the two frames coincide)."""
+    dim = src.m + src.r
+    conv = [mat_vec(dst.sp._to_adapted, src.sp.adapted[i])
+            for i in range(dim)]
+    if all(conv[i][u] == (1 if i == u else 0)
+           for i in range(dim) for u in range(dim)):
+        return lambda cls: cls
+
+    def convert(cls):
+        out = Vec()
+        for J, c in cls.items():
+            acc = tensor_product(c, [dict(enumerate(conv[letter]))
+                                     for letter in src.y_mono(J)])
+            for mono, cm in acc.items():
+                out += dst.u_reduce(mono, cm)
+        return out
+    return convert
+
+
 def transition(pbw1, pbw2):
     """The automorphism pbw1^{-1} o pbw2 of the polynomial coalgebra, as a
     dict J -> Vec over multi-indices (weight <= trunc).  When the two
     splittings differ, the normal-form classes of the second are first
     rewritten over the adapted frame of the first."""
-    sp1, sp2 = pbw1.sp, pbw2.sp
-    dim = pbw1.m + pbw1.r
-    conv = [mat_vec(sp1._to_adapted, sp2.adapted[i]) for i in range(dim)]
-    same = all(conv[i][u] == (1 if i == u else 0)
-               for i in range(dim) for u in range(dim))
-
-    def to_first(cls):
-        if same:
-            return cls
-        out = Vec()
-        for J, c in cls.items():
-            acc = Vec({(): c})
-            for letter in pbw2.y_mono(J):
-                nxt = Vec()
-                for pre, cp in acc.items():
-                    for u, a in enumerate(conv[letter]):
-                        if a:
-                            nxt.iadd_term(pre + (u,), cp * a)
-                acc = nxt
-            for mono, cm in acc.items():
-                out += pbw1.u_reduce(mono, cm)
-        return out
-
+    to_first = relabel(pbw2, pbw1)
     out = {}
     for J in mi_upto(pbw1.r, pbw1.N):
         out[J] = pbw1.pbw_inv(to_first(pbw2.pbw(Vec({J: Fraction(1)}))))
@@ -218,5 +219,4 @@ def u_action(pbw_obj):
 def d_a_u(pbw_obj, x):
     """CE differential with coefficients in tensor powers of the class
     module, keyed (A-form word, tuple of multi-indices)."""
-    from .liepair import ce_differential
     return ce_differential(pbw_obj.sp, u_action(pbw_obj), x)

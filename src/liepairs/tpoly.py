@@ -10,7 +10,7 @@ the whole thing a differential graded Lie algebra.
 
 from fractions import Fraction
 
-from .core import EVEN, Vec, WordAlgebra, mi_unit, mi_weight, mi_zero
+from .core import EVEN, Vec, WordAlgebra, mi_zero
 from .weyl import Weyl
 
 
@@ -27,10 +27,8 @@ class TPoly:
         # colours: 0 = alpha_s, 1 = chi_k-form, 2 = xi_k
         self.alg = WordAlgebra((m, r, r), r, trunc)
 
-        self._delta_images = {
-            (EVEN, k): Vec({self.alg.odd_word(1, k): Fraction(1)})
-            for k in range(r)}
-
+        self._delta_images = {g: self.embed(img)
+                              for g, img in self.W._delta_images.items()}
         self._rho_images = {}
         for g, img in self.W._d_images.items():
             self._rho_images[g] = self.embed(img)
@@ -40,22 +38,17 @@ class TPoly:
                 prev = self._rho_images.get((EVEN, k), Vec())
                 self._rho_images[(EVEN, k)] = prev + self.embed(xk)
         # commutator action on the vertical directions:
-        # xi_j -> - sum_k d_j(rho(chi_k)) xi_k
-        rho_chi = [self.W.rho(Vec({self.W.alg.even_word(mi_unit(r, k)):
-                                   Fraction(1)})) for k in range(r)]
+        # xi_j -> sum_k c[j][k] xi_k
+        c_vert = self.W.vertical_commutator()
         for j in range(r):
             img = Vec()
             for k in range(r):
-                dj = self.embed(self._w_dchi(rho_chi[k], j))
-                if dj:
-                    img -= self.alg.mul(
-                        dj, Vec({self.alg.odd_word(2, k): Fraction(1)}))
+                if c_vert[j][k]:
+                    img += self.alg.mul(
+                        self.embed(c_vert[j][k]),
+                        Vec({self.alg.odd_word(2, k): Fraction(1)}))
             if img:
                 self._rho_images[(2, j)] = img
-
-    def _w_dchi(self, x, j):
-        """d/dchi_j on the scalar algebra (even derivation)."""
-        return self.W.alg.derive({(EVEN, j): self.W.alg.one()}, 0, x)
 
     def embed(self, x):
         return Vec({(w[0], w[1], (), w[2]): c for w, c in x.items()},
@@ -63,57 +56,24 @@ class TPoly:
 
     # -- lifted contraction operators ------------------------------------------
 
-    def delta(self, x):
-        return self.alg.derive(self._delta_images, 1, x)
+    delta = Weyl.delta
 
     def rho(self, x):
         return self.alg.derive(self._rho_images, 1, x)
 
-    def q_op(self, x):
-        return -1 * self.delta(x) + self.rho(x)
-
-    def h(self, x):
-        out = Vec(truncated=x.truncated)
-        for w, c in x.items():
-            v = len(w[1])
-            if v == 0:
-                continue
-            J = w[-1]
-            if mi_weight(J) + 1 > self.N:
-                out.truncated = True
-                continue
-            f = Fraction(1, v + mi_weight(J))
-            for k in range(self.r):
-                contracted = self.alg.contract_odd(1, k, Vec({w: c * f}))
-                if not contracted:
-                    continue
-                bump = Vec({self.alg.even_word(mi_unit(self.r, k)):
-                            Fraction(1)})
-                out += self.alg.mul(contracted, bump)
-        return out
-
-    def sigma(self, x):
-        out = Vec(truncated=x.truncated)
-        for w, c in x.items():
-            if not w[1] and mi_weight(w[-1]) == 0:
-                out.iadd_term(w, c)
-        return out
-
-    tau = sigma
-
-    def restrict_weight(self, x, wmax):
-        return Vec(((w, c) for w, c in x.items()
-                    if mi_weight(w[-1]) <= wmax), truncated=x.truncated)
+    # the homotopy, the projection and the weight cut act on the form and
+    # symmetric letters only, so the scalar definitions serve unchanged
+    q_op = Weyl.q_op
+    h = Weyl.h
+    sigma = tau = Weyl.sigma
+    restrict_weight = Weyl.restrict_weight
 
     # -- the small complex: A-forms with polyvector coefficients -----------------
 
     def project_small(self, x):
         """Words with no chi content, rekeyed (A-form word, B-index tuple)."""
-        out = Vec(truncated=x.truncated)
-        for w, c in x.items():
-            if not w[1] and mi_weight(w[-1]) == 0:
-                out.iadd_term(((w[0], ()), w[2]), c)
-        return out
+        return Vec(((((w[0], ()), w[2]), c)
+                    for w, c in self.sigma(x).items()), truncated=x.truncated)
 
     def include_small(self, x):
         zero = mi_zero(self.r)
@@ -124,9 +84,6 @@ class TPoly:
 
     def dxi(self, x, k):
         return self.alg.contract_odd(2, k, x)
-
-    def dchi(self, x, k):
-        return self.alg.derive({(EVEN, k): self.alg.one()}, 0, x)
 
     def deg(self, w):
         return self.alg.form_deg(w)
@@ -144,10 +101,10 @@ class TPoly:
                 s1 = -1 if nu % 2 == 0 else 1
                 s2 = -1
                 for k in range(self.r):
-                    t1 = self.alg.mul(self.dxi(xu, k), self.dchi(xv, k))
+                    t1 = self.alg.mul(self.dxi(xu, k), self.alg.dchi(k, xv))
                     if t1:
                         out += s1 * t1
-                    t2 = self.alg.mul(self.dchi(xu, k), self.dxi(xv, k))
+                    t2 = self.alg.mul(self.alg.dchi(k, xu), self.dxi(xv, k))
                     if t2:
                         out += s2 * t2
         return out

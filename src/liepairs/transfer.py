@@ -141,14 +141,17 @@ class Transfer:
         return out
 
 
+def small_sdeg(key):
+    """Shifted degree of a small basis key (A-form word, tuple of
+    B-letters or of slot classes) on either side."""
+    fw, letters = key
+    return len(fw[0]) + len(letters) - 1
+
+
 def t_transfer(T, pt):
     """Transfer record for the polyvector side."""
     def big_sdeg(w):
         return len(w[0]) + len(w[1]) + len(w[2]) - 1
-
-    def small_sdeg(key):
-        fw, xs = key
-        return len(fw[0]) + len(xs) - 1
 
     return Transfer(pt.sigma, pt.tau, pt.h, pt.d_small, T.schouten,
                     big_sdeg, small_sdeg)
@@ -156,9 +159,5 @@ def t_transfer(T, pt):
 
 def d_transfer(D, pd):
     """Transfer record for the polydifferential side."""
-    def small_sdeg(key):
-        fw, cls = key
-        return len(fw[0]) + len(cls) - 1
-
     return Transfer(pd.sigma, pd.tau, pd.h, pd.d_small, D.gerst,
                     D.deg, small_sdeg)

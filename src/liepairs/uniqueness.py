@@ -15,18 +15,11 @@ identity linear part.
 from fractions import Fraction
 
 from .core import (
-    Vec, mat_vec, mi_add, mi_fact, mi_sub, mi_upto, mi_weight, mi_zero,
+    Vec, falling, mat_vec, mi_add, mi_fact, mi_sub, mi_upto, mi_weight,
+    mi_zero, tensor_product,
 )
 from .dpoly import DPoly
-from .pbw import dual_map, transition
-
-
-def falling(K, J):
-    c = 1
-    for a, b in zip(K, J):
-        for t in range(b):
-            c *= a - t
-    return Fraction(c)
+from .pbw import dual_map, relabel, transition
 
 
 class Uniqueness:
@@ -164,30 +157,11 @@ class Uniqueness:
         classes through their own normal forms; rewrite first-choice
         labels in the second normal form (identity when the complements
         coincide).  The a-form part is shared and untouched."""
-        P1, P2 = self.D1.P, self.D2.P
-        dim = self.m + self.r
-        conv = [mat_vec(self.sp2._to_adapted, self.sp1.adapted[i])
-                for i in range(dim)]
+        to_second = relabel(self.D1.P, self.D2.P)
         out = Vec(truncated=x.truncated)
         for (fw, cls), c in x.items():
-            acc = Vec({(): c})
-            for K in cls:
-                slot = Vec()
-                expanded = Vec({(): Fraction(1)})
-                for letter in P1.y_mono(K):
-                    nxt = Vec()
-                    for pre, cp in expanded.items():
-                        for u, a in enumerate(conv[letter]):
-                            if a:
-                                nxt.iadd_term(pre + (u,), cp * a)
-                    expanded = nxt
-                for mono, cm in expanded.items():
-                    slot += P2.u_reduce(mono, cm)
-                nxt = Vec()
-                for pre, cp in acc.items():
-                    for K2, ck in slot.items():
-                        nxt.iadd_term(pre + (K2,), cp * ck)
-                acc = nxt
+            acc = tensor_product(c, [to_second(Vec({K: Fraction(1)}))
+                                     for K in cls])
             for cls2, cc in acc.items():
                 out.iadd_term((fw, cls2), cc)
         return out
@@ -198,9 +172,8 @@ class Uniqueness:
         return pd2.sigma(self.map_d(pd1.tau(x)))
 
     def scalar_chain_defect(self, x):
-        q1 = -1 * self.W1.delta(x) + self.W1.rho(x)
-        q2 = lambda y: -1 * self.W2.delta(y) + self.W2.rho(y)
-        return self.map_scalar(q1) - q2(self.map_scalar(x))
+        return (self.map_scalar(self.W1.q_op(x))
+                - self.W2.q_op(self.map_scalar(x)))
 
     def d_chain_defect(self, x):
         d1 = self.D1.q_op(x) + self.D1.d_h(x)

@@ -101,19 +101,14 @@ class Weyl:
                 out.iadd_term(w, c)
         return out
 
-    def tau(self, x):
-        """Inclusion of A-forms; in the adapted frame the pullback of an
-        A-dual generator is the corresponding form generator, so on
-        elements already written in this algebra tau is sigma's section."""
-        return self.sigma(x)
+    # the inclusion of A-forms: in the adapted frame the pullback of an
+    # A-dual generator is the corresponding form generator
+    tau = sigma
 
     def project_a(self, x):
         """sigma followed by rewriting into bare A-form words."""
-        out = Vec(truncated=x.truncated)
-        for w, c in x.items():
-            if not w[1] and mi_weight(w[-1]) == 0:
-                out.iadd_term((w[0], ()), c)
-        return out
+        return Vec((((w[0], ()), c) for w, c in self.sigma(x).items()),
+                   truncated=x.truncated)
 
     def include_a(self, x):
         """Bare A-form words into this algebra."""
@@ -168,3 +163,12 @@ class Weyl:
 
     def q_op(self, x):
         return -1 * self.delta(x) + self.rho(x)
+
+    def vertical_commutator(self):
+        """The matrix c of the commutator of the flat differential with
+        the vertical directions, [rho, d_k] = sum_l c[k][l] d_l."""
+        r = self.r
+        rho_chi = [self.rho(Vec({self.alg.even_word(mi_unit(r, l)):
+                                 Fraction(1)})) for l in range(r)]
+        return [[-1 * self.alg.dchi(k, rho_chi[l]) for l in range(r)]
+                for k in range(r)]

@@ -121,3 +121,78 @@ def test_matched_not_applicable_branch():
     assert report["artifacts"]["matched"]["complement-closed"] is False
     names = [c["name"] for c in report["checks"]]
     assert "matched:not-applicable" in names
+
+
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_out_of_range_bracket_index_is_failure(tmp_path):
+    spec = {"name": "oob", "dimL": 2, "aIndices": [0],
+            "brackets": [{"i": 0, "j": 5, "coeffs": {"1": "1"}}]}
+    res = run_cli(["check", "--pair", write_spec(tmp_path, spec),
+                   "--suite", "validate"])
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["validate:pair-structure"]
+    assert "out of range" in failed[0]["witness"]["input"]
+
+
+def check_malformed(tmp_path, spec, message):
+    res = run_cli(["check", "--pair", write_spec(tmp_path, spec),
+                   "--suite", "validate"])
+    assert res.exit_code == 2
+    assert "error: malformed pair spec: " + message in res.stderr
+
+
+def test_malformed_coefficient_is_config_error(tmp_path):
+    for coef in ("x/0", "1/0"):
+        spec = {"dimL": 2, "aIndices": [0],
+                "brackets": [{"i": 0, "j": 1, "coeffs": {"1": coef}}]}
+        check_malformed(tmp_path, spec, "%r is not a rational number" % coef)
+
+
+def test_missing_dim_is_config_error(tmp_path):
+    check_malformed(tmp_path, {"aIndices": [0], "brackets": []},
+                    "missing key 'dimL'")
+    check_malformed(tmp_path, {"dimL": -1, "aIndices": []},
+                    "dimL must not be negative")
+
+
+def test_top_level_array_is_config_error(tmp_path):
+    check_malformed(tmp_path, [1, 2, 3], "expected a JSON object")
+    check_malformed(tmp_path, {"dimL": 1, "aIndices": [], "basis": 5},
+                    "'basis' must be a JSON array")
+
+
+SL2 = [{"i": 0, "j": 1, "coeffs": {"1": "2"}},
+       {"i": 0, "j": 2, "coeffs": {"2": "-2"}},
+       {"i": 1, "j": 2, "coeffs": {"0": "1"}}]
+
+
+def check_all_suites_pass(tmp_path, spec):
+    res = run_cli(["check", "--pair", write_spec(tmp_path, spec),
+                   "--suite", "all", "--trunc", "4", "--arity", "2"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.stdout)
+    assert all(c["status"] == "pass" for c in report["checks"])
+    return [c["name"] for c in report["checks"]]
+
+
+def test_subalgebra_equal_to_whole_algebra(tmp_path):
+    # A = L: no complement, so nothing to choose between in uniqueness
+    names = check_all_suites_pass(tmp_path, {
+        "name": "sl2_all", "dimL": 3, "aIndices": [0, 1, 2],
+        "brackets": SL2})
+    assert "contraction:d:perturbed-homotopy" in names
+    assert "uniqueness:not-applicable" in names
+
+
+def test_zero_subalgebra(tmp_path):
+    names = check_all_suites_pass(tmp_path, {
+        "name": "aff1_zero", "dimL": 2, "aIndices": [],
+        "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]})
+    assert "uniqueness:composition-is-identity" in names

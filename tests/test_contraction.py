@@ -176,3 +176,16 @@ def test_perturbed_chain_maps(perturbed):
             x = Vec({(w, (e0,)): 1})
             defect = pd.defect_chain_sigma(x)
             assert defect.is_zero(), (name, w)
+
+
+def test_perturbation_series_must_terminate():
+    # a homotopy that does not raise the weight never kills the series
+    # terms; the perturbed maps raise instead of returning a partial sum
+    ident = lambda x: x
+    c = Contraction(ident, ident, ident, ident, ident, kmax=4)
+    p = c.perturb(ident)
+    x = Vec({"k": 1})
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        p.tau(x)
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        p.h(x)

@@ -8,12 +8,15 @@ each colour, colours in a fixed order, even exponents last.  Every sign
 is computed from the parity of the sorting permutation, so equality of
 elements is plain dict equality.
 
-Scalars are fractions.Fraction throughout; no floats anywhere.
+Scalars are exact: a coefficient stored in a Vec is an int, or a
+fractions.Fraction whose denominator is greater than 1 (a Fraction with
+denominator 1 is stored as its int numerator).  Never a float.
 """
 
 from fractions import Fraction
 from math import factorial, comb
 import itertools
+from operator import add
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +31,7 @@ def mi_unit(r, k):
 
 
 def mi_add(J, K):
-    return tuple(a + b for a, b in zip(J, K))
+    return tuple(map(add, J, K))
 
 
 def mi_sub(J, K):
@@ -129,12 +132,21 @@ def sort_sign(seq):
 # ---------------------------------------------------------------------------
 # sparse vectors
 
-class Vec(dict):
-    """Dictionary key -> Fraction with zero values automatically removed.
+def _exact(c):
+    """c as an int or a normalised Fraction; TypeError for a float."""
+    if isinstance(c, float):
+        raise TypeError("inexact coefficient %r: use int or Fraction" % c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    The `truncated` flag records that some term was dropped for exceeding
-    the weight cap, so callers can refuse to assert identities whose two
-    sides did not both survive truncation.
+
+class Vec(dict):
+    """Dictionary key -> exact scalar with zero values automatically removed.
+
+    Stored coefficients are ints or Fractions with denominator > 1; a
+    float raises TypeError.  The `truncated` flag records that some term
+    was dropped for exceeding the weight cap, so callers can refuse to
+    assert identities whose two sides did not both survive truncation.
     """
 
     def __init__(self, data=(), truncated=False):
@@ -143,16 +155,20 @@ class Vec(dict):
         self.__iadd__(data)
 
     def __getitem__(self, key):
-        return self.get(key, Fraction(0))
+        return self.get(key, 0)
 
     def iadd_term(self, key, coef):
-        if coef == 0:
+        if not coef:
             return self
         new = self.get(key, 0) + coef
-        if new == 0:
-            del self[key]
+        if not new:
+            self.pop(key, None)
+        elif type(new) is int:
+            self[key] = new
+        elif type(new) is Fraction:
+            self[key] = new.numerator if new.denominator == 1 else new
         else:
-            self[key] = Fraction(new)
+            self[key] = _exact(new)
         return self
 
     def __iadd__(self, other):
@@ -161,7 +177,9 @@ class Vec(dict):
         if isinstance(other, dict):
             other = other.items()
         for k, c in other:
-            self.iadd_term(k, Fraction(c))
+            if type(c) is not int and type(c) is not Fraction:
+                c = _exact(c)
+            self.iadd_term(k, c)
         return self
 
     def __add__(self, other):
@@ -260,12 +278,6 @@ class WordAlgebra:
         """The word's odd generators as a sorted list of (colour, index)."""
         return [(c, i) for c in range(self.n_colours) for i in w[c]]
 
-    def word_from_seq(self, gens, J):
-        parts = [[] for _ in self.odd_counts]
-        for c, i in gens:
-            parts[c].append(i)
-        return tuple(tuple(p) for p in parts) + (tuple(J),)
-
     def form_deg(self, w):
         return sum(len(w[c]) for c in range(self.n_colours))
 
@@ -286,14 +298,34 @@ class WordAlgebra:
 
     def mul_words(self, w1, w2):
         """(sign, product word) or None when an odd generator repeats
-        or the even weight exceeds the cap ('overflow' sentinel)."""
+        or the even weight exceeds the cap ('overflow' sentinel).
+
+        Both words are canonical, so the sign is the parity of the pairs
+        (a in w1, b in w2) with a > b in (colour, index) order: a later
+        colour of w1 jumps every generator of an earlier colour of w2."""
         J = mi_add(w1[-1], w2[-1])
         if self.trunc is not None and mi_weight(J) > self.trunc:
             return 'overflow'
-        sign, merged = sort_sign(self.odd_seq(w1) + self.odd_seq(w2))
-        if sign == 0:
-            return None
-        return sign, self.word_from_seq(merged, J)
+        parts = []
+        jumps = 0
+        earlier = 0  # generators of w2 in the colours before this one
+        for a, b in zip(w1[:-1], w2[:-1]):
+            jumps += len(a) * earlier
+            earlier += len(b)
+            if not a:
+                parts.append(b)
+            elif not b:
+                parts.append(a)
+            else:
+                for y in b:
+                    for x in a:
+                        if x > y:
+                            jumps += 1
+                        elif x == y:
+                            return None
+                parts.append(tuple(sorted(a + b)))
+        parts.append(J)
+        return (-1 if jumps % 2 else 1), tuple(parts)
 
     def mul(self, x, y):
         out = Vec(truncated=x.truncated or y.truncated)
@@ -319,32 +351,53 @@ class WordAlgebra:
         a sign per odd generator jumped over.
         """
         out = Vec(truncated=x.truncated)
+        odd = parity % 2
+        zero = mi_zero(self.n_even)
+        empty = ((),) * self.n_colours
         for w, coef in x.items():
-            gens = self.odd_seq(w)
-            J = w[-1]
-            for t, g in enumerate(gens):
-                img = images.get(g)
-                if img is None or not img:
-                    continue
-                sgn = -1 if parity % 2 and t % 2 else 1
-                pre = self.word_from_seq(gens[:t], mi_zero(self.n_even))
-                suf = self.word_from_seq(gens[t + 1:], J)
-                term = self.mul(self.mul(Vec({pre: coef * sgn}), img),
-                                Vec({suf: Fraction(1)}))
-                out += term
-            base = -1 if parity % 2 and len(gens) % 2 else 1
-            for k in range(self.n_even):
-                if J[k] == 0:
+            parts, J = w[:-1], w[-1]
+            t = 0  # odd generators before the one being replaced
+            for c, part in enumerate(parts):
+                for p, i in enumerate(part):
+                    img = images.get((c, i))
+                    if img:
+                        self._leibniz(
+                            out, parts[:c] + (part[:p],) + empty[c + 1:]
+                            + (zero,), img,
+                            empty[:c] + (part[p + 1:],) + parts[c + 1:]
+                            + (J,), -coef if odd and t % 2 else coef)
+                    t += 1
+            base = -coef if odd and t % 2 else coef
+            for k, jk in enumerate(J):
+                if jk == 0:
                     continue
                 img = images.get((EVEN, k))
-                if img is None or not img:
-                    continue
-                front = self.word_from_seq(gens, mi_zero(self.n_even))
-                rest = self.even_word(mi_sub(J, mi_unit(self.n_even, k)))
-                term = self.mul(self.mul(Vec({front: coef * base * J[k]}), img),
-                                Vec({rest: Fraction(1)}))
-                out += term
+                if img:
+                    self._leibniz(out, parts + (zero,), img,
+                                  empty + (J[:k] + (jk - 1,) + J[k + 1:],),
+                                  base * jk)
         return out
+
+    def _leibniz(self, out, pre, img, suf, coef):
+        """out += coef * pre * img * suf, one image term at a time."""
+        if img.truncated:
+            out.truncated = True
+        for iw, ic in img.items():
+            r = self.mul_words(pre, iw)
+            if r is None:
+                continue
+            if r == 'overflow':
+                out.truncated = True
+                continue
+            s1, w = r
+            r = self.mul_words(w, suf)
+            if r is None:
+                continue
+            if r == 'overflow':
+                out.truncated = True
+                continue
+            s2, w = r
+            out.iadd_term(w, coef * ic * s1 * s2)
 
     def substitute(self, images, x):
         """Extend generator images to an algebra endomorphism.
@@ -383,8 +436,11 @@ class WordAlgebra:
 # exact dense linear algebra (small matrices of Fractions)
 
 def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form; returns (new_rows, pivot_columns).
+
+    Each elimination step touches only the pivot row's nonzero columns."""
+    rows = [[v if type(v) is Fraction else Fraction(v) for v in r]
+            for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
     rank = 0
@@ -397,12 +453,16 @@ def rref(rows):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        prow = rows[rank]
+        nz = [j for j in range(col, ncols) if prow[j]]
+        inv = Fraction(1) / prow[col]
+        for j in nz:
+            prow[j] *= inv
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != rank and f != 0:
+                for j in nz:
+                    row[j] -= f * prow[j]
         pivots.append(col)
         rank += 1
     return rows, pivots

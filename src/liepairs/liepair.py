@@ -253,7 +253,7 @@ def default_connection(splitting):
         for b in range(r):
             br = sp.pair.bracket(sp.adapted[m + kk], sp.adapted[m + b])
             for k, c in enumerate(sp.pair.q_coords(br)):
-                gamma[m + kk][b][k] = c / 2
+                gamma[m + kk][b][k] = Fraction(c, 2)
     return Connection(sp, gamma)
 
 
@@ -350,13 +350,16 @@ def _entry(obj, key, kind=object, default=None):
 
 
 def _number(kind, v):
-    """kind(v) for kind int or Fraction, or SpecError."""
-    try:
-        return kind(v)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise SpecError("%r is not %s" % (
-            v, "an integer" if kind is int else "a rational number")) \
-            from None
+    """kind(v) for kind int or Fraction, read from a JSON integer or a
+    string such as "3" or "1/2"; anything else, a float or a boolean
+    included, is a SpecError, since only those two read exactly."""
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return kind(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecError("%r is not %s" % (
+        v, "an integer" if kind is int else "a rational number"))
 
 
 def _array(v, shape):
@@ -381,6 +384,10 @@ def parse_pair_spec(d):
     dim = _number(int, _entry(d, "dimL"))
     if dim < 0:
         raise SpecError("dimL must not be negative")
+    basis = _entry(d, "basis", list, [])
+    if basis and len(basis) != dim:
+        raise SpecError("basis has %d labels but dimL is %d"
+                        % (len(basis), dim))
     brackets = {}
     for entry in _entry(d, "brackets", list, []):
         i, j = (_number(int, _entry(entry, n)) for n in "ij")
@@ -389,7 +396,7 @@ def parse_pair_spec(d):
             for k, v in _entry(entry, "coeffs", dict, {}).items()}
     pair = LiePair(dim, [_number(int, i)
                          for i in _entry(d, "aIndices", list)],
-                   brackets, basis=_entry(d, "basis", list, []),
+                   brackets, basis=basis,
                    name=d.get("name", ""))
     if "dimA" in d and _number(int, d["dimA"]) != pair.dim_a:
         raise PairError("dimA=%s does not match aIndices" % d["dimA"])

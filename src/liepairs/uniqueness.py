@@ -109,8 +109,9 @@ class Uniqueness:
                 for M, c in g.items():
                     tot = mi_add(M, shift)
                     residual[tot] = residual.get(tot, Fraction(0)) - c * f
-            kf = Fraction(mi_fact(K))
-            solved[K] = {M: c / kf for M, c in residual.items() if c}
+            kf = mi_fact(K)
+            solved[K] = {M: Fraction(c, kf) for M, c in residual.items()
+                         if c}
         out = Vec(truncated=True)
         for K, g in solved.items():
             for M, c in g.items():

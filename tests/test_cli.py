@@ -168,6 +168,32 @@ def test_top_level_array_is_config_error(tmp_path):
                     "'basis' must be a JSON array")
 
 
+def test_float_dim_is_config_error(tmp_path):
+    check_malformed(tmp_path, {"dimL": 3.7, "aIndices": [0]},
+                    "3.7 is not an integer")
+
+
+def test_float_coefficient_is_config_error(tmp_path):
+    # a float has no exact reading: 0.1 would be its binary value, not 1/10
+    for coef, shown in ((0.1, "0.1"), (True, "True")):
+        spec = {"dimL": 2, "aIndices": [0],
+                "brackets": [{"i": 0, "j": 1, "coeffs": {"1": coef}}]}
+        check_malformed(tmp_path, spec, shown + " is not a rational number")
+    # a JSON integer and a rational string are read exactly
+    for coef in (1, "1/2"):
+        spec = {"dimL": 2, "aIndices": [0],
+                "brackets": [{"i": 0, "j": 1, "coeffs": {"1": coef}}]}
+        res = run_cli(["check", "--pair", write_spec(tmp_path, spec),
+                       "--suite", "validate"])
+        assert res.exit_code == 0, res.output
+
+
+def test_basis_of_wrong_length_is_config_error(tmp_path):
+    check_malformed(tmp_path, {"dimL": 3, "aIndices": [0],
+                               "basis": ["x", "y"]},
+                    "basis has 2 labels but dimL is 3")
+
+
 SL2 = [{"i": 0, "j": 1, "coeffs": {"1": "2"}},
        {"i": 0, "j": 2, "coeffs": {"2": "-2"}},
        {"i": 1, "j": 2, "coeffs": {"0": "1"}}]

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from liepairs.core import (
     EVEN, Vec, WordAlgebra, mi_add, mi_all, mi_binom, mi_fact, mi_le,
-    mi_sub, mi_unit, mi_upto, mi_weight, mi_zero, pair_dual, sort_sign,
-    sym_comul,
+    mi_sub, mi_unit, mi_upto, mi_weight, mi_zero, pair_dual, rref,
+    sort_sign, sym_comul,
 )
 
 
@@ -313,3 +313,212 @@ def test_product_of_odd_generators_matches_sort_sign(seq):
     else:
         parts = [[i for c, i in sorted_ if c == 0], [i for c, i in sorted_ if c == 1]]
         assert prod == Vec({A.make_word(parts, (0, 0)): sign})
+
+
+# ---------------------------------------------------------------------------
+# exact scalars
+
+def test_vec_stores_ints_and_proper_fractions():
+    v = Vec({('x',): Fraction(4, 2), ('y',): Fraction(1, 2)})
+    assert type(v[('x',)]) is int and v[('x',)] == 2
+    v.iadd_term(('y',), Fraction(1, 2))
+    assert type(v[('y',)]) is int and v[('y',)] == 1
+    assert v[('missing',)] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Vec({('x',): 0.5}),
+    lambda: Vec({('x',): 1}) * 0.5,
+    lambda: Vec({('x',): 1}).iadd_term(('x',), 0.25),
+    lambda: Vec({('x',): 1}).iadd_scaled(1.5, Vec({('x',): 1})),
+])
+def test_vec_rejects_floats(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def _exact_invariant(v):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in v.values())
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), RATIONALS), max_size=8),
+       RATIONALS)
+def test_vec_invariant_under_arithmetic(terms, scale):
+    v = Vec()
+    for k, c in terms:
+        v.iadd_term(k, c)
+        assert _exact_invariant(v)
+    w = Vec(terms)
+    for out in (v, w, v + w, v - w, scale * v, -v,
+                Vec(v).iadd_scaled(scale, w)):
+        assert _exact_invariant(out)
+    assert v == w
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its earlier formulations: flatten the odd generators,
+# sort with sort_sign, rebuild; one Vec per Leibniz factor; dense rref
+
+
+def _odd_seq(A, w):
+    return [(c, i) for c in range(A.n_colours) for i in w[c]]
+
+
+def _word_from_seq(A, gens, J):
+    parts = [[] for _ in A.odd_counts]
+    for c, i in gens:
+        parts[c].append(i)
+    return tuple(tuple(p) for p in parts) + (tuple(J),)
+
+
+def oracle_mul_words(A, w1, w2):
+    J = mi_add(w1[-1], w2[-1])
+    if A.trunc is not None and mi_weight(J) > A.trunc:
+        return 'overflow'
+    sign, merged = sort_sign(_odd_seq(A, w1) + _odd_seq(A, w2))
+    if sign == 0:
+        return None
+    return sign, _word_from_seq(A, merged, J)
+
+
+def oracle_derive(A, images, parity, x):
+    zero = mi_zero(A.n_even)
+    out = Vec(truncated=x.truncated)
+    for w, coef in x.items():
+        gens = _odd_seq(A, w)
+        J = w[-1]
+        for t, g in enumerate(gens):
+            img = images.get(g)
+            if not img:
+                continue
+            sgn = -1 if parity % 2 and t % 2 else 1
+            pre = _word_from_seq(A, gens[:t], zero)
+            suf = _word_from_seq(A, gens[t + 1:], J)
+            out += A.mul(A.mul(Vec({pre: coef * sgn}), img), Vec({suf: 1}))
+        base = -1 if parity % 2 and len(gens) % 2 else 1
+        for k in range(A.n_even):
+            img = images.get((EVEN, k))
+            if J[k] == 0 or not img:
+                continue
+            front = _word_from_seq(A, gens, zero)
+            rest = A.even_word(mi_sub(J, mi_unit(A.n_even, k)))
+            out += A.mul(A.mul(Vec({front: coef * base * J[k]}), img),
+                         Vec({rest: 1}))
+    return out
+
+
+def oracle_rref(rows):
+    rows = [list(map(Fraction, r)) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows, pivots
+
+
+@st.composite
+def algebras(draw):
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    trunc = draw(st.one_of(st.none(), st.integers(0, 4)))
+    return WordAlgebra(counts, draw(st.integers(0, 3)), trunc)
+
+
+def raw_words(A, max_exp=1):
+    """Canonical words whose even weight may exceed the cap."""
+    parts = [st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+             for n in A.odd_counts]
+    J = st.tuples(*[st.integers(0, max_exp)] * A.n_even)
+    return st.tuples(*parts, J)
+
+
+def vecs(A, max_size=4, max_exp=1):
+    return st.builds(
+        Vec, st.dictionaries(raw_words(A, max_exp), RATIONALS,
+                             max_size=max_size),
+        truncated=st.sampled_from([False, False, False, True]))
+
+
+@pytest.mark.parametrize("counts, n_even, trunc", [
+    ((4,), 0, None), ((2, 2), 1, 1), ((1, 2, 2), 2, 2)])
+def test_mul_words_matches_sort_sign_oracle_exhaustive(counts, n_even,
+                                                       trunc):
+    A = WordAlgebra(counts, n_even, trunc)
+    words = list(A.words(max_weight=trunc or 1))
+    for w1, w2 in itertools.product(words, repeat=2):
+        assert A.mul_words(w1, w2) == oracle_mul_words(A, w1, w2)
+
+
+@given(st.data())
+def test_mul_words_matches_sort_sign_oracle(data):
+    A = data.draw(algebras())
+    for _ in range(4):
+        w1, w2 = data.draw(raw_words(A)), data.draw(raw_words(A))
+        assert A.mul_words(w1, w2) == oracle_mul_words(A, w1, w2)
+
+
+@given(st.data(), st.integers(0, 1))
+def test_derive_matches_leibniz_oracle(data, parity):
+    A = data.draw(algebras())
+    gens = [(c, i) for c, n in enumerate(A.odd_counts) for i in range(n)]
+    gens += [(EVEN, k) for k in range(A.n_even)]
+    images = data.draw(st.dictionaries(st.sampled_from(gens), vecs(A, 3),
+                                       min_size=1, max_size=len(gens)))
+    x = data.draw(vecs(A, max_exp=2))
+    got = A.derive(images, parity, x)
+    want = oracle_derive(A, images, parity, x)
+    assert got == want
+    assert got.truncated == want.truncated
+    assert _exact_invariant(got)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_derive_matches_leibniz_oracle_exhaustive(parity):
+    A = WordAlgebra((2, 2), 2, 2)
+    words = list(A.words())
+    gens = [(c, i) for c in range(2) for i in range(2)]
+    gens += [(EVEN, k) for k in range(2)]
+    for n, g in enumerate(gens):
+        image = Vec({words[(5 * n + 7 * t) % len(words)]: Fraction(t + 1, 2)
+                     for t in range(3)})
+        for w in words:
+            x = Vec({w: 3})
+            got = A.derive({g: image}, parity, x)
+            want = oracle_derive(A, {g: image}, parity, x)
+            assert got == want and got.truncated == want.truncated
+
+
+def test_derive_flags_truncation_at_either_product():
+    # odd generator -> chi: pre * image fits, the suffix chi^2 overflows;
+    # and an image that alone exceeds the cap
+    A = WordAlgebra((1,), 1, 2)
+    x = Vec({A.make_word([(0,)], (2,)): 1})
+    for image in (Vec({A.even_word((1,)): 1}), Vec({A.even_word((3,)): 1})):
+        got = A.derive({(0, 0): image}, 1, x)
+        assert got.is_zero() and got.truncated
+        assert oracle_derive(A, {(0, 0): image}, 1, x).truncated
+    fits = A.derive({(0, 0): Vec({A.even_word((0,)): 1})}, 1, x)
+    assert fits == Vec({A.even_word((2,)): 1}) and not fits.truncated
+
+
+@given(st.integers(0, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
+             min_size=ncols, max_size=ncols), max_size=6)))
+def test_rref_matches_dense_oracle(rows):
+    assert rref(rows) == oracle_rref(rows)

@@ -29,12 +29,27 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_bytes_unchanged(name, tmp_path):
+# sha256 of the sl3_borel (rank 3) fedosov report at --trunc 3 --arity 1
+# --seed 0: the q^2 check on 2560 words, all word-algebra arithmetic
+RANK3_FEDOSOV = \
+    "85ae5c3ea6a0e51a9672769e8aa34cb061e3a49b65ba0452967aa17b376db4d2"
+
+
+def report_digest(tmp_path, name, suite, trunc, arity):
     out = tmp_path / "report.json"
     res = CliRunner().invoke(main, [
         "check", "--pair", os.path.join(PAIRS_DIR, name + ".json"),
-        "--suite", "all", "--trunc", "4", "--arity", "2", "--seed", "0",
-        "--out", str(out)])
+        "--suite", suite, "--trunc", str(trunc), "--arity", str(arity),
+        "--seed", "0", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_unchanged(name, tmp_path):
+    assert report_digest(tmp_path, name, "all", 4, 2) == GOLDEN[name]
+
+
+def test_rank3_fedosov_report_bytes_unchanged(tmp_path):
+    assert report_digest(tmp_path, "sl3_borel", "fedosov", 3, 1) \
+        == RANK3_FEDOSOV

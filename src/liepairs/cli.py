@@ -2,10 +2,10 @@
 emit a machine-readable report plus a short text summary.
 
 Every check records whether it was exhaustive at the declared depth
-bounds or sampled (in which case the seed is recorded); failures carry a
-witness.  Exit code 0 means every selected check passed, 1 means at
-least one check failed, 2 means the configuration or input file was
-unusable.
+bounds or not: a random sample records its seed, and a check on every
+N-th input records `stride: N`.  Failures carry a witness.  Exit code 0
+means every selected check passed, 1 means at least one check failed, 2
+means the configuration or input file was unusable.
 """
 
 from fractions import Fraction
@@ -56,17 +56,23 @@ class Runner:
         self.artifacts = {}
 
     def add(self, name, ok, witness=None, count=0, exhaustive=True,
-            seed=None):
+            seed=None, stride=None):
         entry = {"name": name, "status": "pass" if ok else "fail",
                  "count": count, "exhaustive": exhaustive}
         if seed is not None:
             entry["seed"] = seed
+        if stride is not None:
+            entry["stride"] = stride
         if witness is not None:
             entry["witness"] = witness
         self.checks.append(entry)
 
-    def all_zero(self, name, pairs, exhaustive=True, seed=None):
-        """pairs: iterable of (label, defect Vec); pass iff all zero."""
+    def all_zero(self, name, pairs, exhaustive=True, seed=None,
+                 stride=None):
+        """pairs: iterable of (label, defect Vec); pass iff all zero.
+        A check that takes every stride-th input is not exhaustive."""
+        if stride is not None:
+            exhaustive = False
         count = 0
         for label, defect in pairs:
             count += 1
@@ -74,10 +80,11 @@ class Runner:
                 self.add(name, False,
                          witness={"input": repr(label),
                                   "defect": vec_json(defect)},
-                         count=count, exhaustive=exhaustive, seed=seed)
+                         count=count, exhaustive=exhaustive, seed=seed,
+                         stride=stride)
                 return False
         self.add(name, True, count=count, exhaustive=exhaustive,
-                 seed=seed)
+                 seed=seed, stride=stride)
         return True
 
     def ok(self):
@@ -170,13 +177,13 @@ def run_contraction(run, p):
         "contraction:t:perturbed-homotopy",
         ((w, T.restrict_weight(pt.defect_homotopy(Vec({w: 1})),
                                trunc - 3))
-         for w in list(T.alg.words(max_weight=1))[::3]))
+         for w in list(T.alg.words(max_weight=1))[::3]), stride=3)
     run.all_zero(
         "contraction:d:perturbed-homotopy",
         (((w, slots), D.restrict_weight(
             pd.defect_homotopy(Vec({(w, slots): 1})), trunc - 3))
          for w in list(D.W.alg.words(max_weight=1))[::3]
-         for slots in ((zero,), (e0, zero))))
+         for slots in ((zero,), (e0, zero))), stride=3)
     run.all_zero(
         "contraction:t:perturbed-inclusion-chain-map",
         ((k, T.restrict_weight(pt.defect_chain_tau(Vec({k: 1})),
@@ -190,11 +197,11 @@ def run_contraction(run, p):
     run.all_zero(
         "contraction:t:perturbed-projection-chain-map",
         ((w, pt.defect_chain_sigma(Vec({w: 1})))
-         for w in list(T.alg.words(max_weight=1))[::3]))
+         for w in list(T.alg.words(max_weight=1))[::3]), stride=3)
     run.all_zero(
         "contraction:d:perturbed-projection-chain-map",
         ((w, pd.defect_chain_sigma(Vec({(w, (e0,)): 1})))
-         for w in list(D.W.alg.words(max_weight=1))[::3]))
+         for w in list(D.W.alg.words(max_weight=1))[::3]), stride=3)
     # transferred small differentials agree with the direct ones, exactly
     run.all_zero(
         "contraction:t:small-differential-is-flat-one",
@@ -239,7 +246,8 @@ def run_transfer_d(run, p, arity, seed):
     keys = d_complex_keys(p.sp)
     run.all_zero("transfer-d:jacobi-arity-1",
                  ((tup, td.jacobi_defect(tup))
-                  for tup in itertools.product(keys[::2], repeat=1)))
+                  for tup in itertools.product(keys[::2], repeat=1)),
+                 stride=2)
     rng = random.Random(seed)
     for n in range(2, min(arity, 3) + 1):
         sample = [tuple(keys[rng.randrange(len(keys))] for _ in range(n))
@@ -274,7 +282,7 @@ def run_matched(run, p, seed):
         "matched:binary-bracket-equals-direct-gerstenhaber",
         (((k1, k2), de_susp(td.small_sdeg(k1), td.lam_keys((k1, k2)))
           - md.gerst(Vec({k1: 1}), Vec({k2: 1})))
-         for k1 in dkeys[::2] for k2 in dkeys[::2]))
+         for k1 in dkeys[::2] for k2 in dkeys[::2]), stride=2)
     rng = random.Random(seed)
     sample = [tuple(tkeys[rng.randrange(len(tkeys))] for _ in range(3))
               for _ in range(40)]

@@ -42,6 +42,26 @@ def test_report_check_fields():
             assert "seed" in c
 
 
+def test_strided_checks_report_their_stride():
+    res = run_cli(["check", "--pair", pair_path("abelian"),
+                   "--trunc", "4", "--arity", "2"])
+    assert res.exit_code == 0, res.output
+    checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    strides = {
+        "contraction:t:perturbed-homotopy": 3,
+        "contraction:d:perturbed-homotopy": 3,
+        "contraction:t:perturbed-projection-chain-map": 3,
+        "contraction:d:perturbed-projection-chain-map": 3,
+        "transfer-d:jacobi-arity-1": 2,
+        "matched:binary-bracket-equals-direct-gerstenhaber": 2,
+    }
+    for name, stride in strides.items():
+        assert checks[name]["exhaustive"] is False
+        assert checks[name]["stride"] == stride
+    for c in checks.values():
+        assert c["exhaustive"] == ("seed" not in c and "stride" not in c)
+
+
 def test_trunc_too_small_is_config_error():
     res = run_cli(["check", "--pair", pair_path("abelian"),
                    "--trunc", "4", "--arity", "3"])

@@ -391,6 +391,9 @@ def main():
               type=click.Path(dir_okay=False))
 def check(pair_path, trunc, arity, suite, seed, out_path):
     """Run verification suites on one Lie-pair spec file."""
+    if arity < 1:
+        click.echo("error: arity must be at least 1", err=True)
+        sys.exit(2)
     if trunc < arity + 2:
         click.echo("error: trunc must be at least arity + 2", err=True)
         sys.exit(2)

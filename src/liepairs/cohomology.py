@@ -41,15 +41,17 @@ class Cohomology:
                 rows.append(self._coords(img, n + 1))
             self._rows[n] = rows
         self._check_square_zero()
-        # image echelon rows sitting in each degree, from one below
+        # image echelon rows sitting in each degree, from one below, kept
+        # as their nonzero entries
         self._image = {}
         for n in self.degrees:
             rows = self._rows.get(n - 1, [])
             red, piv = rref([r for r in rows if any(r)] or
                             [[Fraction(0)] * len(self.by_deg[n])])
-            self._image[n] = ([red[i] for i in range(len(piv))], piv)
+            self._image[n] = (sparse_rows(red[:len(piv)]), piv)
         # kernel of d_n, then representatives modulo the image
         self.reps = {}
+        self._rep_rows = {}
         for n in self.degrees:
             ker = kernel_basis([list(col) for col in zip(*self._rows[n])],
                                len(self.by_deg[n]))
@@ -61,7 +63,8 @@ class Cohomology:
                     reduced.append(w)
             red, piv = rref(reduced or [[Fraction(0)] *
                                         len(self.by_deg[n])])
-            self.reps[n] = ([red[i] for i in range(len(piv))], piv)
+            self.reps[n] = (red[:len(piv)], piv)
+            self._rep_rows[n] = sparse_rows(self.reps[n][0])
 
     # -- coordinate plumbing ----------------------------------------------------
 
@@ -78,22 +81,31 @@ class Cohomology:
         return Vec({k: c for k, c in zip(self.by_deg[n], coords) if c})
 
     def _check_square_zero(self):
+        """d(d(key)) = 0 for every key, composed from the rows: d is
+        linear, and d(key) already lies in the window."""
         for n in self.degrees:
             if (self.square_check_max is not None
                     and n > self.square_check_max):
                 continue
-            for key in self.by_deg[n]:
-                dd = self.diff(self.diff(Vec({key: 1})))
-                if not dd.is_zero():
+            nxt = sparse_rows(self._rows.get(n + 1, []))
+            for row in self._rows[n]:
+                dd = Vec()
+                for j, a in enumerate(row):
+                    if a:
+                        for i, b in nxt[j]:
+                            dd.iadd_term(i, a * b)
+                if dd:
                     raise ValueError("differential does not square to zero")
 
     @staticmethod
     def _reduce(v, rows, piv):
+        """v reduced against echelon rows given by their nonzero entries."""
         v = list(v)
         for row, p in zip(rows, piv):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+            f = v[p]
+            if f:
+                for j, b in row:
+                    v[j] -= f * b
         return v
 
     # -- the public face ----------------------------------------------------------
@@ -112,15 +124,18 @@ class Cohomology:
     def project(self, x, n):
         """Cohomology coordinates of a cocycle of degree n."""
         v = self._reduce(self._coords(x, n), *self._image[n])
-        rows, piv = self.reps[n]
-        out = []
-        for row, p in zip(rows, piv):
-            c = v[p]
-            out.append(c)
-            v = [a - c * b for a, b in zip(v, row)]
+        # the rows are in reduced echelon form: reducing by one row leaves
+        # the other pivot entries alone, so they are the coordinates
+        out = [v[p] for p in self.reps[n][1]]
+        v = self._reduce(v, self._rep_rows[n], self.reps[n][1])
         if any(v):
             raise ValueError("not a cocycle modulo the image")
         return out
+
+
+def sparse_rows(rows):
+    """Each row as the list of its nonzero (column, entry) pairs."""
+    return [[(j, b) for j, b in enumerate(row) if b] for row in rows]
 
 
 def t_complex_keys(sp):
@@ -145,14 +160,24 @@ def d_complex_keys(sp, max_weight=1, max_arity=2):
     arity at most max_arity and total class weight at most max_weight;
     the defaults give the window the CLI checks probe."""
     fa = a_form_algebra(sp.pair)
-    out = []
-    for fw in fa.words(max_weight=0):
-        for arity in range(1, max_arity + 1):
-            for cls in itertools.product(list(mi_upto(sp.r, max_weight)),
-                                         repeat=arity):
-                if sum(sum(J) for J in cls) <= max_weight:
-                    out.append((fw, cls))
-    return out
+    weighted = [(J, sum(J)) for J in mi_upto(sp.r, max_weight)]
+    classes = [cls for arity in range(1, max_arity + 1)
+               for cls in _class_tuples(weighted, arity, max_weight)]
+    return [(fw, cls) for fw in fa.words(max_weight=0) for cls in classes]
+
+
+def _class_tuples(weighted, arity, budget):
+    """The arity-tuples over `weighted` (multi-indices with their weights,
+    by increasing weight) of total weight at most budget, in the order
+    of itertools.product."""
+    if arity == 0:
+        yield ()
+        return
+    for J, w in weighted:
+        if w > budget:
+            return
+        for rest in _class_tuples(weighted, arity - 1, budget - w):
+            yield (J,) + rest
 
 
 def d_cohomology(sp, d_small, max_weight=2, max_arity=None):

@@ -125,12 +125,15 @@ class DPoly:
             base = -1 if self.alg.form_deg(w) % 2 else 1
             for t, J in enumerate(slots):
                 for (cw, newJ), c2 in self._q_slot(J).items():
-                    coef = self.alg.mul(Vec({w: c * base}),
-                                        Vec({cw: c2}))
-                    out.truncated = out.truncated or coef.truncated
-                    for w3, c3 in coef.items():
-                        out.iadd_term(
-                            (w3, slots[:t] + (newJ,) + slots[t + 1:]), c3)
+                    prod = self.alg.mul_words(w, cw)
+                    if prod is None:
+                        continue
+                    if prod == 'overflow':
+                        out.truncated = True
+                        continue
+                    sign, w3 = prod
+                    out.iadd_term((w3, slots[:t] + (newJ,) + slots[t + 1:]),
+                                  c * base * c2 * sign)
         return out
 
     q_op = Weyl.q_op
@@ -170,17 +173,19 @@ class DPoly:
                     for parts, mult in multi_splits(S1[k], v + 1):
                         for w2b, J0, c0 in self._slot_into(parts[0], w2,
                                                            S2[0]):
-                            word = self.alg.mul(Vec({w1: Fraction(1)}),
-                                                Vec({w2b: Fraction(1)}))
-                            out.truncated = out.truncated or word.truncated
+                            prod = self.alg.mul_words(w1, w2b)
+                            if prod is None:
+                                continue
+                            if prod == 'overflow':
+                                out.truncated = True
+                                continue
+                            sign, w3 = prod
                             mid = (J0,) + tuple(
                                 mi_add(parts[i], S2[i])
                                 for i in range(1, v + 1))
-                            slots = S1[:k] + mid + S1[k + 1:]
-                            for w3, c3 in word.items():
-                                out.iadd_term(
-                                    (w3, slots),
-                                    c1 * c2 * c0 * mult * c3 * sgn)
+                            out.iadd_term(
+                                (w3, S1[:k] + mid + S1[k + 1:]),
+                                c1 * c2 * c0 * mult * sign * sgn)
         return out
 
     def gerst(self, x, y):

@@ -109,8 +109,11 @@ class Pbw:
         n = len(self._basis)
         mat = [[table[self._basis[col]][self._basis[row]]
                 for col in range(n)] for row in range(n)]
-        self._mat = mat
-        self._inv = mat_inv(mat)
+        inv = mat_inv(mat)
+        # the nonzero entries of each column of the inverse, as (J, entry)
+        self._inv_cols = [[(Jr, inv[row][col])
+                           for row, Jr in enumerate(self._basis)
+                           if inv[row][col]] for col in range(n)]
 
     def pbw(self, s):
         """Symmetrization map on a Vec over multi-indices."""
@@ -122,9 +125,9 @@ class Pbw:
     def pbw_inv(self, cls):
         out = Vec(truncated=cls.truncated)
         for J, c in cls.items():
-            col = self._index[J]
-            for row, Jr in enumerate(self._basis):
-                out.iadd_term(Jr, c * self._inv[row][col])
+            # Fraction first: int * Fraction takes the slow reflected path
+            for Jr, e in self._inv_cols[self._index[J]]:
+                out.iadd_term(Jr, e * c)
         return out
 
     # -- the flat connection and its dual ---------------------------------------

@@ -7,6 +7,19 @@ colour 1), plus even generators chi_k tracking the symmetric part.
 The four operators delta/h/sigma/tau contract this onto the forms on A,
 and the flat structure is completed by solving for the vertical
 correction term X so that Q = -delta + d + X squares to zero.
+
+The homotopy h contracts one chi_k-form letter and raises chi_k by one,
+normalised by the total weight.  Take a word w = alpha_S dchi_T chi^J
+whose chi_k-form letters T = (k_0 < k_1 < ...) number v > 0 (any
+further colours, such as the xi-letters of TPoly, sit between T and J
+and are carried along).  Then
+
+    h(c w) = sum_p (-1)^(|S| + p) c / (v + |J|)
+                   alpha_S dchi_(T minus k_p) chi^(J + e_(k_p)),
+
+so that h delta + delta h = id - tau sigma.  A word with v = 0 maps to
+zero, and a word with |J| + 1 above the truncation weight is dropped
+and flags the result as truncated.
 """
 
 from fractions import Fraction
@@ -76,22 +89,26 @@ class Weyl:
         return self.alg.derive(self._d_images, 1, x)
 
     def h(self, x):
+        """The Koszul homotopy in closed form, see the module docstring."""
         out = Vec(truncated=x.truncated)
         for w, c in x.items():
             v = len(w[1])
             if v == 0:
                 continue
             J = w[-1]
-            if mi_weight(J) + 1 > self.N:
+            wJ = mi_weight(J)
+            if wJ + 1 > self.N:
                 out.truncated = True
                 continue
-            f = Fraction(1, v + mi_weight(J))
-            for k in range(self.r):
-                contracted = self.alg.contract_odd(1, k, Vec({w: c * f}))
-                if not contracted:
-                    continue
-                bump = Vec({self.alg.even_word(mi_unit(self.r, k)): Fraction(1)})
-                out += self.alg.mul(contracted, bump)
+            f = Fraction(1, v + wJ) * c
+            if len(w[0]) % 2:
+                f = -f
+            head, chis, mid = w[:1], w[1], w[2:-1]
+            for p, k in enumerate(chis):
+                out.iadd_term(
+                    head + (chis[:p] + chis[p + 1:],) + mid
+                    + (J[:k] + (J[k] + 1,) + J[k + 1:],),
+                    -f if p % 2 else f)
         return out
 
     def sigma(self, x):

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from liepairs.cli import main
@@ -66,6 +67,20 @@ def test_trunc_too_small_is_config_error():
     res = run_cli(["check", "--pair", pair_path("abelian"),
                    "--trunc", "4", "--arity", "3"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("trunc, arity", [
+    # the trunc bound alone let these run every suite and report all
+    # checks passed
+    ("1", "-1"), ("2", "0"),
+    # this one ended in a traceback inside the resolution
+    ("0", "-2")])
+def test_arity_below_one_is_config_error(trunc, arity):
+    res = run_cli(["check", "--pair", pair_path("sl2_borel"),
+                   "--trunc", trunc, "--arity", arity])
+    assert res.exit_code == 2
+    assert "error: arity must be at least 1" in res.stderr
+    assert res.stdout == ""
 
 
 def test_malformed_json_is_config_error(tmp_path):

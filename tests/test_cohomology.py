@@ -4,20 +4,24 @@ import math
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from liepairs.cohomology import (
-    Cohomology, compare_on_cohomology, d_cohomology, induced_table,
-    t_cohomology, t_complex_keys, t_cup,
+    Cohomology, compare_on_cohomology, d_cohomology, d_complex_keys,
+    induced_table, sparse_rows, t_cohomology, t_complex_keys, t_cup,
 )
 from liepairs.contraction import (
     d_contraction, d_perturbation, t_contraction, t_perturbation,
 )
-from liepairs.core import Vec
+from liepairs.core import Vec, mi_upto, rref
 from liepairs.dpoly import DPoly
-from liepairs.liepair import Connection, d_a_bott, parse_pair_spec
+from liepairs.liepair import (
+    Connection, a_form_algebra, d_a_bott, parse_pair_spec,
+)
 from liepairs.tpoly import TPoly
 from liepairs.transfer import t_transfer
 
@@ -92,6 +96,27 @@ def test_square_zero_precondition():
 
     with pytest.raises(ValueError):
         Cohomology(keys, bad_diff, deg)
+
+
+def test_square_zero_check_reaches_the_composite():
+    # a -> b -> c stays in the window, so the rows build and the check
+    # itself must catch d^2(a) = c
+    deg = {"a": 0, "b": 1, "c": 2}.get
+    step = {"a": "b", "b": "c"}
+
+    def diff(x):
+        out = Vec()
+        for k, c in x.items():
+            if k in step:
+                out.iadd_term(step[k], c)
+        return out
+
+    with pytest.raises(ValueError, match="does not square to zero"):
+        Cohomology(["a", "b", "c"], diff, deg)
+    # the same steps with d(b) = 0 form a complex
+    del step["b"]
+    assert Cohomology(["a", "b", "c"], diff, deg).dims() == {0: 0, 1: 0,
+                                                             2: 1}
 
 
 def test_bracket_descends(t_pipelines):
@@ -239,3 +264,150 @@ def test_compare_wrong_transport_detected(t_pipelines):
                                      n1 + n2 + 1):
                 found = True
     assert found
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against the dense formulas and the enumeration they
+# replaced
+
+
+def dense_reduce(v, rows, piv):
+    v = list(v)
+    for row, p in zip(rows, piv):
+        if v[p]:
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def dense_image(coh, n):
+    """The image echelon rows in degree n, rebuilt densely."""
+    red, piv = rref([r for r in coh._rows.get(n - 1, []) if any(r)]
+                    or [[Fraction(0)] * len(coh.by_deg[n])])
+    return red[:len(piv)], piv
+
+
+def dense_project(coh, x, n, image=None):
+    """Cohomology coordinates, reduced over every column."""
+    v = dense_reduce(coh._coords(x, n), *(image or dense_image(coh, n)))
+    out = []
+    for row, p in zip(*coh.reps[n]):
+        c = v[p]
+        out.append(c)
+        v = [a - c * b for a, b in zip(v, row)]
+    if any(v):
+        raise ValueError("not a cocycle modulo the image")
+    return out
+
+
+def projected(project, x, n):
+    try:
+        return project(x, n)
+    except ValueError:
+        return "raises"
+
+
+@pytest.fixture(scope="module")
+def d_windows():
+    out = {}
+    for name in ("heisenberg_x", "sl2_borel"):
+        pair, sp, conn = load(name)
+        D = DPoly(sp, conn, trunc=4)
+        pd = d_contraction(D).perturb(d_perturbation(D))
+        out[name] = d_cohomology(sp, pd.d_small, max_weight=2)
+    return out
+
+
+def all_complexes(t_pipelines, d_windows):
+    return ([coh for sp, T, pt, tr, coh in t_pipelines.values()]
+            + list(d_windows.values()))
+
+
+def test_project_matches_dense_formula_exhaustive(t_pipelines, d_windows):
+    # every basis key (cocycle or not) against the dense formula, and
+    # every representative plus every single-key coboundary
+    for coh in all_complexes(t_pipelines, d_windows):
+        for n in coh.degrees:
+            image = dense_image(coh, n)
+            for key in coh.by_deg[n]:
+                x = Vec({key: 1})
+                assert projected(coh.project, x, n) == projected(
+                    lambda y, m: dense_project(coh, y, m, image), x, n)
+            nreps = len(coh.reps[n][0])
+            boundaries = [coh.diff(Vec({y: Fraction(-1, 2)}))
+                          for y in coh.by_deg.get(n - 1, [])] or [Vec()]
+            for i in range(nreps):
+                want = [Fraction(3 if j == i else 0) for j in range(nreps)]
+                assert dense_project(coh, 3 * coh.rep(n, i) + boundaries[0],
+                                     n, image) == want
+                for b in boundaries:
+                    x = 3 * coh.rep(n, i) + b
+                    assert coh.project(x, n) == want
+                    assert not coh.is_coboundary(x, n)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_project_matches_dense_formula(d_windows, data):
+    coh = d_windows[data.draw(st.sampled_from(sorted(d_windows)))]
+    n = data.draw(st.sampled_from(coh.degrees))
+    small = st.fractions(-3, 3, max_denominator=4)
+    a = data.draw(st.lists(small, min_size=len(coh.reps[n][0]),
+                           max_size=len(coh.reps[n][0])))
+    y = data.draw(st.dictionaries(
+        st.sampled_from(coh.by_deg.get(n - 1) or [None]), small,
+        max_size=4))
+    x = Vec()
+    for i, c in enumerate(a):
+        x.iadd_scaled(c, coh.rep(n, i))
+    if None not in y:
+        x += coh.diff(Vec(y))
+    assert coh.project(x, n) == dense_project(coh, x, n) == a
+    assert coh.is_coboundary(x, n) == (not any(a))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 6).flatmap(lambda ncols: st.tuples(
+    st.lists(st.lists(st.one_of(st.just(Fraction(0)),
+                                st.fractions(-3, 3, max_denominator=4)),
+                      min_size=ncols, max_size=ncols), max_size=5),
+    st.lists(st.integers(0, max(ncols - 1, 0)), min_size=5, max_size=5),
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=ncols,
+             max_size=ncols))))
+def test_reduce_matches_dense_formula(case):
+    rows, piv, v = case
+    if not v:
+        piv = []
+    assert Cohomology._reduce(v, sparse_rows(rows), piv) \
+        == dense_reduce(v, rows, piv)
+
+
+def product_then_filter(sp, max_weight, max_arity):
+    out = []
+    for fw in a_form_algebra(sp.pair).words(max_weight=0):
+        for arity in range(1, max_arity + 1):
+            for cls in itertools.product(list(mi_upto(sp.r, max_weight)),
+                                         repeat=arity):
+                if sum(sum(J) for J in cls) <= max_weight:
+                    out.append((fw, cls))
+    return out
+
+
+def test_d_complex_keys_match_product_then_filter_exhaustive():
+    for name in FIXTURES + ["heis5_lag"]:
+        pair, sp, conn = load(name)
+        assert d_complex_keys(sp) == product_then_filter(sp, 1, 2)
+        for max_weight in range(3):
+            for max_arity in range(5):
+                assert d_complex_keys(sp, max_weight, max_arity) \
+                    == product_then_filter(sp, max_weight, max_arity)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+       st.integers(0, 4))
+def test_d_complex_keys_match_product_then_filter(m, r, max_weight,
+                                                  max_arity):
+    sp = SimpleNamespace(pair=SimpleNamespace(dim_a=m), r=r)
+    assert d_complex_keys(sp, max_weight, max_arity) \
+        == product_then_filter(sp, max_weight, max_arity)

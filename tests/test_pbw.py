@@ -4,9 +4,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.core import (
-    Vec, mi_unit, mi_upto, mi_weight, mi_zero, sym_comul,
+    Vec, mat_inv, mi_unit, mi_upto, mi_weight, mi_zero, sym_comul,
 )
 from liepairs.liepair import Connection, parse_pair_spec
 from liepairs.pbw import Pbw, d_a_u, dual_map, transition
@@ -265,3 +266,60 @@ def test_d_a_u_squares_to_zero(built):
             for ck in cks:
                 x = Vec({(fw, ck): 1})
                 assert d_a_u(P, d_a_u(P, x)).is_zero(), (name, fw, ck)
+
+
+# ---------------------------------------------------------------------------
+# the sparse inverse against the dense column product it replaced
+
+
+def dense_pbw_inv(P, inv, cls):
+    out = Vec(truncated=cls.truncated)
+    for J, c in cls.items():
+        col = P._index[J]
+        for row, Jr in enumerate(P._basis):
+            out.iadd_term(Jr, c * inv[row][col])
+    return out
+
+
+@pytest.fixture(scope="module")
+def dense_inverses(built):
+    out = {}
+    for name, (sp, conn, P) in built.items():
+        n = len(P._basis)
+        out[name] = mat_inv([[P._table[P._basis[col]][P._basis[row]]
+                              for col in range(n)] for row in range(n)])
+    return out
+
+
+def assert_same_inv(P, inv, cls):
+    got, want = P.pbw_inv(cls), dense_pbw_inv(P, inv, cls)
+    assert got == want
+    assert got.truncated == want.truncated
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in got.values())
+
+
+def test_sparse_pbw_inv_matches_dense_exhaustive(built, dense_inverses):
+    for name, (sp, conn, P) in built.items():
+        inv = dense_inverses[name]
+        for J in P._basis:
+            for c in (1, -2, Fraction(3, 4)):
+                assert_same_inv(P, inv, Vec({J: c}))
+        assert_same_inv(P, inv, Vec({J: i - 3 for i, J in
+                                     enumerate(P._basis)}, truncated=True))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_sparse_pbw_inv_matches_dense(built, dense_inverses, data):
+    name = data.draw(st.sampled_from(FIXTURES))
+    sp, conn, P = built[name]
+    inv = dense_inverses[name]
+    cls = data.draw(st.builds(
+        Vec, st.dictionaries(
+            st.sampled_from(P._basis),
+            st.one_of(st.integers(-5, 5),
+                      st.fractions(-3, 3, max_denominator=6)),
+            max_size=6),
+        truncated=st.booleans()))
+    assert_same_inv(P, inv, cls)

@@ -37,6 +37,18 @@ RANK3_FEDOSOV = \
     "85ae5c3ea6a0e51a9672769e8aa34cb061e3a49b65ba0452967aa17b376db4d2"
 
 
+# sha256 of the heis5_lag (dim 5, r = 3) reports at --trunc 4 --arity 2
+# --seed 0: the wide small complexes of the contraction and cohomology
+# suites, where the perturbed tau/d_small, the PBW inverse and the exact
+# reduction do the work
+WIDE = {
+    "contraction":
+        "23b04bd723f6144a2357bc84aef1d9c9c9e1c90412948304542b1a85df8aa0fe",
+    "cohomology":
+        "5ee63d10e629b1f2a59f182dcd11e655418a31b7c70e94a8b06880ea335168e7",
+}
+
+
 def report_digest(tmp_path, name, suite, trunc, arity):
     out = tmp_path / "report.json"
     res = CliRunner().invoke(main, [
@@ -55,3 +67,8 @@ def test_report_bytes_unchanged(name, tmp_path):
 def test_rank3_fedosov_report_bytes_unchanged(tmp_path):
     assert report_digest(tmp_path, "sl3_borel", "fedosov", 3, 1) \
         == RANK3_FEDOSOV
+
+
+@pytest.mark.parametrize("suite", sorted(WIDE))
+def test_wide_report_bytes_unchanged(suite, tmp_path):
+    assert report_digest(tmp_path, "heis5_lag", suite, 4, 2) == WIDE[suite]

@@ -2,10 +2,12 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liepairs.core import Vec, mi_unit, mi_weight
+from liepairs.core import Vec, WordAlgebra, mi_unit, mi_weight
 from liepairs.liepair import Connection, parse_pair_spec
 from liepairs.weyl import Weyl
 
@@ -220,3 +222,75 @@ def test_filtration_behaviour(machines):
                 assert mi_weight(y[-1]) == wt
             for y, c in W.apply_x(x).items():
                 assert mi_weight(y[-1]) >= wt + 1
+
+
+# ---------------------------------------------------------------------------
+# the closed-form homotopy against its first formulation: contract each
+# chi_k-form letter as an odd derivation, then multiply by chi_k
+
+
+def oracle_h(W, x):
+    out = Vec(truncated=x.truncated)
+    for w, c in x.items():
+        v = len(w[1])
+        if v == 0:
+            continue
+        J = w[-1]
+        if mi_weight(J) + 1 > W.N:
+            out.truncated = True
+            continue
+        f = Fraction(1, v + mi_weight(J))
+        for k in range(W.r):
+            contracted = W.alg.contract_odd(1, k, Vec({w: c * f}))
+            if not contracted:
+                continue
+            bump = Vec({W.alg.even_word(mi_unit(W.r, k)): Fraction(1)})
+            out += W.alg.mul(contracted, bump)
+    return out
+
+
+def layout(m, r, trunc, polyvector):
+    """The fields Weyl.h reads, on the Weyl word layout (alpha, chi-form,
+    J) or the TPoly one (alpha, chi-form, xi, J)."""
+    counts = (m, r, r) if polyvector else (m, r)
+    return SimpleNamespace(alg=WordAlgebra(counts, r, trunc), N=trunc, r=r)
+
+
+def assert_same_h(W, x):
+    got, want = Weyl.h(W, x), oracle_h(W, x)
+    assert got == want
+    assert got.truncated == want.truncated
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in got.values())
+
+
+def test_h_matches_contraction_oracle_exhaustive(machines):
+    # every word up to one weight past the cap, on the real machines and
+    # on the polyvector layout of the same size
+    for name, W in machines.items():
+        for X in (W, layout(W.m, W.r, W.N, True)):
+            for w in X.alg.words(max_weight=X.N + 1):
+                assert_same_h(X, Vec({w: Fraction(-3, 2)}))
+        x = Vec({w: i + 1 for i, w in enumerate(all_words(W, N + 1))},
+                truncated=True)
+        assert_same_h(W, x)
+
+
+@st.composite
+def layouts_and_vecs(draw):
+    m, r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    W = layout(m, r, draw(st.integers(0, 4)), draw(st.booleans()))
+    parts = [st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda bits: tuple(i for i, b in enumerate(bits) if b))
+        for n in W.alg.odd_counts]
+    word = st.tuples(*parts, st.tuples(*[st.integers(0, 3)] * r))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    x = draw(st.builds(Vec, st.dictionaries(word, coef, max_size=5),
+                       truncated=st.booleans()))
+    return W, x
+
+
+@settings(deadline=None)
+@given(layouts_and_vecs())
+def test_h_matches_contraction_oracle(case):
+    assert_same_h(*case)

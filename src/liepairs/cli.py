@@ -397,6 +397,15 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     if trunc < arity + 2:
         click.echo("error: trunc must be at least arity + 2", err=True)
         sys.exit(2)
+    if out_path:
+        # fail before the suites run, not after; appending creates the
+        # file if need be and leaves an existing one as it is
+        try:
+            with open(out_path, "a"):
+                pass
+        except OSError as e:
+            click.echo("error: cannot write report: %s" % e, err=True)
+            sys.exit(2)
     try:
         with open(pair_path) as f:
             spec = json.load(f)

@@ -1,11 +1,21 @@
 """Contractions and homological perturbation.
 
 A contraction packages a projection, an inclusion, a homotopy and the
-two differentials.  Perturbing the big differential by a
-filtration-raising operator yields new data by the usual geometric
-series, which terminates here because the homotopy raises the
-power-series weight by one at every pass.
+two differentials.  Perturbing the big differential d by a
+filtration-raising operator rho yields new data by the usual geometric
+series (the perturbation lemma):
+
+    tau' = sum_k (-h rho)^k tau,   h' = sum_k (-h rho)^k h,
+    d_small' = d_small + sigma rho tau'.
+
+The series terminates here because the homotopy raises the power-series
+weight by one at every pass.  The loop that sums tau' applies rho to
+every term anyway, so rho tau' is summed from those values and d_small'
+costs no further pass of rho.  tau' is linear, so it is kept once per
+small basis key and extended by linearity.
 """
+
+from .core import Vec
 
 
 class Contraction:
@@ -20,31 +30,47 @@ class Contraction:
 
     def perturb(self, rho):
         """New contraction for the perturbed differential d_big + rho."""
-        kmax = self.kmax
+        kmax, h = self.kmax, self.h
 
-        def series(first):
-            """x -> sum_k (-h rho)^k first(x); raises if the terms have not
-            died out after kmax passes."""
-            def apply(x):
-                acc = term = first(x)
-                for _ in range(kmax):
-                    term = -1 * self.h(rho(term))
-                    if term.is_zero():
-                        return acc
-                    acc = acc + term
-                raise RuntimeError("perturbation series did not terminate "
-                                   "within %d passes" % kmax)
-            return apply
+        def series(first, rho_sum=None):
+            """sum_k (-h rho)^k first; adds each rho((-h rho)^k first)
+            into rho_sum when one is given.  Raises if the terms have
+            not died out after kmax passes."""
+            acc = term = first
+            for _ in range(kmax):
+                image = rho(term)
+                if rho_sum is not None:
+                    rho_sum += image
+                term = -1 * h(image)
+                if term.is_zero():
+                    return acc
+                acc = acc + term
+            raise RuntimeError("perturbation series did not terminate "
+                               "within %d passes" % kmax)
 
-        tau_new = series(self.tau)
+        tau_keys = {}
+
+        def tau_new(x):
+            out = Vec(truncated=x.truncated)
+            for key, c in x.items():
+                img = tau_keys.get(key)
+                if img is None:
+                    img = tau_keys[key] = series(self.tau(Vec({key: 1})))
+                out.iadd_scaled(c, img)
+            return out
 
         def d_small_new(x):
-            return self.d_small(x) + self.sigma(rho(tau_new(x)))
+            rho_tau = Vec()
+            series(self.tau(x), rho_tau)
+            return self.d_small(x) + self.sigma(rho_tau)
+
+        def h_new(x):
+            return series(h(x))
 
         def d_big_new(x):
             return self.d_big(x) + rho(x)
 
-        return Contraction(self.sigma, tau_new, series(self.h), d_big_new,
+        return Contraction(self.sigma, tau_new, h_new, d_big_new,
                            d_small_new, kmax)
 
     # -- identity checks, each returning the defect --------------------------

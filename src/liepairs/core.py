@@ -349,23 +349,32 @@ class WordAlgebra:
         images maps (colour, index) or (EVEN, index) to a Vec; missing
         generators map to zero.  For odd `parity` the Leibniz rule picks up
         a sign per odd generator jumped over.
+
+        Each image term costs one product.  Write the word as
+        pre * g * suf; then pre * img * suf = (-1)^(|img| |suf|)
+        (pre * suf) * img, where |.| counts odd letters, and pre * suf is
+        the word with g taken out (for an even g the suffix holds no odd
+        letter, so the sign is +1).  The `truncated` flag is set exactly
+        as the two products pre * img and then * suf would set it: an
+        overflowing image term flags the result when its own weight is
+        over the cap, or when it shares no odd letter with pre (sharing
+        one makes pre * img vanish before its weight is looked at).
         """
         out = Vec(truncated=x.truncated)
         odd = parity % 2
-        zero = mi_zero(self.n_even)
-        empty = ((),) * self.n_colours
         for w, coef in x.items():
             parts, J = w[:-1], w[-1]
+            n = sum(map(len, parts))
             t = 0  # odd generators before the one being replaced
             for c, part in enumerate(parts):
                 for p, i in enumerate(part):
                     img = images.get((c, i))
                     if img:
                         self._leibniz(
-                            out, parts[:c] + (part[:p],) + empty[c + 1:]
-                            + (zero,), img,
-                            empty[:c] + (part[p + 1:],) + parts[c + 1:]
-                            + (J,), -coef if odd and t % 2 else coef)
+                            out, w, c, p,
+                            parts[:c] + (part[:p] + part[p + 1:],)
+                            + parts[c + 1:] + (J,), img, (n - t - 1) % 2,
+                            -coef if odd and t % 2 else coef)
                     t += 1
             base = -coef if odd and t % 2 else coef
             for k, jk in enumerate(J):
@@ -373,31 +382,40 @@ class WordAlgebra:
                     continue
                 img = images.get((EVEN, k))
                 if img:
-                    self._leibniz(out, parts + (zero,), img,
-                                  empty + (J[:k] + (jk - 1,) + J[k + 1:],),
-                                  base * jk)
+                    self._leibniz(out, w, self.n_colours, 0,
+                                  parts + (J[:k] + (jk - 1,) + J[k + 1:],),
+                                  img, 0, base * jk)
         return out
 
-    def _leibniz(self, out, pre, img, suf, coef):
-        """out += coef * pre * img * suf, one image term at a time."""
+    def _leibniz(self, out, w, c, p, rest, img, swap, coef):
+        """out += coef * pre * img * suf, where w = pre * g * suf with g
+        letter p of colour c (c = n_colours for an even letter), rest is
+        pre * suf and swap is the parity of the odd letters of suf."""
         if img.truncated:
             out.truncated = True
         for iw, ic in img.items():
-            r = self.mul_words(pre, iw)
+            r = self.mul_words(rest, iw)
             if r is None:
                 continue
             if r == 'overflow':
-                out.truncated = True
+                if not out.truncated and (
+                        mi_weight(iw[-1]) > self.trunc
+                        or not self._meets_prefix(w, c, p, iw)):
+                    out.truncated = True
                 continue
-            s1, w = r
-            r = self.mul_words(w, suf)
-            if r is None:
-                continue
-            if r == 'overflow':
-                out.truncated = True
-                continue
-            s2, w = r
-            out.iadd_term(w, coef * ic * s1 * s2)
+            sign, word = r
+            if swap and sum(map(len, iw[:-1])) % 2:
+                sign = -sign
+            out.iadd_term(word, coef * ic * sign)
+
+    @staticmethod
+    def _meets_prefix(w, c, p, iw):
+        """Whether iw shares an odd letter with the letters of w before
+        letter p of colour c."""
+        for cc in range(c):
+            if set(w[cc]).intersection(iw[cc]):
+                return True
+        return c < len(w) - 1 and bool(set(w[c][:p]).intersection(iw[c]))
 
     def substitute(self, images, x):
         """Extend generator images to an algebra endomorphism.

@@ -136,7 +136,10 @@ class DPoly:
                                   c * base * c2 * sign)
         return out
 
-    q_op = Weyl.q_op
+    def q_op(self, x):
+        """-delta + rho: rho also acts on the slots, so Q is not one
+        derivation of the word algebra here."""
+        return -1 * self.delta(x) + self.rho(x)
 
     # -- the Hochschild-type operator ----------------------------------------------
 
@@ -197,28 +200,6 @@ class DPoly:
                 s = -1 if (n1 * n2) % 2 else 1
                 out -= s * self.star(Vec({(w2, S2): c2}),
                                      Vec({(w1, S1): c1}))
-        return out
-
-    # -- evaluation as an operator ----------------------------------------------------
-
-    def evaluate(self, x, args):
-        """Apply an element of arity v to v+1 power-series arguments
-        (each a Vec over multi-indices); the value is a Vec of words."""
-        out = Vec(truncated=x.truncated)
-        for (w, slots), c in x.items():
-            if len(slots) != len(args):
-                continue
-            acc = Vec({w: c})
-            for J, arg in zip(slots, args):
-                val = Vec(truncated=arg.truncated)
-                for K, ck in arg.items():
-                    low = mi_sub(K, J)
-                    if low is not None:
-                        val.iadd_term(low, ck * falling(K, J))
-                acc = self.alg.mul(acc, Vec(
-                    {self.alg.even_word(K): ck for K, ck in val.items()},
-                    truncated=val.truncated))
-            out += acc
         return out
 
     # -- projection to the small complex -----------------------------------------------

@@ -9,6 +9,7 @@ choices the rest of the pipeline depends on.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Vec, WordAlgebra, mat_inv, mat_vec, sort_sign
 
@@ -163,6 +164,19 @@ class Splitting:
         self.m = m
         self.r = r
 
+    @cached_property
+    def ce_base(self):
+        """The A-form algebra and d_A on its generators, d alpha_w =
+        -sum_{u<v} c^w_{uv} alpha_u ^ alpha_v, for ce_differential."""
+        fa = a_form_algebra(self.pair)
+        d_gen = {}
+        for u in range(self.m):
+            for v in range(u + 1, self.m):
+                for w, c in self.struct_const(u, v).items():
+                    img = d_gen.setdefault((0, w), Vec())
+                    img.iadd_term(fa.make_word([(u, v)], ()), -c)
+        return fa, d_gen
+
     def struct_const(self, u, v):
         """[E_u, E_v] in adapted coordinates, as {w: Fraction}."""
         if u == v:
@@ -229,14 +243,6 @@ class Connection:
                     return False, (u, v)
         return True, None
 
-    def curvature(self, u, v, b):
-        """R(E_u, E_v) d_b in the B-frame."""
-        out = self.nabla_vec(u, self.nabla(v, b))
-        out -= self.nabla_vec(v, self.nabla(u, b))
-        for w, c in self.splitting.struct_const(u, v).items():
-            out.iadd_scaled(-c, self.nabla(w, b))
-        return out
-
 
 def default_connection(splitting):
     """Torsion-free extension of the canonical flat A-action: on A-directions
@@ -273,14 +279,7 @@ def ce_differential(splitting, action, x):
     (x) a_s . m, where d_A(alpha_s) comes from the A structure constants.
     """
     sp = splitting
-    fa = a_form_algebra(sp.pair)
-    # d_A on generators: d alpha_w = -sum_{u<v} c^w_{uv} alpha_u ^ alpha_v
-    d_gen = {}
-    for u in range(sp.m):
-        for v in range(u + 1, sp.m):
-            for w, c in sp.struct_const(u, v).items():
-                img = d_gen.setdefault((0, w), Vec())
-                img.iadd_term(fa.make_word([(u, v)], ()), -c)
+    fa, d_gen = sp.ce_base
     out = Vec(truncated=x.truncated)
     for (fw, ck), coef in x.items():
         dfw = fa.derive(d_gen, 1, Vec({fw: coef}))
@@ -296,13 +295,6 @@ def ce_differential(splitting, action, x):
                 for ck2, c3 in acted.items():
                     out.iadd_term((w2, ck2), c2 * c3)
     return out
-
-
-def d_a_scalar(splitting, x):
-    """CE differential with trivial coefficients on Vec over A-form words."""
-    wrapped = Vec({(w, ()): c for w, c in x.items()}, truncated=x.truncated)
-    res = ce_differential(splitting, lambda s, ck: Vec(), wrapped)
-    return Vec({w: c for (w, _), c in res.items()}, truncated=res.truncated)
 
 
 def bott_action_on_lambda_b(splitting):

@@ -137,19 +137,6 @@ class Pbw:
         at most trunc (one unit of head room is built in)."""
         return self.pbw_inv(self.left_mult(l, self.pbw(s)))
 
-    def dual_nabla_chi(self, l, k):
-        """Image of the degree-one generator chi_k under the dual of the
-        flat connection along E_l: a Vec over multi-indices J meaning
-        sum_J c_J chi^J, with <dual(chi), d> = -<chi, nabla_flash(d)>."""
-        out = Vec()
-        ek = mi_unit(self.r, k)
-        for J in mi_upto(self.r, self.N):
-            img = self.nabla_flash(l, Vec({J: Fraction(1)}))
-            c = img[ek]
-            if c:
-                out.iadd_term(J, -c * Fraction(1, mi_fact(J)))
-        return out
-
     def class_comul(self, J):
         """Comultiplication of the class of a sorted y-monomial: the
         y-letters are primitive, so this is the same shuffle count as for

@@ -10,7 +10,7 @@ the whole thing a differential graded Lie algebra.
 
 from fractions import Fraction
 
-from .core import EVEN, Vec, WordAlgebra, mi_zero
+from .core import Vec, WordAlgebra, mi_zero
 from .weyl import Weyl
 
 
@@ -29,14 +29,7 @@ class TPoly:
 
         self._delta_images = {g: self.embed(img)
                               for g, img in self.W._delta_images.items()}
-        self._rho_images = {}
-        for g, img in self.W._d_images.items():
-            self._rho_images[g] = self.embed(img)
-        for k in range(r):
-            xk = self.W.x_vert[k]
-            if xk:
-                prev = self._rho_images.get((EVEN, k), Vec())
-                self._rho_images[(EVEN, k)] = prev + self.embed(xk)
+        rho = {g: self.embed(img) for g, img in self.W._rho_images.items()}
         # commutator action on the vertical directions:
         # xi_j -> sum_k c[j][k] xi_k
         c_vert = self.W.vertical_commutator()
@@ -48,7 +41,8 @@ class TPoly:
                         self.embed(c_vert[j][k]),
                         Vec({self.alg.odd_word(2, k): Fraction(1)}))
             if img:
-                self._rho_images[(2, j)] = img
+                rho[(2, j)] = img
+        self.set_tables(rho)
 
     def embed(self, x):
         return Vec({(w[0], w[1], (), w[2]): c for w, c in x.items()},
@@ -56,13 +50,12 @@ class TPoly:
 
     # -- lifted contraction operators ------------------------------------------
 
+    # rho and Q read the lifted tables; the homotopy, the projection and
+    # the weight cut act on the form and symmetric letters only, so the
+    # scalar definitions serve unchanged
     delta = Weyl.delta
-
-    def rho(self, x):
-        return self.alg.derive(self._rho_images, 1, x)
-
-    # the homotopy, the projection and the weight cut act on the form and
-    # symmetric letters only, so the scalar definitions serve unchanged
+    set_tables = Weyl.set_tables
+    rho = Weyl.rho
     q_op = Weyl.q_op
     h = Weyl.h
     sigma = tau = Weyl.sigma

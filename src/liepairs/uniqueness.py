@@ -176,8 +176,3 @@ class Uniqueness:
         return (self.map_scalar(self.W1.q_op(x))
                 - self.W2.q_op(self.map_scalar(x)))
 
-    def d_chain_defect(self, x):
-        d1 = self.D1.q_op(x) + self.D1.d_h(x)
-        img = self.map_d(x)
-        d2 = self.D2.q_op(img) + self.D2.d_h(img)
-        return self.map_d(d1) - d2

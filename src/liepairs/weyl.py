@@ -20,6 +20,11 @@ and are carried along).  Then
 so that h delta + delta h = id - tau sigma.  A word with v = 0 maps to
 zero, and a word with |J| + 1 above the truncation weight is dropped
 and flags the result as truncated.
+
+Once X is solved, the flat part rho = d + X and the total differential
+Q = -delta + rho are each one derivation: solve() merges the generator
+images of d and of X into one rho table, and adds those of -delta to it
+for a Q table, so that rho and q_op each cost a single Leibniz pass.
 """
 
 from fractions import Fraction
@@ -72,7 +77,10 @@ class Weyl:
             if img:
                 self._d_images[(EVEN, k)] = img
 
-        self.x_vert = None  # set by solve(): dict k -> Vec (coefficient of d_k)
+        # set by solve(): dict k -> Vec (coefficient of d_k), and the
+        # derivation tables of rho and Q
+        self.x_vert = None
+        self._rho_images = self._q_images = None
 
     def _form_gen(self, l):
         return (0, l) if l < self.m else (1, l - self.m)
@@ -164,22 +172,35 @@ class Weyl:
                 newX[k] = self.h(rhs)
             if all(newX[k] == X[k] for k in range(r)):
                 self.x_vert = newX
+                rho = dict(self._d_images)
+                for k, xk in newX.items():
+                    if xk:
+                        rho[(EVEN, k)] = rho.get((EVEN, k), Vec()) + xk
+                self.set_tables(rho)
                 return newX
             X = newX
         raise RuntimeError("correction-term iteration failed to stabilize; "
                            "weight grading should force convergence")
 
-    def apply_x(self, x):
-        if self.x_vert is None:
-            self.solve()
-        return self.vertical(self.x_vert, x)
+    def set_tables(self, rho_images):
+        """Take rho_images as the generator images of rho, and the same
+        plus those of -delta as the images of Q."""
+        self._rho_images = rho_images
+        self._q_images = dict(rho_images)
+        for g, img in self._delta_images.items():
+            self._q_images[g] = self._q_images.get(g, Vec()) - img
 
     def rho(self, x):
         """The filtration-raising part of the total differential: d + X."""
-        return self.d_l_nabla(x) + self.apply_x(x)
+        if self._rho_images is None:
+            self.solve()
+        return self.alg.derive(self._rho_images, 1, x)
 
     def q_op(self, x):
-        return -1 * self.delta(x) + self.rho(x)
+        """The total differential Q = -delta + rho."""
+        if self._q_images is None:
+            self.solve()
+        return self.alg.derive(self._q_images, 1, x)
 
     def vertical_commutator(self):
         """The matrix c of the commutator of the flat differential with

@@ -90,6 +90,18 @@ def test_malformed_json_is_config_error(tmp_path):
     assert res.exit_code == 2
 
 
+def test_unwritable_report_path_is_config_error(tmp_path):
+    # used to run every suite first and then end in a FileNotFoundError
+    # traceback with exit code 1
+    out = tmp_path / "missing" / "r.json"
+    res = run_cli(["check", "--pair", pair_path("sl2_h"), "--out", str(out)])
+    assert res.exit_code == 2
+    assert "error: cannot write report:" in res.stderr
+    assert "checks passed" not in res.stderr
+    assert res.stdout == ""
+    assert not out.parent.exists()
+
+
 def test_jacobi_violation_reported_with_witness(tmp_path):
     spec = {
         "name": "bad",

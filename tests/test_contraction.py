@@ -4,7 +4,9 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liepairs.cohomology import d_complex_keys, t_complex_keys
 from liepairs.contraction import (
     Contraction, d_contraction, d_perturbation, t_contraction,
     t_perturbation,
@@ -189,3 +191,101 @@ def test_perturbation_series_must_terminate():
         p.tau(x)
     with pytest.raises(RuntimeError, match="did not terminate"):
         p.h(x)
+
+
+# ---------------------------------------------------------------------------
+# the perturbed contraction against its earlier formulation: tau' summed
+# afresh on every call, d_small' = d_small + sigma rho tau' with rho
+# applied again to the whole of tau'(x)
+
+
+def old_perturbed(c, rho):
+    """(tau', h', d_small') of c perturbed by rho, as first written."""
+    def series(first):
+        def apply(x):
+            acc = term = first(x)
+            for _ in range(c.kmax):
+                term = -1 * c.h(rho(term))
+                if term.is_zero():
+                    return acc
+                acc = acc + term
+            raise RuntimeError("perturbation series did not terminate "
+                               "within %d passes" % c.kmax)
+        return apply
+
+    tau = series(c.tau)
+
+    def d_small(x):
+        return c.d_small(x) + c.sigma(rho(tau(x)))
+
+    return tau, series(c.h), d_small
+
+
+def exact(v):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in v.values())
+
+
+def assert_same(got, want, label):
+    assert got == want, label
+    assert got.truncated == want.truncated, label
+    assert exact(got), label
+
+
+@pytest.fixture(scope="module")
+def against_old(sides):
+    """name -> per side (small keys, new perturbed, old (tau, h, d_small))."""
+    out = {}
+    for name, (T, D) in sides.items():
+        ct, cd = t_contraction(T), d_contraction(D)
+        rt, rd = t_perturbation(T), d_perturbation(D)
+        out[name] = {
+            "t": (t_complex_keys(T.sp), ct.perturb(rt), old_perturbed(ct, rt)),
+            "d": (d_complex_keys(D.sp, max_weight=2), cd.perturb(rd),
+                  old_perturbed(cd, rd)),
+        }
+    return out
+
+
+def test_perturbed_maps_match_old_formulation_on_every_key(against_old):
+    for name, by_side in against_old.items():
+        for side, (keys, new, (tau, h, d_small)) in by_side.items():
+            for key in keys:
+                x = Vec({key: 1})
+                label = (name, side, key)
+                assert_same(new.tau(x), tau(x), label)
+                assert_same(new.d_small(x), d_small(x), label)
+                # the cached value comes back unchanged
+                assert_same(new.tau(x), tau(x), label)
+
+
+def test_perturbed_homotopy_matches_old_formulation(against_old, sides):
+    for name, (T, D) in sides.items():
+        keys, new, (tau, h, d_small) = against_old[name]["t"]
+        for w in list(T.alg.words(max_weight=2))[::5]:
+            x = Vec({w: Fraction(2, 3)})
+            assert_same(new.h(x), h(x), (name, w))
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def combinations(draw, against_old):
+    name = draw(st.sampled_from(FIXTURES))
+    side = draw(st.sampled_from(["t", "d"]))
+    keys, new, old = against_old[name][side]
+    x = Vec(draw(st.dictionaries(st.sampled_from(keys), RATIONALS,
+                                 min_size=1, max_size=4)),
+            truncated=draw(st.booleans()))
+    return (name, side, x), new, old
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_perturbed_maps_match_old_formulation_on_combinations(
+        against_old, data):
+    label, new, (tau, h, d_small) = data.draw(combinations(against_old))
+    x = label[-1]
+    assert_same(new.tau(x), tau(x), label)
+    assert_same(new.d_small(x), d_small(x), label)

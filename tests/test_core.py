@@ -517,6 +517,29 @@ def test_derive_flags_truncation_at_either_product():
     assert fits == Vec({A.even_word((2,)): 1}) and not fits.truncated
 
 
+def test_derive_overflow_meeting_the_prefix_is_not_flagged():
+    # x = a0 a1 chi^2, cap 2; the image a0 chi of a1 overflows against
+    # chi^2 but meets the prefix a0, so pre * img is zero before any
+    # weight is looked at
+    A = WordAlgebra((2,), 1, 2)
+    x = Vec({A.make_word([(0, 1)], (2,)): 1})
+    images = {(0, 1): Vec({A.make_word([(0,)], (1,)): 1})}
+    got = A.derive(images, 1, x)
+    assert got.is_zero() and not got.truncated
+    assert not oracle_derive(A, images, 1, x).truncated
+
+
+def test_derive_overflow_meeting_the_suffix_is_flagged():
+    # the image a1 chi of a0 meets only the suffix a1 chi^2: pre * img
+    # survives, and the product with the suffix overflows first
+    A = WordAlgebra((2,), 1, 2)
+    x = Vec({A.make_word([(0, 1)], (2,)): 1})
+    images = {(0, 0): Vec({A.make_word([(1,)], (1,)): 1})}
+    got = A.derive(images, 1, x)
+    assert got.is_zero() and got.truncated
+    assert oracle_derive(A, images, 1, x).truncated
+
+
 @given(st.integers(0, 6).flatmap(lambda ncols: st.lists(
     st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
              min_size=ncols, max_size=ncols), max_size=6)))

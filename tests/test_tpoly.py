@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepairs.core import Vec, mi_unit, mi_weight, mi_zero
+from liepairs.core import EVEN, Vec, mi_unit, mi_weight, mi_zero
 from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
 from liepairs.tpoly import TPoly
 
@@ -213,3 +213,48 @@ def test_q_is_derivation_of_schouten(machines):
                     + s * T.schouten(u, T.q_op(v))
                 assert T.restrict_weight(lhs - rhs, N - 2).is_zero(), \
                     (name, wu, wv)
+
+
+# ---------------------------------------------------------------------------
+# the lifted tables against their first construction: the scalar d and
+# X images embedded one by one, then the commutator action on the xi
+
+
+def old_rho_images(T):
+    W, r = T.W, T.r
+    images = {g: T.embed(img) for g, img in W._d_images.items()}
+    for k in range(r):
+        xk = W.x_vert[k]
+        if xk:
+            prev = images.get((EVEN, k), Vec())
+            images[(EVEN, k)] = prev + T.embed(xk)
+    c_vert = W.vertical_commutator()
+    for j in range(r):
+        img = Vec()
+        for k in range(r):
+            if c_vert[j][k]:
+                img += T.alg.mul(T.embed(c_vert[j][k]),
+                                 Vec({T.alg.odd_word(2, k): Fraction(1)}))
+        if img:
+            images[(2, j)] = img
+    return images
+
+
+def test_lifted_tables_match_first_construction(machines):
+    pair, sp, conn = load("sl3_borel")
+    cases = list(machines.items()) + [("sl3_borel", TPoly(sp, conn, 3))]
+    for name, T in cases:
+        assert T._rho_images == old_rho_images(T), name
+        for g, img in T._rho_images.items():
+            assert T._q_images[g] == img - T._delta_images.get(g, Vec()), \
+                (name, g)
+        assert set(T._q_images) == set(T._rho_images) | set(T._delta_images)
+
+
+def test_lifted_q_is_minus_delta_plus_rho(machines):
+    for name, T in machines.items():
+        for w in all_words(T, wmax=N + 1):
+            x = Vec({w: Fraction(-2, 3)})
+            q = T.q_op(x)
+            want = -1 * T.delta(x) + T.rho(x)
+            assert q == want and q.truncated == want.truncated, (name, w)

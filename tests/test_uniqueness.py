@@ -13,6 +13,8 @@ from liepairs.liepair import (
 )
 from liepairs.uniqueness import Uniqueness
 
+from helpers import d_chain_defect
+
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 N = 5
 
@@ -93,7 +95,7 @@ def test_operator_intertwining(setups):
             for J in mi_upto(sp.r, 2):
                 keys.append((w, (J,)))
         for key in keys[::3]:
-            d = uni.d_chain_defect(Vec({key: 1}))
+            d = d_chain_defect(uni, Vec({key: 1}))
             for k, c in d.items():
                 tot = (mi_weight(k[0][-1])
                        + sum(mi_weight(K) for K in k[1]))

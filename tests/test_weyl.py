@@ -11,6 +11,8 @@ from liepairs.core import Vec, WordAlgebra, mi_unit, mi_weight
 from liepairs.liepair import Connection, parse_pair_spec
 from liepairs.weyl import Weyl
 
+from helpers import apply_x
+
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
             "abelian"]
@@ -220,7 +222,7 @@ def test_filtration_behaviour(machines):
                 assert mi_weight(y[-1]) == wt + 1
             for y, c in W.d_l_nabla(x).items():
                 assert mi_weight(y[-1]) == wt
-            for y, c in W.apply_x(x).items():
+            for y, c in apply_x(W, x).items():
                 assert mi_weight(y[-1]) >= wt + 1
 
 
@@ -294,3 +296,28 @@ def layouts_and_vecs(draw):
 @given(layouts_and_vecs())
 def test_h_matches_contraction_oracle(case):
     assert_same_h(*case)
+
+
+# ---------------------------------------------------------------------------
+# rho and Q as single derivations against their sums of parts, on every
+# word up to one weight past the cap
+
+
+def merged_cases(machines):
+    pair, sp, conn = load("sl3_borel")
+    rank3 = Weyl(sp, conn, trunc=3)
+    return [(name, W) for name, W in machines.items()] + [
+        ("sl3_borel", rank3)]
+
+
+def test_rho_and_q_tables_match_their_parts(machines):
+    for name, W in merged_cases(machines):
+        W.solve()
+        for w in all_words(W, wmax=W.N + 1):
+            x = Vec({w: Fraction(3, 2)})
+            rho = W.rho(x)
+            want = W.d_l_nabla(x) + apply_x(W, x)
+            assert rho == want and rho.truncated == want.truncated, (name, w)
+            q = W.q_op(x)
+            want = -1 * W.delta(x) + rho
+            assert q == want and q.truncated == want.truncated, (name, w)

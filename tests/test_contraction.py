@@ -194,6 +194,38 @@ def test_perturbation_series_must_terminate():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass small differential does not see the truncation: raising
+# the cap by one leaves d_small' unchanged on every small key
+
+
+@pytest.fixture(scope="module")
+def lower_cap():
+    """name -> (TPoly, DPoly) one weight below the cap of `sides`."""
+    out = {}
+    for name in FIXTURES:
+        pair, sp, conn = load(name)
+        out[name] = (TPoly(sp, conn, trunc=N - 1),
+                     DPoly(sp, conn, trunc=N - 1))
+    return out
+
+
+def test_d_small_does_not_depend_on_the_cap(sides, lower_cap):
+    for name, (T, D) in sides.items():
+        T0, D0 = lower_cap[name]
+        for low, high, keys in (
+                (t_contraction(T0).perturb(t_perturbation(T0)),
+                 t_contraction(T).perturb(t_perturbation(T)),
+                 t_complex_keys(T.sp)),
+                (d_contraction(D0).perturb(d_perturbation(D0)),
+                 d_contraction(D).perturb(d_perturbation(D)),
+                 d_complex_keys(D.sp, max_weight=2,
+                                max_arity=D.m + 3))):
+            for key in keys:
+                x = Vec({key: 1})
+                assert low.d_small(x) == high.d_small(x), (name, key)
+
+
+# ---------------------------------------------------------------------------
 # the perturbed contraction against its earlier formulation: tau' summed
 # afresh on every call, d_small' = d_small + sigma rho tau' with rho
 # applied again to the whole of tau'(x)

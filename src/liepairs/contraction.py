@@ -9,10 +9,26 @@ series (the perturbation lemma):
     d_small' = d_small + sigma rho tau'.
 
 The series terminates here because the homotopy raises the power-series
-weight by one at every pass.  The loop that sums tau' applies rho to
-every term anyway, so rho tau' is summed from those values and d_small'
-costs no further pass of rho.  tau' is linear, so it is kept once per
+weight by one at every pass.  tau' is linear, so it is kept once per
 small basis key and extended by linearity.
+
+d_small' needs no series at all: sigma rho h = 0, so every term of
+tau' after the first drops out and d_small' = d_small + sigma rho tau.
+On both sides of the resolution the weight is the total degree in the
+even generators chi (mi_weight of a word's last part), and
+
+  * h raises it by exactly one (Weyl.h);
+  * rho never lowers it: on words it is a derivation whose generator
+    images have weight at least that of their generator (1 for an even
+    letter, 0 for an odd one), which Weyl.set_tables checks when the
+    table is set and raises otherwise; DPoly's slot part multiplies the
+    coefficient word by further words, and the insertion coboundary
+    d_h leaves the word alone;
+  * sigma keeps weight 0 only.
+
+So sigma rho of each term (-h rho)^k tau with k >= 1 is zero word by
+word, before any cancellation, and so is its truncation: rho tau' is
+applied once, to tau alone.
 """
 
 from .core import Vec
@@ -32,16 +48,12 @@ class Contraction:
         """New contraction for the perturbed differential d_big + rho."""
         kmax, h = self.kmax, self.h
 
-        def series(first, rho_sum=None):
-            """sum_k (-h rho)^k first; adds each rho((-h rho)^k first)
-            into rho_sum when one is given.  Raises if the terms have
-            not died out after kmax passes."""
+        def series(first):
+            """sum_k (-h rho)^k first.  Raises if the terms have not died
+            out after kmax passes."""
             acc = term = first
             for _ in range(kmax):
-                image = rho(term)
-                if rho_sum is not None:
-                    rho_sum += image
-                term = -1 * h(image)
+                term = -1 * h(rho(term))
                 if term.is_zero():
                     return acc
                 acc = acc + term
@@ -60,9 +72,7 @@ class Contraction:
             return out
 
         def d_small_new(x):
-            rho_tau = Vec()
-            series(self.tau(x), rho_tau)
-            return self.d_small(x) + self.sigma(rho_tau)
+            return self.d_small(x) + self.sigma(rho(self.tau(x)))
 
         def h_new(x):
             return series(h(x))

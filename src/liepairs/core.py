@@ -14,6 +14,7 @@ denominator 1 is stored as its int numerator).  Never a float.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, comb
 import itertools
 from operator import add
@@ -89,10 +90,12 @@ def mi_below(J):
     return itertools.product(*[range(a + 1) for a in J])
 
 
+@cache
 def sym_comul(J):
     """All splittings J = K + M with multiplicity J!/(K! M!).
 
     Returns a list of (K, M, coefficient) triples; coefficient is an int.
+    The list is built once per J and shared: callers must not mutate it.
     """
     out = []
     for K in mi_below(J):

@@ -14,6 +14,7 @@ commutator with the vertical directions.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, sym_comul,
@@ -23,9 +24,11 @@ from .pbw import Pbw
 from .weyl import Weyl
 
 
+@cache
 def multi_splits(J, parts):
     """All ways to write J as an ordered sum of `parts` multi-indices,
-    with the multinomial coefficient J!/(M_0! ... )."""
+    with the multinomial coefficient J!/(M_0! ... ).  The list is built
+    once per argument and shared: callers must not mutate it."""
     if parts == 1:
         return [((J,), 1)]
     out = []
@@ -192,15 +195,28 @@ class DPoly:
         return out
 
     def gerst(self, x, y):
+        """star(x, y) - (-1)^(|x| |y|) star(y, x).  The sign depends only
+        on the degree parities, so with y = y_0 + y_1 split by parity the
+        reversed term is star(y_0, x) + star(y_1, x_0) - star(y_1, x_1):
+        at most four calls of star."""
+        x0, x1 = self._by_parity(x)
+        y0, y1 = self._by_parity(y)
         out = self.star(x, y)
-        for (w1, S1), c1 in x.items():
-            n1 = self.deg((w1, S1))
-            for (w2, S2), c2 in y.items():
-                n2 = self.deg((w2, S2))
-                s = -1 if (n1 * n2) % 2 else 1
-                out -= s * self.star(Vec({(w2, S2): c2}),
-                                     Vec({(w1, S1): c1}))
+        if y0:
+            out -= self.star(y0, x)
+        if y1:
+            if x0:
+                out -= self.star(y1, x0)
+            if x1:
+                out += self.star(y1, x1)
         return out
+
+    def _by_parity(self, x):
+        """The even-degree and the odd-degree part of x."""
+        parts = (Vec(), Vec())
+        for key, c in x.items():
+            parts[self.deg(key) % 2][key] = c
+        return parts
 
     # -- projection to the small complex -----------------------------------------------
 

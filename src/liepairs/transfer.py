@@ -16,6 +16,14 @@ is absorbed here once instead of flipping the contraction's homotopy.
 With the homotopy as-is the binary bracket still satisfies the Leibniz
 and Jacobi identities, but the mixed identities coupling the unary and
 ternary brackets fail whenever the small differential is nonzero.
+
+The tree sums are graded symmetric in their leaves: permuting the keys
+multiplies them by the Koszul sign of the permutation for the
+suspended degrees small_sdeg + 1 (each unshuffle carries its sign).  So
+each is built once per multiset of keys, on the sorted tuple, and an
+ordered tuple reads the sorted entry times the Koszul sign of the
+permutation that sorts it.  Sub-tuples of a sorted tuple are sorted, so
+the recursion below the top only ever meets sorted tuples.
 """
 
 import itertools
@@ -32,6 +40,18 @@ def koszul_sign(degs, left, right):
         for b in left:
             if a < b:
                 e += degs[a] * degs[b]
+    return -1 if e % 2 else 1
+
+
+def sorting_sign(keys, degs):
+    """Koszul sign of the permutation sorting keys, whose entries have
+    the given degrees: each pair out of order costs (-1)^(p q)."""
+    e = 0
+    for j in range(len(keys)):
+        if degs[j] % 2:
+            for i in range(j):
+                if degs[i] % 2 and keys[i] > keys[j]:
+                    e += 1
     return -1 if e % 2 else 1
 
 
@@ -74,6 +94,8 @@ class Transfer:
         return out
 
     def _F(self, keys):
+        """The tree sum with the homotopy at the root edge, on a sorted
+        tuple."""
         if keys in self._f_cache:
             return self._f_cache[keys]
         if len(keys) == 1:
@@ -84,6 +106,8 @@ class Transfer:
         return out
 
     def _B(self, keys):
+        """The sum over trees of the bracket at the top node, on a sorted
+        tuple."""
         if keys in self._b_cache:
             return self._b_cache[keys]
         n = len(keys)
@@ -101,13 +125,20 @@ class Transfer:
         return out
 
     def lam_keys(self, keys):
-        """Bracket value on a tuple of small basis keys."""
+        """Bracket value on a tuple of small basis keys: the sorted
+        tuple's value times the Koszul sign of the sorting."""
         if keys in self._lam_cache:
             return self._lam_cache[keys]
         if len(keys) == 1:
             out = self.d_small(Vec({keys[0]: 1}))
         else:
-            out = self.sigma(self._B(keys))
+            srt = tuple(sorted(keys))
+            out = self._lam_cache.get(srt)
+            if out is None:
+                out = self._lam_cache[srt] = self.sigma(self._B(srt))
+            if sorting_sign(keys,
+                            [self.small_sdeg(k) + 1 for k in keys]) < 0:
+                out = -1 * out
         self._lam_cache[keys] = out
         return out
 

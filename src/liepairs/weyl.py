@@ -184,7 +184,16 @@ class Weyl:
 
     def set_tables(self, rho_images):
         """Take rho_images as the generator images of rho, and the same
-        plus those of -delta as the images of Q."""
+        plus those of -delta as the images of Q.  Raises ValueError if
+        an image term has lower chi-weight than its generator: rho must
+        not lower the weight, or sigma rho h = 0 fails and the one-pass
+        perturbed small differential of contraction.py is wrong.  An odd
+        letter has weight 0, so only the even letters (weight 1) can
+        fail."""
+        for g, img in rho_images.items():
+            if g[0] == EVEN and any(mi_weight(w[-1]) < 1 for w in img):
+                raise ValueError("rho image of generator %r lowers the "
+                                 "weight" % (g,))
         self._rho_images = rho_images
         self._q_images = dict(rho_images)
         for g, img in self._delta_images.items():

@@ -3,6 +3,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.core import Vec, mi_unit, mi_upto, mi_weight, mi_zero
 from liepairs.dpoly import DPoly, multi_splits
@@ -59,6 +60,8 @@ def test_multi_splits_counts():
                                      (((2,), (0,)), 1)]
     total = sum(c for _, c in multi_splits((1, 1), 3))
     assert total == 9  # 3^|J| ordered assignments
+    # built once per argument
+    assert multi_splits((1, 1), 3) is multi_splits((1, 1), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +126,36 @@ def test_gerst_antisymmetry(machines):
             x, y = Vec({k1: 1}), Vec({k2: 1})
             s = -1 if (D.deg(k1) * D.deg(k2)) % 2 else 1
             assert (D.gerst(x, y) + s * D.gerst(y, x)).is_zero(), (k1, k2)
+
+
+def old_gerst(D, x, y):
+    """The bracket as first written: one star per pair of terms."""
+    out = D.star(x, y)
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            s = -1 if (D.deg(k1) * D.deg(k2)) % 2 else 1
+            out -= s * D.star(Vec({k2: c2}), Vec({k1: c1}))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gerst_matches_per_term_formulation(machines, data):
+    # the parity split calls star at most four times; value and
+    # truncation flag are those of one star per pair of terms
+    D = machines[data.draw(st.sampled_from(FIXTURES))]
+    keys = sample_keys(D)
+    coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def element():
+        return Vec(data.draw(st.dictionaries(st.sampled_from(keys), coefs,
+                                             max_size=4)),
+                   truncated=data.draw(st.booleans()))
+
+    x, y = element(), element()
+    got, want = D.gerst(x, y), old_gerst(D, x, y)
+    assert got == want
+    assert got.truncated == want.truncated
 
 
 def test_gerst_jacobi(machines):

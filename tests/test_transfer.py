@@ -3,13 +3,17 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.contraction import (
     d_contraction, d_perturbation, t_contraction, t_perturbation,
 )
+from liepairs.cohomology import t_complex_keys
 from liepairs.core import Vec, mi_upto
 from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
-from liepairs.transfer import Transfer, d_transfer, koszul_sign, t_transfer
+from liepairs.transfer import (
+    Transfer, d_transfer, koszul_sign, sorting_sign, t_transfer,
+)
 from liepairs.tpoly import TPoly
 from liepairs.dpoly import DPoly
 
@@ -169,3 +173,116 @@ def test_lam_multilinear(transfers):
     expect = (2 * tr.lam_keys((keys[1], keys[2]))
               - 3 * tr.lam_keys((keys[3], keys[2])))
     assert tr.lam((x, y)) == expect
+
+
+def test_sorting_sign():
+    assert sorting_sign((1, 2), [1, 1]) == 1
+    assert sorting_sign((2, 1), [1, 1]) == -1
+    assert sorting_sign((2, 1), [1, 2]) == 1
+    assert sorting_sign((3, 2, 1), [1, 1, 1]) == -1
+    assert sorting_sign((1, 1), [1, 1]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the brackets cached once per multiset against the tree formula on
+# ordered tuples, as first written
+
+
+class PlainTree:
+    """lam_keys of a Transfer by the tree formula, every ordered tuple
+    built on its own; each ordered tuple is kept once.  The bracket is
+    expanded bilinearly over basis words, each pair bracketed once."""
+
+    def __init__(self, tr):
+        self.tr = tr
+        self.f, self.b, self.lam, self.pairs = {}, {}, {}, {}
+
+    def bracket(self, u, v):
+        out = Vec()
+        for wu, cu in u.items():
+            for wv, cv in v.items():
+                val = self.pairs.get((wu, wv))
+                if val is None:
+                    val = self.pairs[(wu, wv)] = self.tr._bracket_susp(
+                        Vec({wu: 1}), Vec({wv: 1}))
+                out.iadd_scaled(cu * cv, val)
+        return out
+
+    def F(self, keys):
+        if keys not in self.f:
+            if len(keys) == 1:
+                self.f[keys] = self.tr.tau(Vec({keys[0]: 1}))
+            else:
+                self.f[keys] = -1 * self.tr.h(self.B(keys))
+        return self.f[keys]
+
+    def B(self, keys):
+        if keys not in self.b:
+            n = len(keys)
+            degs = [self.tr.small_sdeg(k) + 1 for k in keys]
+            out = Vec()
+            for ssize in range(0, n - 1):
+                for s_rest in itertools.combinations(range(1, n), ssize):
+                    left = (0,) + s_rest
+                    right = tuple(i for i in range(1, n)
+                                  if i not in s_rest)
+                    eps = koszul_sign(degs, left, right)
+                    u = self.F(tuple(keys[i] for i in left))
+                    v = self.F(tuple(keys[i] for i in right))
+                    out += eps * self.bracket(u, v)
+            self.b[keys] = out
+        return self.b[keys]
+
+    def lam_keys(self, keys):
+        if keys not in self.lam:
+            if len(keys) == 1:
+                self.lam[keys] = self.tr.d_small(Vec({keys[0]: 1}))
+            else:
+                self.lam[keys] = self.tr.sigma(self.B(keys))
+        return self.lam[keys]
+
+
+@pytest.fixture(scope="module")
+def plain(transfers):
+    return {name: (PlainTree(tr), PlainTree(td))
+            for name, (T, D, tr, td) in transfers.items()}
+
+
+def d_slot_keys(D):
+    """Weight-1 single-slot polydifferential keys."""
+    fa = a_form_algebra(D.sp.pair)
+    return [(fw, ((J,))) for fw in fa.words(max_weight=0)
+            for J in mi_upto(D.r, 1) if sum(J) == 1]
+
+
+def test_symmetric_cache_matches_tree_formula(transfers, plain):
+    for name, (T, D, tr, td) in transfers.items():
+        ptr, ptd = plain[name]
+        for side, keys, arity, cached, oracle in (
+                ("t", t_complex_keys(T.sp), 4, tr, ptr),
+                ("d", d_slot_keys(D), 3, td, ptd)):
+            for n in range(1, arity + 1):
+                for tup in itertools.product(keys, repeat=n):
+                    assert cached.lam_keys(tup) == oracle.lam_keys(tup), \
+                        (name, side, tup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_symmetric_cache_matches_tree_formula_on_samples(
+        transfers, plain, data):
+    name = data.draw(st.sampled_from(FIXTURES))
+    T, D, tr, td = transfers[name]
+    ptr, ptd = plain[name]
+    side = data.draw(st.sampled_from(["t", "d"]))
+    if side == "t":
+        keys, n, cached, oracle = t_complex_keys(T.sp), 4, tr, ptr
+    else:
+        keys, n, cached, oracle = d_keys(D, with_pairs=True), 3, td, ptd
+    drawn = data.draw(st.lists(st.sampled_from(keys), min_size=2,
+                               max_size=n))
+    # every ordering of the drawn keys, so that some are read through a
+    # sorting sign
+    for tup in set(itertools.permutations(drawn)):
+        assert cached.lam_keys(tup) == oracle.lam_keys(tup), \
+            (name, side, tup)

@@ -245,9 +245,7 @@ def run_transfer_d(run, p, arity, seed):
     td = p.td
     keys = d_complex_keys(p.sp)
     run.all_zero("transfer-d:jacobi-arity-1",
-                 ((tup, td.jacobi_defect(tup))
-                  for tup in itertools.product(keys[::2], repeat=1)),
-                 stride=2)
+                 (((k,), td.jacobi_defect((k,))) for k in keys))
     rng = random.Random(seed)
     for n in range(2, min(arity, 3) + 1):
         sample = [tuple(keys[rng.randrange(len(keys))] for _ in range(n))

@@ -53,7 +53,6 @@ def test_strided_checks_report_their_stride():
         "contraction:d:perturbed-homotopy": 3,
         "contraction:t:perturbed-projection-chain-map": 3,
         "contraction:d:perturbed-projection-chain-map": 3,
-        "transfer-d:jacobi-arity-1": 2,
         "matched:binary-bracket-equals-direct-gerstenhaber": 2,
     }
     for name, stride in strides.items():
@@ -61,6 +60,8 @@ def test_strided_checks_report_their_stride():
         assert checks[name]["stride"] == stride
     for c in checks.values():
         assert c["exhaustive"] == ("seed" not in c and "stride" not in c)
+    # d_small' costs one pass of rho, so this one runs over every key
+    assert checks["transfer-d:jacobi-arity-1"]["exhaustive"] is True
 
 
 def test_trunc_too_small_is_config_error():

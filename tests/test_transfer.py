@@ -251,7 +251,7 @@ def plain(transfers):
 def d_slot_keys(D):
     """Weight-1 single-slot polydifferential keys."""
     fa = a_form_algebra(D.sp.pair)
-    return [(fw, ((J,))) for fw in fa.words(max_weight=0)
+    return [(fw, (J,)) for fw in fa.words(max_weight=0)
             for J in mi_upto(D.r, 1) if sum(J) == 1]
 
 
@@ -278,7 +278,7 @@ def test_symmetric_cache_matches_tree_formula_on_samples(
     if side == "t":
         keys, n, cached, oracle = t_complex_keys(T.sp), 4, tr, ptr
     else:
-        keys, n, cached, oracle = d_keys(D, with_pairs=True), 3, td, ptd
+        keys, n, cached, oracle = d_keys(D), 3, td, ptd
     drawn = data.draw(st.lists(st.sampled_from(keys), min_size=2,
                                max_size=n))
     # every ordering of the drawn keys, so that some are read through a

@@ -52,6 +52,7 @@ class DPoly:
         self.alg = self.W.alg
         self.c_vert = self.W.vertical_commutator()
         self._q_slot_cache = {}
+        self._slide_cache = {}
 
     def deg(self, key):
         w, slots = key
@@ -167,6 +168,22 @@ class DPoly:
 
     # -- insertion product and Gerstenhaber bracket ----------------------------------
 
+    def _slides(self, J, w2, S2):
+        """The ways the slot d^J of the outer operator absorbs the inner
+        argument term (w2, S2): d^J splits over the len(S2) slots of the
+        argument, and its first part slides past the coefficient w2.  A
+        list of (coefficient word, middle slots, int coefficient), built
+        once per (J, w2, S2) and shared: callers must not mutate it."""
+        key = (J, w2, S2)
+        out = self._slide_cache.get(key)
+        if out is None:
+            out = self._slide_cache[key] = [
+                (w2b, (J0,) + tuple(map(mi_add, parts[1:], S2[1:])),
+                 c0 * mult)
+                for parts, mult in multi_splits(J, len(S2))
+                for w2b, J0, c0 in self._slot_into(parts[0], w2, S2[0])]
+        return out
+
     def star(self, x, y):
         out = Vec(truncated=x.truncated or y.truncated)
         for (w1, S1), c1 in x.items():
@@ -174,24 +191,20 @@ class DPoly:
             for (w2, S2), c2 in y.items():
                 v = len(S2) - 1
                 g2 = self.alg.form_deg(w2)
+                c12 = c1 * c2
                 for k in range(u + 1):
                     sgn = -1 if (k * v + g2 * u + u * v) % 2 else 1
-                    for parts, mult in multi_splits(S1[k], v + 1):
-                        for w2b, J0, c0 in self._slot_into(parts[0], w2,
-                                                           S2[0]):
-                            prod = self.alg.mul_words(w1, w2b)
-                            if prod is None:
-                                continue
-                            if prod == 'overflow':
-                                out.truncated = True
-                                continue
-                            sign, w3 = prod
-                            mid = (J0,) + tuple(
-                                mi_add(parts[i], S2[i])
-                                for i in range(1, v + 1))
-                            out.iadd_term(
-                                (w3, S1[:k] + mid + S1[k + 1:]),
-                                c1 * c2 * c0 * mult * sign * sgn)
+                    head, tail = S1[:k], S1[k + 1:]
+                    for w2b, mid, c in self._slides(S1[k], w2, S2):
+                        prod = self.alg.mul_words(w1, w2b)
+                        if prod is None:
+                            continue
+                        if prod == 'overflow':
+                            out.truncated = True
+                            continue
+                        sign, w3 = prod
+                        out.iadd_term((w3, head + mid + tail),
+                                      c12 * (c * sign * sgn))
         return out
 
     def gerst(self, x, y):

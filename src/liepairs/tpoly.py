@@ -84,20 +84,16 @@ class TPoly:
     def schouten(self, u, v):
         """Odd graded Lie bracket of vertical polyvectors; the pairing
         contracts one xi against one chi, and the signs make the degree
-        shifted by one a Lie degree."""
+        shifted by one a Lie degree.  It is bilinear, so each contraction
+        is taken once per argument:
+
+            [u, v] = sum_k iota_k(u') d_k v - d_k u iota_k v,
+
+        where u' is u with its even-degree terms negated."""
+        u_signed = Vec(((w, -c if self.deg(w) % 2 == 0 else c)
+                        for w, c in u.items()), truncated=u.truncated)
         out = Vec(truncated=u.truncated or v.truncated)
-        for wu, cu in u.items():
-            nu = self.deg(wu)
-            xu = Vec({wu: cu})
-            for wv, cv in v.items():
-                xv = Vec({wv: cv})
-                s1 = -1 if nu % 2 == 0 else 1
-                s2 = -1
-                for k in range(self.r):
-                    t1 = self.alg.mul(self.dxi(xu, k), self.alg.dchi(k, xv))
-                    if t1:
-                        out += s1 * t1
-                    t2 = self.alg.mul(self.alg.dchi(k, xu), self.dxi(xv, k))
-                    if t2:
-                        out += s2 * t2
+        for k in range(self.r):
+            out += self.alg.mul(self.dxi(u_signed, k), self.alg.dchi(k, v))
+            out -= self.alg.mul(self.alg.dchi(k, u), self.dxi(v, k))
         return out

@@ -8,11 +8,19 @@ The four operators delta/h/sigma/tau contract this onto the forms on A,
 and the flat structure is completed by solving for the vertical
 correction term X so that Q = -delta + d + X squares to zero.
 
-The homotopy h contracts one chi_k-form letter and raises chi_k by one,
-normalised by the total weight.  Take a word w = alpha_S dchi_T chi^J
-whose chi_k-form letters T = (k_0 < k_1 < ...) number v > 0 (any
-further colours, such as the xi-letters of TPoly, sit between T and J
-and are carried along).  Then
+Both delta and its homotopy h are closed formulas on a word
+w = alpha_S dchi_T chi^J with chi_k-form letters T = (k_0 < k_1 < ...)
+(any further colours, such as the xi-letters of TPoly, sit between T
+and J, are carried along and enter no sign).  The differential delta
+is the odd derivation chi_k -> dchi_k: it lowers chi_k by one and adds
+the form letter k, so
+
+    delta(c w) = sum_(k not in T, J_k > 0) (-1)^(|S| + #{t in T: t < k})
+                     J_k c alpha_S dchi_(T plus k) chi^(J - e_k).
+
+It only lowers the weight, so it never truncates.  The homotopy h
+contracts one chi_k-form letter and raises chi_k by one, normalised by
+the total weight: for v = |T| > 0,
 
     h(c w) = sum_p (-1)^(|S| + p) c / (v + |J|)
                    alpha_S dchi_(T minus k_p) chi^(J + e_(k_p)),
@@ -27,6 +35,7 @@ images of d and of X into one rho table, and adds those of -delta to it
 for a Q table, so that rho and q_op each cost a single Leibniz pass.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .core import EVEN, Vec, WordAlgebra, mi_unit, mi_weight, mi_zero
@@ -42,7 +51,9 @@ class Weyl:
         self.m, self.r, self.dim = m, r, dim
         self.alg = WordAlgebra((m, r), r, trunc)
 
-        # delta: chi_k (even) -> chi_k-form, a derivation of degree +1
+        # delta: chi_k (even) -> chi_k-form, a derivation of degree +1;
+        # delta() applies it in closed form, set_tables() reads the
+        # images for the Q table
         self._delta_images = {
             (EVEN, k): Vec({self.alg.odd_word(1, k): Fraction(1)})
             for k in range(r)}
@@ -91,7 +102,22 @@ class Weyl:
     # -- basic operators -----------------------------------------------------
 
     def delta(self, x):
-        return self.alg.derive(self._delta_images, 1, x)
+        """The Koszul differential in closed form, see the module docstring."""
+        out = Vec(truncated=x.truncated)
+        for w, c in x.items():
+            J, chis = w[-1], w[1]
+            if len(w[0]) % 2:
+                c = -c
+            head, mid = w[:1], w[2:-1]
+            for k, jk in enumerate(J):
+                if not jk or k in chis:
+                    continue
+                p = bisect_left(chis, k)
+                out.iadd_term(
+                    head + (chis[:p] + (k,) + chis[p:],) + mid
+                    + (J[:k] + (jk - 1,) + J[k + 1:],),
+                    -jk * c if p % 2 else jk * c)
+        return out
 
     def d_l_nabla(self, x):
         return self.alg.derive(self._d_images, 1, x)

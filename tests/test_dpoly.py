@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.core import Vec, mi_unit, mi_upto, mi_weight, mi_zero
+from liepairs.core import (
+    Vec, mi_add, mi_unit, mi_upto, mi_weight, mi_zero,
+)
 from liepairs.dpoly import DPoly, multi_splits
 from liepairs.liepair import parse_pair_spec
 from liepairs.pbw import d_a_u
@@ -156,6 +158,69 @@ def test_gerst_matches_per_term_formulation(machines, data):
     got, want = D.gerst(x, y), old_gerst(D, x, y)
     assert got == want
     assert got.truncated == want.truncated
+
+
+def per_term_star(D, x, y):
+    """The insertion product as first written: the slot splittings and
+    the slides past the coefficient rebuilt for every pair of terms."""
+    out = Vec(truncated=x.truncated or y.truncated)
+    for (w1, S1), c1 in x.items():
+        u = len(S1) - 1
+        for (w2, S2), c2 in y.items():
+            v = len(S2) - 1
+            g2 = D.alg.form_deg(w2)
+            for k in range(u + 1):
+                sgn = -1 if (k * v + g2 * u + u * v) % 2 else 1
+                for parts, mult in multi_splits(S1[k], v + 1):
+                    for w2b, J0, c0 in D._slot_into(parts[0], w2, S2[0]):
+                        prod = D.alg.mul_words(w1, w2b)
+                        if prod is None:
+                            continue
+                        if prod == 'overflow':
+                            out.truncated = True
+                            continue
+                        sign, w3 = prod
+                        mid = (J0,) + tuple(mi_add(parts[i], S2[i])
+                                            for i in range(1, v + 1))
+                        out.iadd_term((w3, S1[:k] + mid + S1[k + 1:]),
+                                      c1 * c2 * c0 * mult * sign * sgn)
+    return out
+
+
+def assert_same_star(D, x, y):
+    got, want = D.star(x, y), per_term_star(D, x, y)
+    assert got == want, (x, y)
+    assert got.truncated == want.truncated, (x, y)
+
+
+def test_star_matches_per_term_oracle_on_key_pairs(machines):
+    # the sample keys share coefficient words and first slots across
+    # argument arities, so a slide table keyed without the argument's
+    # slots would answer for the wrong one
+    D = machines["sl2_h"]
+    keys = sample_keys(D)
+    for k1 in keys:
+        for k2 in keys:
+            assert_same_star(D, Vec({k1: Fraction(-3, 2)}), Vec({k2: 1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_star_matches_per_term_oracle(machines, data):
+    # coefficient words up to the cap and slots up to weight 2, so that
+    # some products overflow
+    D = machines[data.draw(st.sampled_from(FIXTURES))]
+    words = list(D.alg.words())
+    slots = st.lists(st.sampled_from(list(mi_upto(D.r, 2))), min_size=1,
+                     max_size=3).map(tuple)
+    coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def element():
+        keys = st.tuples(st.sampled_from(words), slots)
+        return Vec(data.draw(st.dictionaries(keys, coefs, max_size=4)),
+                   truncated=data.draw(st.booleans()))
+
+    assert_same_star(D, element(), element())
 
 
 def test_gerst_jacobi(machines):

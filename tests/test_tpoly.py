@@ -3,6 +3,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.core import EVEN, Vec, mi_unit, mi_weight, mi_zero
 from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
@@ -213,6 +214,71 @@ def test_q_is_derivation_of_schouten(machines):
                     + s * T.schouten(u, T.q_op(v))
                 assert T.restrict_weight(lhs - rhs, N - 2).is_zero(), \
                     (name, wu, wv)
+
+
+# ---------------------------------------------------------------------------
+# the bracket against its first form, which took both contractions afresh
+# for every pair of terms
+
+
+def per_term_schouten(T, u, v):
+    """The double loop over term pairs.  The first form skipped an empty
+    product (`if t1:`), and so dropped the truncation flag of a term pair
+    whose products all overflow; this copy keeps every flag."""
+    out = Vec(truncated=u.truncated or v.truncated)
+    for wu, cu in u.items():
+        xu = Vec({wu: cu})
+        s1 = -1 if T.deg(wu) % 2 == 0 else 1
+        for wv, cv in v.items():
+            xv = Vec({wv: cv})
+            for k in range(T.r):
+                out += s1 * T.alg.mul(T.dxi(xu, k), T.alg.dchi(k, xv))
+                out -= T.alg.mul(T.alg.dchi(k, xu), T.dxi(xv, k))
+    return out
+
+
+def assert_same_schouten(T, u, v):
+    got, want = T.schouten(u, v), per_term_schouten(T, u, v)
+    assert got == want, (u, v)
+    assert got.truncated == want.truncated, (u, v)
+
+
+def test_schouten_matches_per_term_oracle_exhaustive():
+    # every pair of words at a cap of 2, where pairs of weight 4 and up
+    # overflow
+    pair, sp, conn = load("sl2_h")
+    T = TPoly(sp, conn, trunc=2)
+    xs = [Vec({w: Fraction(-3, 2)}) for w in all_words(T, 2)]
+    for u in xs:
+        for v in xs:
+            assert_same_schouten(T, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_schouten_matches_per_term_oracle(machines, data):
+    T = machines[data.draw(st.sampled_from(FIXTURES))]
+    words = all_words(T)
+    coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def element():
+        return Vec(data.draw(st.dictionaries(st.sampled_from(words), coefs,
+                                             max_size=4)),
+                   truncated=data.draw(st.booleans()))
+
+    assert_same_schouten(T, element(), element())
+
+
+def test_schouten_flags_a_term_pair_that_overflows(machines):
+    # iota_0(xi_0 chi_0^3) d_0(chi_0^4) has weight 6 > N and d_0 of the
+    # first against iota_0 of the second is zero: the bracket is known
+    # only to vanish below the cap, which the first form did not say
+    T = machines["sl2_h"]
+    r = T.r
+    u = Vec({((), (), (0,), (3,) + (0,) * (r - 1)): 1})
+    v = Vec({((), (), (), (4,) + (0,) * (r - 1)): 1})
+    got = T.schouten(u, v)
+    assert got.is_zero() and got.truncated
 
 
 # ---------------------------------------------------------------------------

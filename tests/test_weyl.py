@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.core import Vec, WordAlgebra, mi_unit, mi_weight
 from liepairs.liepair import Connection, parse_pair_spec
+from liepairs.tpoly import TPoly
 from liepairs.weyl import Weyl
 
 from helpers import apply_x
@@ -296,6 +297,34 @@ def layouts_and_vecs(draw):
 @given(layouts_and_vecs())
 def test_h_matches_contraction_oracle(case):
     assert_same_h(*case)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Koszul differential against the derivation it sums, on
+# the scalar and the polyvector layout, every word up to the cap
+
+
+DELTA_PAIRS = {name: N for name in FIXTURES}
+DELTA_PAIRS.update(heis5_lag=4, sl3_borel=3)
+
+
+def assert_same_delta(X, x):
+    got = X.delta(x)
+    want = X.alg.derive(X._delta_images, 1, x)
+    assert got == want
+    assert got.truncated == want.truncated
+
+
+def test_delta_matches_derivation_oracle_exhaustive():
+    for name, trunc in DELTA_PAIRS.items():
+        pair, sp, conn = load(name)
+        T = TPoly(sp, conn, trunc=trunc)
+        for X in (T.W, T):
+            words = list(X.alg.words())
+            for w in words:
+                assert_same_delta(X, Vec({w: Fraction(-3, 2)}))
+            assert_same_delta(X, Vec({w: i + 1 for i, w in enumerate(words)},
+                                     truncated=True))
 
 
 # ---------------------------------------------------------------------------

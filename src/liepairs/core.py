@@ -163,9 +163,10 @@ class Vec(dict):
     def iadd_term(self, key, coef):
         if not coef:
             return self
-        new = self.get(key, 0) + coef
+        old = self.get(key)
+        new = coef if old is None else old + coef
         if not new:
-            self.pop(key, None)
+            del self[key]
         elif type(new) is int:
             self[key] = new
         elif type(new) is Fraction:

@@ -323,6 +323,8 @@ def test_vec_stores_ints_and_proper_fractions():
     assert type(v[('x',)]) is int and v[('x',)] == 2
     v.iadd_term(('y',), Fraction(1, 2))
     assert type(v[('y',)]) is int and v[('y',)] == 1
+    v.iadd_term(('z',), Fraction(6, 3))
+    assert type(v[('z',)]) is int and v[('z',)] == 2
     assert v[('missing',)] == 0
 
 
@@ -330,6 +332,7 @@ def test_vec_stores_ints_and_proper_fractions():
     lambda: Vec({('x',): 0.5}),
     lambda: Vec({('x',): 1}) * 0.5,
     lambda: Vec({('x',): 1}).iadd_term(('x',), 0.25),
+    lambda: Vec().iadd_term(('x',), 0.25),
     lambda: Vec({('x',): 1}).iadd_scaled(1.5, Vec({('x',): 1})),
 ])
 def test_vec_rejects_floats(make):

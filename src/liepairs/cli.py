@@ -220,13 +220,13 @@ def run_transfer_t(run, p, arity, seed):
     run.all_zero("transfer-t:unary-bracket-is-differential",
                  ((k, tr.lam_keys((k,)) - d_a_bott(sp, Vec({k: 1})))
                   for k in keys))
-    for n in range(1, min(arity, 2) + 1):
+    for n in range(1, min(arity, 3) + 1):
         run.all_zero(
             "transfer-t:jacobi-arity-%d" % n,
             ((tup, tr.jacobi_defect(tup))
              for tup in itertools.product(keys, repeat=n)))
     rng = random.Random(seed)
-    for n in range(3, arity + 1):
+    for n in range(4, arity + 1):
         sample = [tuple(keys[rng.randrange(len(keys))] for _ in range(n))
                   for _ in range(40)]
         run.all_zero("transfer-t:jacobi-arity-%d" % n,

@@ -64,6 +64,18 @@ def test_strided_checks_report_their_stride():
     assert checks["transfer-d:jacobi-arity-1"]["exhaustive"] is True
 
 
+def test_t_side_arity_3_runs_over_every_key_triple():
+    res = run_cli(["check", "--pair", pair_path("sl2_h"),
+                   "--suite", "transfer-t", "--trunc", "5", "--arity", "3"])
+    assert res.exit_code == 0, res.output
+    checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    n_keys = checks["transfer-t:jacobi-arity-1"]["count"]
+    arity3 = checks["transfer-t:jacobi-arity-3"]
+    assert arity3["exhaustive"] is True
+    assert arity3["count"] == n_keys ** 3
+    assert "seed" not in arity3
+
+
 def test_trunc_too_small_is_config_error():
     res = run_cli(["check", "--pair", pair_path("abelian"),
                    "--trunc", "4", "--arity", "3"])

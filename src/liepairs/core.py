@@ -348,78 +348,9 @@ class WordAlgebra:
     # -- derivations and morphisms ------------------------------------------
 
     def derive(self, images, parity, x):
-        """Extend generator images to a derivation of the stated parity.
-
-        images maps (colour, index) or (EVEN, index) to a Vec; missing
-        generators map to zero.  For odd `parity` the Leibniz rule picks up
-        a sign per odd generator jumped over.
-
-        Each image term costs one product.  Write the word as
-        pre * g * suf; then pre * img * suf = (-1)^(|img| |suf|)
-        (pre * suf) * img, where |.| counts odd letters, and pre * suf is
-        the word with g taken out (for an even g the suffix holds no odd
-        letter, so the sign is +1).  The `truncated` flag is set exactly
-        as the two products pre * img and then * suf would set it: an
-        overflowing image term flags the result when its own weight is
-        over the cap, or when it shares no odd letter with pre (sharing
-        one makes pre * img vanish before its weight is looked at).
-        """
-        out = Vec(truncated=x.truncated)
-        odd = parity % 2
-        for w, coef in x.items():
-            parts, J = w[:-1], w[-1]
-            n = sum(map(len, parts))
-            t = 0  # odd generators before the one being replaced
-            for c, part in enumerate(parts):
-                for p, i in enumerate(part):
-                    img = images.get((c, i))
-                    if img:
-                        self._leibniz(
-                            out, w, c, p,
-                            parts[:c] + (part[:p] + part[p + 1:],)
-                            + parts[c + 1:] + (J,), img, (n - t - 1) % 2,
-                            -coef if odd and t % 2 else coef)
-                    t += 1
-            base = -coef if odd and t % 2 else coef
-            for k, jk in enumerate(J):
-                if jk == 0:
-                    continue
-                img = images.get((EVEN, k))
-                if img:
-                    self._leibniz(out, w, self.n_colours, 0,
-                                  parts + (J[:k] + (jk - 1,) + J[k + 1:],),
-                                  img, 0, base * jk)
-        return out
-
-    def _leibniz(self, out, w, c, p, rest, img, swap, coef):
-        """out += coef * pre * img * suf, where w = pre * g * suf with g
-        letter p of colour c (c = n_colours for an even letter), rest is
-        pre * suf and swap is the parity of the odd letters of suf."""
-        if img.truncated:
-            out.truncated = True
-        for iw, ic in img.items():
-            r = self.mul_words(rest, iw)
-            if r is None:
-                continue
-            if r == 'overflow':
-                if not out.truncated and (
-                        mi_weight(iw[-1]) > self.trunc
-                        or not self._meets_prefix(w, c, p, iw)):
-                    out.truncated = True
-                continue
-            sign, word = r
-            if swap and sum(map(len, iw[:-1])) % 2:
-                sign = -sign
-            out.iadd_term(word, coef * ic * sign)
-
-    @staticmethod
-    def _meets_prefix(w, c, p, iw):
-        """Whether iw shares an odd letter with the letters of w before
-        letter p of colour c."""
-        for cc in range(c):
-            if set(w[cc]).intersection(iw[cc]):
-                return True
-        return c < len(w) - 1 and bool(set(w[c][:p]).intersection(iw[c]))
+        """Extend generator images to a derivation of the stated parity
+        and apply it to x; see Derivation for the rules."""
+        return Derivation(self, images, parity)(x)
 
     def substitute(self, images, x):
         """Extend generator images to an algebra endomorphism.
@@ -454,13 +385,143 @@ class WordAlgebra:
         return self.derive({(EVEN, k): self.one()}, 0, x)
 
 
+class Derivation:
+    """A derivation of a WordAlgebra, compiled once from its generator
+    images and then applied to any number of elements.
+
+    images maps (colour, index) or (EVEN, index) to a Vec; missing
+    generators map to zero.  For odd `parity` the Leibniz rule picks up a
+    sign per odd generator jumped over.
+
+    Each image term costs at most one product.  Write the word as
+    pre * g * suf; then pre * img * suf = (-1)^(|img| |suf|)
+    (pre * suf) * img, where |.| counts odd letters, and pre * suf is the
+    word with g taken out (for an even g the suffix holds no odd letter,
+    so the sign is +1).  The odd letters of a word are kept as a bitmask,
+    letter (c, i) at bit offset[c] + i, so that bit order is mul_words'
+    (colour, index) order.  With rest the mask of pre * suf, an image
+    term with odd-letter mask m, tested as mul_words tests:
+
+    - overflows when the even weights of pre * suf and of the term add
+      up past the cap;
+    - otherwise vanishes when rest & m, a repeated odd letter;
+    - otherwise contributes with the sign of the pairs (a in pre * suf,
+      b in the term) with a > b, the parity of the sum over the term's
+      bits b of popcount(rest >> (b + 1)), times (-1)^(|img| |suf|).
+
+    The `truncated` flag is set exactly as the two products pre * img
+    and then * suf would set it: by the image's own flag, and by an
+    overflowing image term when its own weight is over the cap, or when
+    it shares no odd letter with pre (sharing one makes pre * img vanish
+    before its weight is looked at).
+    """
+
+    def __init__(self, alg, images, parity):
+        self.alg = alg
+        self.odd = parity % 2
+        self.offsets = tuple(itertools.accumulate((0,) + alg.odd_counts[:-1]))
+        self.cap = float('inf') if alg.trunc is None else alg.trunc
+        # letter bit / even index -> (image truncated, image terms)
+        self._odd = {}
+        self._even = {}
+        for g, img in images.items():
+            if not img:
+                continue
+            entry = (img.truncated,
+                     tuple(self._term(w, c) for w, c in img.items()))
+            if g[0] == EVEN:
+                self._even[g[1]] = entry
+            else:
+                self._odd[self.offsets[g[0]] + g[1]] = entry
+
+    def _term(self, w, coef):
+        """An image term: (word, coefficient, chi-weight, parity of its
+        odd letters, odd-letter mask, the mask's bits, nonempty colours)."""
+        bits = tuple(o + i for o, part in zip(self.offsets, w) for i in part)
+        mask = 0
+        for b in bits:
+            mask |= 1 << b
+        return (w, coef, mi_weight(w[-1]), len(bits) % 2, mask, bits,
+                tuple(c for c in range(self.alg.n_colours) if w[c]))
+
+    def __call__(self, x):
+        odd, offsets = self.odd, self.offsets
+        odd_images, even_images = self._odd, self._even
+        out = Vec(truncated=x.truncated)
+        for w, coef in x.items():
+            parts, J = w[:-1], w[-1]
+            mask = 0
+            for o, part in zip(offsets, parts):
+                for i in part:
+                    mask |= 1 << (o + i)
+            n = mask.bit_count()
+            weight = sum(J)
+            if odd_images:
+                t = 0  # odd letters before the one being replaced
+                for c, part in enumerate(parts):
+                    o = offsets[c]
+                    for p, i in enumerate(part):
+                        entry = odd_images.get(o + i)
+                        if entry is not None:
+                            bit = 1 << (o + i)
+                            self._apply(
+                                out, entry,
+                                parts[:c] + (part[:p] + part[p + 1:],)
+                                + parts[c + 1:], J, weight, mask ^ bit,
+                                mask & (bit - 1), (n - t - 1) % 2,
+                                -coef if odd and t % 2 else coef)
+                        t += 1
+            if even_images:
+                base = -coef if odd and n % 2 else coef
+                for k, jk in enumerate(J):
+                    entry = even_images.get(k) if jk else None
+                    if entry is not None:
+                        self._apply(out, entry, parts,
+                                    J[:k] + (jk - 1,) + J[k + 1:],
+                                    weight - 1, mask, mask, 0, base * jk)
+        return out
+
+    def _apply(self, out, entry, rest, J, weight, rest_mask, pre_mask, swap,
+               coef):
+        """out += coef * pre * img * suf for the word rest + (J,) = pre * suf
+        of the given weight and masks, swap the parity of suf's odd
+        letters."""
+        cap = self.cap
+        truncated, terms = entry
+        if truncated:
+            out.truncated = True
+        for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
+            if weight + iweight > cap:
+                if not out.truncated and (iweight > cap
+                                          or not pre_mask & imask):
+                    out.truncated = True
+                continue
+            if rest_mask & imask:
+                continue
+            s = swap & ipar
+            for b in ibits:
+                s += (rest_mask >> (b + 1)).bit_count()
+            if icolours:
+                parts = list(rest)
+                for c in icolours:
+                    parts[c] = (tuple(sorted(rest[c] + iw[c])) if rest[c]
+                                else iw[c])
+                parts.append(mi_add(J, iw[-1]) if iweight else J)
+                word = tuple(parts)
+            else:
+                word = rest + (mi_add(J, iw[-1]) if iweight else J,)
+            out.iadd_term(word, -coef * ic if s % 2 else coef * ic)
+
+
 # ---------------------------------------------------------------------------
 # exact dense linear algebra (small matrices of Fractions)
 
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
 
-    Each elimination step touches only the pivot row's nonzero columns."""
+    Each elimination step touches only the pivot row's nonzero columns,
+    and zero entries are found by truth value, not by Fraction.__eq__.
+    The entries become Fractions first, for the division by the pivot."""
     rows = [[v if type(v) is Fraction else Fraction(v) for v in r]
             for r in rows]
     ncols = len(rows[0]) if rows else 0
@@ -469,7 +530,7 @@ def rref(rows):
     for col in range(ncols):
         piv = None
         for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
+            if rows[i][col]:
                 piv = i
                 break
         if piv is None:
@@ -482,7 +543,7 @@ def rref(rows):
             prow[j] *= inv
         for i, row in enumerate(rows):
             f = row[col]
-            if i != rank and f != 0:
+            if f and i != rank:
                 for j in nz:
                     row[j] -= f * prow[j]
         pivots.append(col)
@@ -502,7 +563,9 @@ def kernel_basis(rows, ncols):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            e = red[r][fc]
+            if e:
+                v[pc] = -e
         basis.append(v)
     return basis
 

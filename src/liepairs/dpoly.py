@@ -53,6 +53,9 @@ class DPoly:
         self.c_vert = self.W.vertical_commutator()
         self._q_slot_cache = {}
         self._slide_cache = {}
+        # pbw and pbw_inv of single multi-indices, for the projections
+        self._pbw_memo = {}
+        self._pbw_inv_memo = {}
 
     def deg(self, key):
         w, slots = key
@@ -233,6 +236,16 @@ class DPoly:
 
     # -- projection to the small complex -----------------------------------------------
 
+    @staticmethod
+    def _memo(memo, op, J):
+        """op of the single multi-index J, kept in memo.  The Vec is
+        shared between calls: tensor_product only reads its factors, and
+        no caller may mutate it."""
+        out = memo.get(J)
+        if out is None:
+            out = memo[J] = op(Vec({J: Fraction(1)}))
+        return out
+
     def project_small(self, x):
         """Coefficient words with no chi content survive; each slot is
         symmetrized into a class of the enveloping-algebra quotient."""
@@ -240,7 +253,7 @@ class DPoly:
         for (w, slots), c in x.items():
             if w[1] or mi_weight(w[-1]) != 0:
                 continue
-            acc = tensor_product(c, [self.P.pbw(Vec({J: Fraction(1)}))
+            acc = tensor_product(c, [self._memo(self._pbw_memo, self.P.pbw, J)
                                      for J in slots])
             for cls, cc in acc.items():
                 out.iadd_term(((w[0], ()), cls), cc)
@@ -250,8 +263,9 @@ class DPoly:
         zero = mi_zero(self.r)
         out = Vec(truncated=x.truncated)
         for (fw, cls), c in x.items():
-            acc = tensor_product(c, [self.P.pbw_inv(Vec({K: Fraction(1)}))
-                                     for K in cls])
+            acc = tensor_product(
+                c, [self._memo(self._pbw_inv_memo, self.P.pbw_inv, K)
+                    for K in cls])
             for slots, cc in acc.items():
                 out.iadd_term(((fw[0], (), zero), slots), cc)
         return out

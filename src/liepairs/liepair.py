@@ -11,7 +11,7 @@ choices the rest of the pipeline depends on.
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Vec, WordAlgebra, mat_inv, mat_vec, sort_sign
+from .core import Derivation, Vec, WordAlgebra, mat_inv, mat_vec, sort_sign
 
 
 class PairError(ValueError):
@@ -166,8 +166,9 @@ class Splitting:
 
     @cached_property
     def ce_base(self):
-        """The A-form algebra and d_A on its generators, d alpha_w =
-        -sum_{u<v} c^w_{uv} alpha_u ^ alpha_v, for ce_differential."""
+        """The A-form algebra and d_A, compiled from its generator
+        images d alpha_w = -sum_{u<v} c^w_{uv} alpha_u ^ alpha_v, for
+        ce_differential."""
         fa = a_form_algebra(self.pair)
         d_gen = {}
         for u in range(self.m):
@@ -175,7 +176,7 @@ class Splitting:
                 for w, c in self.struct_const(u, v).items():
                     img = d_gen.setdefault((0, w), Vec())
                     img.iadd_term(fa.make_word([(u, v)], ()), -c)
-        return fa, d_gen
+        return fa, Derivation(fa, d_gen, 1)
 
     def struct_const(self, u, v):
         """[E_u, E_v] in adapted coordinates, as {w: Fraction}."""
@@ -279,10 +280,10 @@ def ce_differential(splitting, action, x):
     (x) a_s . m, where d_A(alpha_s) comes from the A structure constants.
     """
     sp = splitting
-    fa, d_gen = sp.ce_base
+    fa, d_a = sp.ce_base
     out = Vec(truncated=x.truncated)
     for (fw, ck), coef in x.items():
-        dfw = fa.derive(d_gen, 1, Vec({fw: coef}))
+        dfw = d_a(Vec({fw: coef}))
         for w2, c2 in dfw.items():
             out.iadd_term((w2, ck), c2)
         for s in range(sp.m):

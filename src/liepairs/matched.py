@@ -14,7 +14,7 @@ they serve as independent oracles for the transferred brackets.
 from fractions import Fraction
 import itertools
 
-from .core import Vec, sort_sign
+from .core import Derivation, Vec, sort_sign
 from .dpoly import multi_splits
 from .liepair import a_form_algebra
 
@@ -143,6 +143,8 @@ class MatchedD:
         self.m, self.r = sp.m, sp.r
         self.fa = a_form_algebra(sp.pair)
         self._act_images = b_action_images(sp)
+        self._acts = [Derivation(self.fa, images, 0)
+                      for images in self._act_images]
 
     def class_mul(self, P, Q):
         """Product of two class monomials inside the enveloping algebra
@@ -155,7 +157,7 @@ class MatchedD:
         out = Vec({fw: Fraction(1)})
         for k in range(self.r - 1, -1, -1):
             for _ in range(P[k]):
-                out = self.fa.derive(self._act_images[k], 0, out)
+                out = self._acts[k](out)
         return out
 
     def deg(self, key):

@@ -32,13 +32,17 @@ and flags the result as truncated.
 Once X is solved, the flat part rho = d + X and the total differential
 Q = -delta + rho are each one derivation: solve() merges the generator
 images of d and of X into one rho table, and adds those of -delta to it
-for a Q table, so that rho and q_op each cost a single Leibniz pass.
+for a Q table.  The tables of d, rho and Q are each compiled once into
+a core.Derivation, so that d_l_nabla, rho and q_op each apply a
+compiled Leibniz pass.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 
-from .core import EVEN, Vec, WordAlgebra, mi_unit, mi_weight, mi_zero
+from .core import (
+    EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight, mi_zero,
+)
 
 
 class Weyl:
@@ -87,11 +91,13 @@ class Weyl:
                     img.iadd_term(ww, -g * sign)
             if img:
                 self._d_images[(EVEN, k)] = img
+        self._d = Derivation(self.alg, self._d_images, 1)
 
         # set by solve(): dict k -> Vec (coefficient of d_k), and the
-        # derivation tables of rho and Q
+        # derivation tables of rho and Q with their compiled derivations
         self.x_vert = None
         self._rho_images = self._q_images = None
+        self._rho = self._q = None
 
     def _form_gen(self, l):
         return (0, l) if l < self.m else (1, l - self.m)
@@ -120,7 +126,7 @@ class Weyl:
         return out
 
     def d_l_nabla(self, x):
-        return self.alg.derive(self._d_images, 1, x)
+        return self._d(x)
 
     def h(self, x):
         """The Koszul homotopy in closed form, see the module docstring."""
@@ -224,18 +230,20 @@ class Weyl:
         self._q_images = dict(rho_images)
         for g, img in self._delta_images.items():
             self._q_images[g] = self._q_images.get(g, Vec()) - img
+        self._rho = Derivation(self.alg, self._rho_images, 1)
+        self._q = Derivation(self.alg, self._q_images, 1)
 
     def rho(self, x):
         """The filtration-raising part of the total differential: d + X."""
-        if self._rho_images is None:
+        if self._rho is None:
             self.solve()
-        return self.alg.derive(self._rho_images, 1, x)
+        return self._rho(x)
 
     def q_op(self, x):
         """The total differential Q = -delta + rho."""
-        if self._q_images is None:
+        if self._q is None:
             self.solve()
-        return self.alg.derive(self._q_images, 1, x)
+        return self._q(x)
 
     def vertical_commutator(self):
         """The matrix c of the commutator of the flat differential with

@@ -3,7 +3,9 @@ pipeline's objects from outside them, so it lives beside the tests."""
 
 from fractions import Fraction
 
-from liepairs.core import Vec, falling, mi_fact, mi_sub, mi_unit, mi_upto
+from liepairs.core import (
+    EVEN, Vec, falling, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
+)
 from liepairs.liepair import ce_differential
 
 
@@ -71,3 +73,50 @@ def d_chain_defect(uni, x):
     img = uni.map_d(x)
     d2 = uni.D2.q_op(img) + uni.D2.d_h(img)
     return uni.map_d(d1) - d2
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz rule term by term: flatten the odd generators, rebuild the
+# prefix and the suffix of each letter, and take two products per letter
+
+
+def odd_letters(A, w):
+    """The odd letters of w as (colour, index) pairs, in order."""
+    return [(c, i) for c in range(A.n_colours) for i in w[c]]
+
+
+def word_of_letters(A, gens, J):
+    """The word with odd letters gens (already in order) and exponents J."""
+    parts = [[] for _ in A.odd_counts]
+    for c, i in gens:
+        parts[c].append(i)
+    return tuple(tuple(p) for p in parts) + (tuple(J),)
+
+
+def oracle_derive(A, images, parity, x):
+    """The derivation of A with these generator images, applied to x as
+    the sum over letters of pre * image * suf; its `truncated` flag is
+    the one the two products set."""
+    zero = mi_zero(A.n_even)
+    out = Vec(truncated=x.truncated)
+    for w, coef in x.items():
+        gens = odd_letters(A, w)
+        J = w[-1]
+        for t, g in enumerate(gens):
+            img = images.get(g)
+            if not img:
+                continue
+            sgn = -1 if parity % 2 and t % 2 else 1
+            pre = word_of_letters(A, gens[:t], zero)
+            suf = word_of_letters(A, gens[t + 1:], J)
+            out += A.mul(A.mul(Vec({pre: coef * sgn}), img), Vec({suf: 1}))
+        base = -1 if parity % 2 and len(gens) % 2 else 1
+        for k in range(A.n_even):
+            img = images.get((EVEN, k))
+            if J[k] == 0 or not img:
+                continue
+            front = word_of_letters(A, gens, zero)
+            rest = A.even_word(mi_sub(J, mi_unit(A.n_even, k)))
+            out += A.mul(A.mul(Vec({front: coef * base * J[k]}), img),
+                         Vec({rest: 1}))
+    return out

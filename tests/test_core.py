@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liepairs.core import (
-    EVEN, Vec, WordAlgebra, mi_add, mi_all, mi_binom, mi_fact, mi_le,
-    mi_sub, mi_unit, mi_upto, mi_weight, mi_zero, pair_dual, rref,
-    sort_sign, sym_comul,
+    EVEN, Derivation, Vec, WordAlgebra, kernel_basis, mat_vec, mi_add,
+    mi_all, mi_binom, mi_fact, mi_le, mi_sub, mi_unit, mi_upto, mi_weight,
+    mi_zero, pair_dual, rref, sort_sign, sym_comul,
 )
+
+from helpers import odd_letters, oracle_derive, word_of_letters
 
 
 def alg(na=2, nb=2, ne=2, trunc=5):
@@ -364,54 +366,18 @@ def test_vec_invariant_under_arithmetic(terms, scale):
 
 # ---------------------------------------------------------------------------
 # the kernel against its earlier formulations: flatten the odd generators,
-# sort with sort_sign, rebuild; one Vec per Leibniz factor; dense rref
-
-
-def _odd_seq(A, w):
-    return [(c, i) for c in range(A.n_colours) for i in w[c]]
-
-
-def _word_from_seq(A, gens, J):
-    parts = [[] for _ in A.odd_counts]
-    for c, i in gens:
-        parts[c].append(i)
-    return tuple(tuple(p) for p in parts) + (tuple(J),)
+# sort with sort_sign, rebuild; one Vec per Leibniz factor (oracle_derive
+# in helpers); dense rref and kernel
 
 
 def oracle_mul_words(A, w1, w2):
     J = mi_add(w1[-1], w2[-1])
     if A.trunc is not None and mi_weight(J) > A.trunc:
         return 'overflow'
-    sign, merged = sort_sign(_odd_seq(A, w1) + _odd_seq(A, w2))
+    sign, merged = sort_sign(odd_letters(A, w1) + odd_letters(A, w2))
     if sign == 0:
         return None
-    return sign, _word_from_seq(A, merged, J)
-
-
-def oracle_derive(A, images, parity, x):
-    zero = mi_zero(A.n_even)
-    out = Vec(truncated=x.truncated)
-    for w, coef in x.items():
-        gens = _odd_seq(A, w)
-        J = w[-1]
-        for t, g in enumerate(gens):
-            img = images.get(g)
-            if not img:
-                continue
-            sgn = -1 if parity % 2 and t % 2 else 1
-            pre = _word_from_seq(A, gens[:t], zero)
-            suf = _word_from_seq(A, gens[t + 1:], J)
-            out += A.mul(A.mul(Vec({pre: coef * sgn}), img), Vec({suf: 1}))
-        base = -1 if parity % 2 and len(gens) % 2 else 1
-        for k in range(A.n_even):
-            img = images.get((EVEN, k))
-            if J[k] == 0 or not img:
-                continue
-            front = _word_from_seq(A, gens, zero)
-            rest = A.even_word(mi_sub(J, mi_unit(A.n_even, k)))
-            out += A.mul(A.mul(Vec({front: coef * base * J[k]}), img),
-                         Vec({rest: 1}))
-    return out
+    return sign, word_of_letters(A, merged, J)
 
 
 def oracle_rref(rows):
@@ -434,6 +400,23 @@ def oracle_rref(rows):
         pivots.append(col)
         rank += 1
     return rows, pivots
+
+
+def oracle_kernel_basis(rows, ncols):
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)]
+                for i in range(ncols)]
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
 
 
 @st.composite
@@ -489,6 +472,27 @@ def test_derive_matches_leibniz_oracle(data, parity):
     assert got == want
     assert got.truncated == want.truncated
     assert _exact_invariant(got)
+
+
+@given(st.data(), st.integers(0, 1))
+def test_derivation_keeps_no_state_between_calls(data, parity):
+    # a flagged input, then an unflagged one, then the first again: each
+    # result equals a fresh derivation's and the oracle's
+    A = data.draw(algebras())
+    gens = [(c, i) for c, n in enumerate(A.odd_counts) for i in range(n)]
+    gens += [(EVEN, k) for k in range(A.n_even)]
+    images = data.draw(st.dictionaries(st.sampled_from(gens), vecs(A, 3),
+                                       min_size=1, max_size=len(gens)))
+    xs = [data.draw(vecs(A, max_exp=2)) for _ in range(2)]
+    xs[0].truncated = True
+    xs[1].truncated = False
+    D = Derivation(A, images, parity)
+    for x in xs + xs[:1]:
+        got = D(x)
+        want = oracle_derive(A, images, parity, x)
+        fresh = Derivation(A, images, parity)(x)
+        assert got == want == fresh
+        assert got.truncated == want.truncated == fresh.truncated
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -548,3 +552,28 @@ def test_derive_overflow_meeting_the_suffix_is_flagged():
              min_size=ncols, max_size=ncols), max_size=6)))
 def test_rref_matches_dense_oracle(rows):
     assert rref(rows) == oracle_rref(rows)
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Fraction matrices (often sparse) with some rows and some columns
+    zeroed."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
+                 min_size=ncols, max_size=ncols), max_size=6))
+    zero_rows = draw(st.sets(st.integers(0, 5)))
+    zero_cols = draw(st.sets(st.integers(0, 5)))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else v
+             for j, v in enumerate(row)] for i, row in enumerate(rows)], ncols
+
+
+@given(matrices_with_zero_lines())
+def test_kernel_basis_matches_dense_formula(case):
+    rows, ncols = case
+    basis = kernel_basis(rows, ncols)
+    for v in basis:
+        assert all(e == 0 for e in mat_vec(rows, v))
+    rank = len(oracle_rref(rows)[1]) if rows else 0
+    assert len(basis) == ncols - rank
+    assert basis == oracle_kernel_basis(rows, ncols)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liepairs.cohomology import d_complex_keys
 from liepairs.core import (
-    Vec, mi_add, mi_unit, mi_upto, mi_weight, mi_zero,
+    Vec, mi_add, mi_unit, mi_upto, mi_weight, mi_zero, tensor_product,
 )
 from liepairs.dpoly import DPoly, multi_splits
 from liepairs.liepair import parse_pair_spec
@@ -304,6 +305,30 @@ def test_small_projection_roundtrip(machines):
             for cls in itertools.product(list(mi_upto(r, 1)), repeat=2):
                 x = Vec({(fw, cls): 1})
                 assert D.project_small(D.include_small(x)) == x, (name, fw)
+
+
+def test_memoised_projections_match_per_slot_recomputation(machines):
+    # every key twice, so the second pass reads the memoised Vecs after
+    # the first has used them
+    for name, D in machines.items():
+        zero = mi_zero(D.r)
+        for _ in range(2):
+            for fw, cls in d_complex_keys(D.sp):
+                c = Fraction(-5, 3)
+                want = Vec()
+                acc = tensor_product(c, [D.P.pbw_inv(Vec({K: Fraction(1)}))
+                                         for K in cls])
+                for slots, cc in acc.items():
+                    want.iadd_term(((fw[0], (), zero), slots), cc)
+                assert D.include_small(Vec({(fw, cls): c})) == want, \
+                    (name, fw, cls)
+                want = Vec()
+                acc = tensor_product(c, [D.P.pbw(Vec({J: Fraction(1)}))
+                                         for J in cls])
+                for key, cc in acc.items():
+                    want.iadd_term(((fw[0], ()), key), cc)
+                got = D.project_small(Vec({((fw[0], (), zero), cls): c}))
+                assert got == want, (name, fw, cls)
 
 
 def test_naive_transferred_differential(machines):

@@ -41,7 +41,8 @@ def test_traced_invocation_spans_every_layer(tmp_path):
     meta, cols = load_tracer().read_spans(prefix)
     spans = Counter(meta["names"][i] for i in cols[0])
     # the two brackets are spanned for their per-layer calls and self
-    # time (68 and 142 spans on this invocation)
+    # time (68 and 142 spans on this invocation), and so are the total
+    # differential of the q^2 check and the exact row reduction
     for name in ("contraction.d_small", "transfer.lam_keys.arity2",
-                 "tpoly.schouten", "dpoly.star"):
+                 "tpoly.schouten", "dpoly.star", "weyl.q_op", "core.rref"):
         assert spans[name] > 0, (name, sorted(spans))

@@ -12,7 +12,7 @@ from liepairs.liepair import Connection, parse_pair_spec
 from liepairs.tpoly import TPoly
 from liepairs.weyl import Weyl
 
-from helpers import apply_x
+from helpers import apply_x, oracle_derive
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
@@ -350,3 +350,30 @@ def test_rho_and_q_tables_match_their_parts(machines):
             q = W.q_op(x)
             want = -1 * W.delta(x) + rho
             assert q == want and q.truncated == want.truncated, (name, w)
+
+
+# ---------------------------------------------------------------------------
+# the compiled derivations d, rho and Q of Weyl, and rho and Q of TPoly,
+# against the term-by-term Leibniz rule on their own tables: every word
+# up to the cap on the dim-3 pairs, words up to weight 1 on the larger ones
+
+
+COMPILED_PAIRS = {name: (4, 4) for name in FIXTURES}
+COMPILED_PAIRS.update(heis5_lag=(4, 1), sl3_borel=(3, 1))
+
+
+def test_compiled_tables_match_leibniz_oracle():
+    for name, (trunc, wmax) in COMPILED_PAIRS.items():
+        pair, sp, conn = load(name)
+        T = TPoly(sp, conn, trunc=trunc)
+        W = T.W
+        cases = [(W, W._d, W._d_images), (W, W._rho, W._rho_images),
+                 (W, W._q, W._q_images), (T, T._rho, T._rho_images),
+                 (T, T._q, T._q_images)]
+        for X, compiled, images in cases:
+            for w in X.alg.words(max_weight=wmax):
+                x = Vec({w: Fraction(-3, 2)})
+                got = compiled(x)
+                want = oracle_derive(X.alg, images, 1, x)
+                assert got == want, (name, w)
+                assert got.truncated == want.truncated, (name, w)

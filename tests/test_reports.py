@@ -33,6 +33,22 @@ GOLDEN = {
 }
 
 
+# sha256 of the report file at the defaults (--trunc 5 --arity 3) and
+# --seed 0: the only reports that run the arity-3 Jacobi checks
+DEFAULTS = {
+    "abelian":
+        "f832b9d6d454b463b676a3b7fbbfdd70c7a496731bff9bd2cee46d49c09f17f6",
+    "heisenberg_center":
+        "08485cc472b6aebcc7e8a38aee3021eed63338e29fa9336c815e47dd43ee3d58",
+    "heisenberg_x":
+        "95389c48d083d7909fdba90c4bcf4a360ac6cd74765ac092e4a8f79f8832704b",
+    "sl2_borel":
+        "73416ea0b278b1abeabf9fe7923166feff027b396179dcc89adf09e7ae38d43b",
+    "sl2_h":
+        "80f7235a857a181f340131bf4bac52d47a449f671cb53a165665394dc5a1bdaf",
+}
+
+
 # sha256 of the sl3_borel (rank 3) fedosov report at --trunc 3 --arity 1
 # --seed 0: the q^2 check on 2560 words, all word-algebra arithmetic
 RANK3_FEDOSOV = \
@@ -64,6 +80,11 @@ def report_digest(tmp_path, name, suite, trunc, arity):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes_unchanged(name, tmp_path):
     assert report_digest(tmp_path, name, "all", 4, 2) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_default_report_bytes_unchanged(name, tmp_path):
+    assert report_digest(tmp_path, name, "all", 5, 3) == DEFAULTS[name]
 
 
 def test_rank3_fedosov_report_bytes_unchanged(tmp_path):

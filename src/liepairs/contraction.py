@@ -27,8 +27,8 @@ even generators chi (mi_weight of a word's last part), and
   * sigma keeps weight 0 only.
 
 So sigma rho of each term (-h rho)^k tau with k >= 1 is zero word by
-word, before any cancellation, and so is its truncation: rho tau' is
-applied once, to tau alone.
+word, before any cancellation, so no term the cap drops can change
+it: rho tau' is applied once, to tau alone.
 """
 
 from .core import Vec
@@ -63,7 +63,7 @@ class Contraction:
         tau_keys = {}
 
         def tau_new(x):
-            out = Vec(truncated=x.truncated)
+            out = Vec()
             for key, c in x.items():
                 img = tau_keys.get(key)
                 if img is None:

@@ -147,14 +147,11 @@ class Vec(dict):
     """Dictionary key -> exact scalar with zero values automatically removed.
 
     Stored coefficients are ints or Fractions with denominator > 1; a
-    float raises TypeError.  The `truncated` flag records that some term
-    was dropped for exceeding the weight cap, so callers can refuse to
-    assert identities whose two sides did not both survive truncation.
+    float raises TypeError.
     """
 
-    def __init__(self, data=(), truncated=False):
+    def __init__(self, data=()):
         super().__init__()
-        self.truncated = truncated
         self.__iadd__(data)
 
     def __getitem__(self, key):
@@ -176,8 +173,6 @@ class Vec(dict):
         return self
 
     def __iadd__(self, other):
-        if isinstance(other, Vec):
-            self.truncated = self.truncated or other.truncated
         if isinstance(other, dict):
             other = other.items()
         for k, c in other:
@@ -187,19 +182,17 @@ class Vec(dict):
         return self
 
     def __add__(self, other):
-        out = Vec(self, truncated=self.truncated)
+        out = Vec(self)
         out += other
         return out
 
     def __isub__(self, other):
-        if isinstance(other, Vec):
-            self.truncated = self.truncated or other.truncated
         for k, c in other.items():
             self.iadd_term(k, -c)
         return self
 
     def __sub__(self, other):
-        out = Vec(self, truncated=self.truncated)
+        out = Vec(self)
         out -= other
         return out
 
@@ -208,14 +201,12 @@ class Vec(dict):
 
     def __mul__(self, n):
         if n == 0:
-            return Vec(truncated=self.truncated)
-        return Vec(((k, c * n) for k, c in self.items()),
-                   truncated=self.truncated)
+            return Vec()
+        return Vec((k, c * n) for k, c in self.items())
 
     __rmul__ = __mul__
 
     def iadd_scaled(self, coef, other):
-        self.truncated = self.truncated or other.truncated
         if coef == 0:
             return self
         for k, c in other.items():
@@ -246,11 +237,12 @@ EVEN = 'even'
 
 
 class WordAlgebra:
-    """Graded-commutative algebra of words with truncated even part.
+    """Graded-commutative algebra of words with a weight cap on the even
+    part.
 
     odd_counts -- number of odd generators in each colour, in colour order
     n_even     -- number of even generators (multi-index exponents)
-    trunc      -- cap on the even weight; higher terms are dropped/flagged
+    trunc      -- cap on the even weight; a product term over it is dropped
     """
 
     def __init__(self, odd_counts, n_even, trunc):
@@ -301,15 +293,15 @@ class WordAlgebra:
     # -- multiplication ----------------------------------------------------
 
     def mul_words(self, w1, w2):
-        """(sign, product word) or None when an odd generator repeats
-        or the even weight exceeds the cap ('overflow' sentinel).
+        """(sign, product word), or None when an odd generator repeats
+        or the even weight exceeds the cap.
 
         Both words are canonical, so the sign is the parity of the pairs
         (a in w1, b in w2) with a > b in (colour, index) order: a later
         colour of w1 jumps every generator of an earlier colour of w2."""
         J = mi_add(w1[-1], w2[-1])
-        if self.trunc is not None and mi_weight(J) > self.trunc:
-            return 'overflow'
+        if mi_weight(J) > self.trunc:
+            return None
         parts = []
         jumps = 0
         earlier = 0  # generators of w2 in the colours before this one
@@ -332,14 +324,11 @@ class WordAlgebra:
         return (-1 if jumps % 2 else 1), tuple(parts)
 
     def mul(self, x, y):
-        out = Vec(truncated=x.truncated or y.truncated)
+        out = Vec()
         for w1, c1 in x.items():
             for w2, c2 in y.items():
                 r = self.mul_words(w1, w2)
                 if r is None:
-                    continue
-                if r == 'overflow':
-                    out.truncated = True
                     continue
                 sign, w = r
                 out.iadd_term(w, c1 * c2 * sign)
@@ -358,7 +347,7 @@ class WordAlgebra:
         Generators absent from images are sent to themselves.  Images must
         have the same parity as the generator they replace.
         """
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, coef in x.items():
             acc = self.one(coef)
             for g in self.odd_seq(w):
@@ -409,30 +398,25 @@ class Derivation:
       b in the term) with a > b, the parity of the sum over the term's
       bits b of popcount(rest >> (b + 1)), times (-1)^(|img| |suf|).
 
-    The `truncated` flag is set exactly as the two products pre * img
-    and then * suf would set it: by the image's own flag, and by an
-    overflowing image term when its own weight is over the cap, or when
-    it shares no odd letter with pre (sharing one makes pre * img vanish
-    before its weight is looked at).
+    A term that overflows or vanishes is dropped, as mul_words drops it.
     """
 
     def __init__(self, alg, images, parity):
         self.alg = alg
         self.odd = parity % 2
         self.offsets = tuple(itertools.accumulate((0,) + alg.odd_counts[:-1]))
-        self.cap = float('inf') if alg.trunc is None else alg.trunc
-        # letter bit / even index -> (image truncated, image terms)
+        self.cap = alg.trunc
+        # letter bit / even index -> the image's terms
         self._odd = {}
         self._even = {}
         for g, img in images.items():
             if not img:
                 continue
-            entry = (img.truncated,
-                     tuple(self._term(w, c) for w, c in img.items()))
+            terms = tuple(self._term(w, c) for w, c in img.items())
             if g[0] == EVEN:
-                self._even[g[1]] = entry
+                self._even[g[1]] = terms
             else:
-                self._odd[self.offsets[g[0]] + g[1]] = entry
+                self._odd[self.offsets[g[0]] + g[1]] = terms
 
     def _term(self, w, coef):
         """An image term: (word, coefficient, chi-weight, parity of its
@@ -447,7 +431,7 @@ class Derivation:
     def __call__(self, x):
         odd, offsets = self.odd, self.offsets
         odd_images, even_images = self._odd, self._even
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, coef in x.items():
             parts, J = w[:-1], w[-1]
             mask = 0
@@ -461,42 +445,33 @@ class Derivation:
                 for c, part in enumerate(parts):
                     o = offsets[c]
                     for p, i in enumerate(part):
-                        entry = odd_images.get(o + i)
-                        if entry is not None:
+                        terms = odd_images.get(o + i)
+                        if terms is not None:
                             bit = 1 << (o + i)
                             self._apply(
-                                out, entry,
+                                out, terms,
                                 parts[:c] + (part[:p] + part[p + 1:],)
                                 + parts[c + 1:], J, weight, mask ^ bit,
-                                mask & (bit - 1), (n - t - 1) % 2,
+                                (n - t - 1) % 2,
                                 -coef if odd and t % 2 else coef)
                         t += 1
             if even_images:
                 base = -coef if odd and n % 2 else coef
                 for k, jk in enumerate(J):
-                    entry = even_images.get(k) if jk else None
-                    if entry is not None:
-                        self._apply(out, entry, parts,
+                    terms = even_images.get(k) if jk else None
+                    if terms is not None:
+                        self._apply(out, terms, parts,
                                     J[:k] + (jk - 1,) + J[k + 1:],
-                                    weight - 1, mask, mask, 0, base * jk)
+                                    weight - 1, mask, 0, base * jk)
         return out
 
-    def _apply(self, out, entry, rest, J, weight, rest_mask, pre_mask, swap,
-               coef):
+    def _apply(self, out, terms, rest, J, weight, rest_mask, swap, coef):
         """out += coef * pre * img * suf for the word rest + (J,) = pre * suf
-        of the given weight and masks, swap the parity of suf's odd
-        letters."""
+        of the given weight and odd-letter mask, swap the parity of suf's
+        odd letters."""
         cap = self.cap
-        truncated, terms = entry
-        if truncated:
-            out.truncated = True
         for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
-            if weight + iweight > cap:
-                if not out.truncated and (iweight > cap
-                                          or not pre_mask & imask):
-                    out.truncated = True
-                continue
-            if rest_mask & imask:
+            if weight + iweight > cap or rest_mask & imask:
                 continue
             s = swap & ipar
             for b in ibits:

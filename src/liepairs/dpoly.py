@@ -84,10 +84,9 @@ class DPoly:
     # -- word-wise operators from the scalar resolution ---------------------------
 
     def _wordwise(self, op, x):
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for (w, slots), c in x.items():
             img = op(Vec({w: c}))
-            out.truncated = out.truncated or img.truncated
             for w2, c2 in img.items():
                 out.iadd_term((w2, slots), c2)
         return out
@@ -135,9 +134,6 @@ class DPoly:
                     prod = self.alg.mul_words(w, cw)
                     if prod is None:
                         continue
-                    if prod == 'overflow':
-                        out.truncated = True
-                        continue
                     sign, w3 = prod
                     out.iadd_term((w3, slots[:t] + (newJ,) + slots[t + 1:]),
                                   c * base * c2 * sign)
@@ -154,7 +150,7 @@ class DPoly:
         """Insertion coboundary on the slots, with the alternating sign
         of the coefficient form degree in front."""
         zero = mi_zero(self.r)
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for (w, slots), c in x.items():
             pref = -1 if self.alg.form_deg(w) % 2 else 1
             k = len(slots)
@@ -188,7 +184,7 @@ class DPoly:
         return out
 
     def star(self, x, y):
-        out = Vec(truncated=x.truncated or y.truncated)
+        out = Vec()
         for (w1, S1), c1 in x.items():
             u = len(S1) - 1
             for (w2, S2), c2 in y.items():
@@ -201,9 +197,6 @@ class DPoly:
                     for w2b, mid, c in self._slides(S1[k], w2, S2):
                         prod = self.alg.mul_words(w1, w2b)
                         if prod is None:
-                            continue
-                        if prod == 'overflow':
-                            out.truncated = True
                             continue
                         sign, w3 = prod
                         out.iadd_term((w3, head + mid + tail),
@@ -249,7 +242,7 @@ class DPoly:
     def project_small(self, x):
         """Coefficient words with no chi content survive; each slot is
         symmetrized into a class of the enveloping-algebra quotient."""
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for (w, slots), c in x.items():
             if w[1] or mi_weight(w[-1]) != 0:
                 continue
@@ -261,7 +254,7 @@ class DPoly:
 
     def include_small(self, x):
         zero = mi_zero(self.r)
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for (fw, cls), c in x.items():
             acc = tensor_product(
                 c, [self._memo(self._pbw_inv_memo, self.P.pbw_inv, K)

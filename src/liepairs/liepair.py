@@ -281,7 +281,7 @@ def ce_differential(splitting, action, x):
     """
     sp = splitting
     fa, d_a = sp.ce_base
-    out = Vec(truncated=x.truncated)
+    out = Vec()
     for (fw, ck), coef in x.items():
         dfw = d_a(Vec({fw: coef}))
         for w2, c2 in dfw.items():

@@ -117,13 +117,13 @@ class Pbw:
 
     def pbw(self, s):
         """Symmetrization map on a Vec over multi-indices."""
-        out = Vec(truncated=s.truncated)
+        out = Vec()
         for J, c in s.items():
             out.iadd_scaled(c, self._table[J])
         return out
 
     def pbw_inv(self, cls):
-        out = Vec(truncated=cls.truncated)
+        out = Vec()
         for J, c in cls.items():
             # Fraction first: int * Fraction takes the slow reflected path
             for Jr, e in self._inv_cols[self._index[J]]:

@@ -45,8 +45,7 @@ class TPoly:
         self.set_tables(rho)
 
     def embed(self, x):
-        return Vec({(w[0], w[1], (), w[2]): c for w, c in x.items()},
-                   truncated=x.truncated)
+        return Vec({(w[0], w[1], (), w[2]): c for w, c in x.items()})
 
     # -- lifted contraction operators ------------------------------------------
 
@@ -65,13 +64,12 @@ class TPoly:
 
     def project_small(self, x):
         """Words with no chi content, rekeyed (A-form word, B-index tuple)."""
-        return Vec(((((w[0], ()), w[2]), c)
-                    for w, c in self.sigma(x).items()), truncated=x.truncated)
+        return Vec((((w[0], ()), w[2]), c)
+                   for w, c in self.sigma(x).items())
 
     def include_small(self, x):
         zero = mi_zero(self.r)
-        return Vec({(w[0], (), xs, zero): c for (w, xs), c in x.items()},
-                   truncated=x.truncated)
+        return Vec({(w[0], (), xs, zero): c for (w, xs), c in x.items()})
 
     # -- the fibrewise Schouten bracket ------------------------------------------
 
@@ -90,9 +88,9 @@ class TPoly:
             [u, v] = sum_k iota_k(u') d_k v - d_k u iota_k v,
 
         where u' is u with its even-degree terms negated."""
-        u_signed = Vec(((w, -c if self.deg(w) % 2 == 0 else c)
-                        for w, c in u.items()), truncated=u.truncated)
-        out = Vec(truncated=u.truncated or v.truncated)
+        u_signed = Vec((w, -c if self.deg(w) % 2 == 0 else c)
+                       for w, c in u.items())
+        out = Vec()
         for k in range(self.r):
             out += self.alg.mul(self.dxi(u_signed, k), self.alg.dchi(k, v))
             out -= self.alg.mul(self.alg.dchi(k, u), self.dxi(v, k))

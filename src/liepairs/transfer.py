@@ -80,12 +80,11 @@ class Transfer:
         """The bracket pulled through the suspension: an extra sign from
         the shifted degree of the first argument makes it symmetric for
         the once-more-shifted degrees."""
-        out = Vec(truncated=u.truncated or v.truncated)
+        out = Vec()
         for par in (0, 1):
-            part = Vec(((k, c) for k, c in u.items()
-                        if self.big_sdeg(k) % 2 == par),
-                       truncated=u.truncated)
-            if part.is_zero() and not part.truncated:
+            part = Vec((k, c) for k, c in u.items()
+                       if self.big_sdeg(k) % 2 == par)
+            if not part:
                 continue
             img = self.bracket(part, v)
             if par:

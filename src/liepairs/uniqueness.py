@@ -54,28 +54,24 @@ class Uniqueness:
     # -- the power-series automorphism ----------------------------------------
 
     def _apply_table(self, table, f):
-        out = Vec(truncated=f.truncated)
+        out = Vec()
         for I, c in f.items():
-            if I not in table:
-                out.truncated = True
-                continue
-            out.iadd_scaled(c, table[I])
+            if I in table:
+                out.iadd_scaled(c, table[I])
         return out
 
     def map_scalar(self, x):
         """Frame change plus the dual automorphism on the power-series
         part; a chain map from the first scalar complex to the second."""
         alg = self.W2.alg
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, c in x.items():
             base = alg.substitute(
                 self._frame_images,
                 Vec({w[:-1] + (mi_zero(self.r),): c}))
             series = self._apply_table(self.dual, Vec({w[-1]: Fraction(1)}))
-            img = alg.mul(base, Vec(
-                ((alg.even_word(J), cj) for J, cj in series.items()),
-                truncated=series.truncated))
-            out += img
+            out += alg.mul(base, Vec(
+                (alg.even_word(J), cj) for J, cj in series.items()))
         return out
 
     # -- slotwise conjugation ---------------------------------------------------
@@ -84,7 +80,7 @@ class Uniqueness:
         """Value of the conjugated slot operator on a power-series basis
         element, as a Vec over multi-indices."""
         f = self._apply_table(self.dual_inv, Vec({K: Fraction(1)}))
-        df = Vec(truncated=f.truncated)
+        df = Vec()
         for I, c in f.items():
             low = mi_sub(I, J)
             if low is None:
@@ -112,7 +108,7 @@ class Uniqueness:
             kf = mi_fact(K)
             solved[K] = {M: Fraction(c, kf) for M, c in residual.items()
                          if c}
-        out = Vec(truncated=True)
+        out = Vec()
         for K, g in solved.items():
             for M, c in g.items():
                 out.iadd_term((M, K), c)
@@ -123,7 +119,7 @@ class Uniqueness:
         """The isomorphism on vertical operator elements: frame change
         and dual automorphism on the word, conjugation on every slot."""
         alg = self.W2.alg
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for (w, slots), c in x.items():
             word = self.map_scalar(Vec({w: c}))
             # fold the slots one at a time, multiplying the series part
@@ -138,17 +134,15 @@ class Uniqueness:
                         grouped.setdefault(K, Vec()).iadd_term(M, cc)
                     for K, series in grouped.items():
                         mult = alg.mul(wordvec, Vec(
-                            ((alg.even_word(M), cm)
-                             for M, cm in series.items()),
-                            truncated=True))
-                        if mult.is_zero() and not mult.truncated:
+                            (alg.even_word(M), cm)
+                            for M, cm in series.items()))
+                        if not mult:
                             continue
                         nxt.append((mult, done + (K,)))
                 result = nxt
             for wordvec, done in result:
                 for ww, cc in wordvec.items():
                     out.iadd_term((ww, done), cc)
-            out.truncated = True
         return out
 
     # -- the comparison statements ------------------------------------------------
@@ -159,7 +153,7 @@ class Uniqueness:
         labels in the second normal form (identity when the complements
         coincide).  The a-form part is shared and untouched."""
         to_second = relabel(self.D1.P, self.D2.P)
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for (fw, cls), c in x.items():
             acc = tensor_product(c, [to_second(Vec({K: Fraction(1)}))
                                      for K in cls])

@@ -26,8 +26,7 @@ the total weight: for v = |T| > 0,
                    alpha_S dchi_(T minus k_p) chi^(J + e_(k_p)),
 
 so that h delta + delta h = id - tau sigma.  A word with v = 0 maps to
-zero, and a word with |J| + 1 above the truncation weight is dropped
-and flags the result as truncated.
+zero, and a word with |J| + 1 above the truncation weight is dropped.
 
 Once X is solved, the flat part rho = d + X and the total differential
 Q = -delta + rho are each one derivation: solve() merges the generator
@@ -109,7 +108,7 @@ class Weyl:
 
     def delta(self, x):
         """The Koszul differential in closed form, see the module docstring."""
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, c in x.items():
             J, chis = w[-1], w[1]
             if len(w[0]) % 2:
@@ -130,7 +129,7 @@ class Weyl:
 
     def h(self, x):
         """The Koszul homotopy in closed form, see the module docstring."""
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, c in x.items():
             v = len(w[1])
             if v == 0:
@@ -138,7 +137,6 @@ class Weyl:
             J = w[-1]
             wJ = mi_weight(J)
             if wJ + 1 > self.N:
-                out.truncated = True
                 continue
             f = Fraction(1, v + wJ) * c
             if len(w[0]) % 2:
@@ -152,7 +150,7 @@ class Weyl:
         return out
 
     def sigma(self, x):
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, c in x.items():
             if not w[1] and mi_weight(w[-1]) == 0:
                 out.iadd_term(w, c)
@@ -164,14 +162,12 @@ class Weyl:
 
     def project_a(self, x):
         """sigma followed by rewriting into bare A-form words."""
-        return Vec((((w[0], ()), c) for w, c in self.sigma(x).items()),
-                   truncated=x.truncated)
+        return Vec(((w[0], ()), c) for w, c in self.sigma(x).items())
 
     def include_a(self, x):
         """Bare A-form words into this algebra."""
         zero = mi_zero(self.r)
-        return Vec({(w[0], (), zero): c for w, c in x.items()},
-                   truncated=x.truncated)
+        return Vec({(w[0], (), zero): c for w, c in x.items()})
 
     # -- vertical derivations --------------------------------------------------
 
@@ -181,8 +177,8 @@ class Weyl:
         return self.alg.derive(images, parity, x)
 
     def restrict_weight(self, x, wmax):
-        return Vec(((w, c) for w, c in x.items()
-                    if mi_weight(w[-1]) <= wmax), truncated=x.truncated)
+        return Vec((w, c) for w, c in x.items()
+                   if mi_weight(w[-1]) <= wmax)
 
     # -- the correction term and the total differential -------------------------
 

@@ -12,20 +12,19 @@ from liepairs.liepair import ce_differential
 def evaluate(D, x, args):
     """Apply a DPoly element of arity v to v+1 power-series arguments
     (each a Vec over multi-indices); the value is a Vec of words."""
-    out = Vec(truncated=x.truncated)
+    out = Vec()
     for (w, slots), c in x.items():
         if len(slots) != len(args):
             continue
         acc = Vec({w: c})
         for J, arg in zip(slots, args):
-            val = Vec(truncated=arg.truncated)
+            val = Vec()
             for K, ck in arg.items():
                 low = mi_sub(K, J)
                 if low is not None:
                     val.iadd_term(low, ck * falling(K, J))
             acc = D.alg.mul(acc, Vec(
-                {D.alg.even_word(K): ck for K, ck in val.items()},
-                truncated=val.truncated))
+                {D.alg.even_word(K): ck for K, ck in val.items()}))
         out += acc
     return out
 
@@ -61,9 +60,9 @@ def curvature(conn, u, v, b):
 
 def d_a_scalar(splitting, x):
     """CE differential with trivial coefficients on Vec over A-form words."""
-    wrapped = Vec({(w, ()): c for w, c in x.items()}, truncated=x.truncated)
+    wrapped = Vec({(w, ()): c for w, c in x.items()})
     res = ce_differential(splitting, lambda s, ck: Vec(), wrapped)
-    return Vec({w: c for (w, _), c in res.items()}, truncated=res.truncated)
+    return Vec({w: c for (w, _), c in res.items()})
 
 
 def d_chain_defect(uni, x):
@@ -95,10 +94,10 @@ def word_of_letters(A, gens, J):
 
 def oracle_derive(A, images, parity, x):
     """The derivation of A with these generator images, applied to x as
-    the sum over letters of pre * image * suf; its `truncated` flag is
-    the one the two products set."""
+    the sum over letters of pre * image * suf, each term of either
+    product over the cap dropped."""
     zero = mi_zero(A.n_even)
-    out = Vec(truncated=x.truncated)
+    out = Vec()
     for w, coef in x.items():
         gens = odd_letters(A, w)
         J = w[-1]

@@ -281,16 +281,6 @@ def exact(v):
 
 def assert_same(got, want, label):
     assert got == want, label
-    assert got.truncated == want.truncated, label
-    assert exact(got), label
-
-
-def assert_same_d_small(got, want, label):
-    """d_small' applies rho once, to tau; the series also flags overflow
-    in its later passes, whose sigma-image is zero word by word, so only
-    the new flag implies the old one."""
-    assert got == want, label
-    assert want.truncated or not got.truncated, label
     assert exact(got), label
 
 
@@ -316,7 +306,7 @@ def test_perturbed_maps_match_old_formulation_on_every_key(against_old):
                 x = Vec({key: 1})
                 label = (name, side, key)
                 assert_same(new.tau(x), tau(x), label)
-                assert_same_d_small(new.d_small(x), d_small(x), label)
+                assert_same(new.d_small(x), d_small(x), label)
                 # the cached value comes back unchanged
                 assert_same(new.tau(x), tau(x), label)
 
@@ -338,8 +328,7 @@ def combinations(draw, against_old):
     side = draw(st.sampled_from(["t", "d"]))
     keys, new, old = against_old[name][side]
     x = Vec(draw(st.dictionaries(st.sampled_from(keys), RATIONALS,
-                                 min_size=1, max_size=4)),
-            truncated=draw(st.booleans()))
+                                 min_size=1, max_size=4)))
     return (name, side, x), new, old
 
 
@@ -350,4 +339,4 @@ def test_perturbed_maps_match_old_formulation_on_combinations(
     label, new, (tau, h, d_small) = data.draw(combinations(against_old))
     x = label[-1]
     assert_same(new.tau(x), tau(x), label)
-    assert_same_d_small(new.d_small(x), d_small(x), label)
+    assert_same(new.d_small(x), d_small(x), label)

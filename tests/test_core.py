@@ -161,15 +161,6 @@ def test_vec_arith():
     assert c[('y',)] == 1
 
 
-def test_vec_truncated_flag_propagates():
-    a = Vec(truncated=True)
-    b = Vec({('x',): 1})
-    assert (a + b).truncated
-    assert (b + a).truncated
-    assert (b - a).truncated
-    assert (3 * a).truncated
-
-
 # ---------------------------------------------------------------------------
 # word algebra: product
 
@@ -228,12 +219,10 @@ def test_associativity_exhaustive_small():
         assert A.mul(A.mul(x, y), z) == A.mul(x, A.mul(y, z))
 
 
-def test_truncation_flags():
+def test_product_over_the_cap_is_dropped():
     A = WordAlgebra((1,), 1, 2)
     x = Vec({A.even_word((2,)): 1})
-    prod = A.mul(x, x)
-    assert prod.is_zero()
-    assert prod.truncated
+    assert A.mul(x, x).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +361,8 @@ def test_vec_invariant_under_arithmetic(terms, scale):
 
 def oracle_mul_words(A, w1, w2):
     J = mi_add(w1[-1], w2[-1])
-    if A.trunc is not None and mi_weight(J) > A.trunc:
-        return 'overflow'
+    if mi_weight(J) > A.trunc:
+        return None
     sign, merged = sort_sign(odd_letters(A, w1) + odd_letters(A, w2))
     if sign == 0:
         return None
@@ -419,10 +408,15 @@ def oracle_kernel_basis(rows, ncols):
     return basis
 
 
+# a cap that no product of the words drawn below exceeds: at most 3 even
+# generators, exponents up to 2 in a vector and up to 1 in an image
+ABOVE_EVERY_WORD = 9
+
+
 @st.composite
 def algebras(draw):
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    trunc = draw(st.one_of(st.none(), st.integers(0, 4)))
+    trunc = draw(st.one_of(st.just(ABOVE_EVERY_WORD), st.integers(0, 4)))
     return WordAlgebra(counts, draw(st.integers(0, 3)), trunc)
 
 
@@ -437,16 +431,16 @@ def raw_words(A, max_exp=1):
 def vecs(A, max_size=4, max_exp=1):
     return st.builds(
         Vec, st.dictionaries(raw_words(A, max_exp), RATIONALS,
-                             max_size=max_size),
-        truncated=st.sampled_from([False, False, False, True]))
+                             max_size=max_size))
 
 
 @pytest.mark.parametrize("counts, n_even, trunc", [
-    ((4,), 0, None), ((2, 2), 1, 1), ((1, 2, 2), 2, 2)])
+    ((4,), 0, 0), ((2, 2), 1, 1), ((1, 2, 2), 2, 2)])
 def test_mul_words_matches_sort_sign_oracle_exhaustive(counts, n_even,
                                                        trunc):
+    # with no even generator every word has weight 0, so cap 0 drops none
     A = WordAlgebra(counts, n_even, trunc)
-    words = list(A.words(max_weight=trunc or 1))
+    words = list(A.words(max_weight=trunc))
     for w1, w2 in itertools.product(words, repeat=2):
         assert A.mul_words(w1, w2) == oracle_mul_words(A, w1, w2)
 
@@ -468,31 +462,24 @@ def test_derive_matches_leibniz_oracle(data, parity):
                                        min_size=1, max_size=len(gens)))
     x = data.draw(vecs(A, max_exp=2))
     got = A.derive(images, parity, x)
-    want = oracle_derive(A, images, parity, x)
-    assert got == want
-    assert got.truncated == want.truncated
+    assert got == oracle_derive(A, images, parity, x)
     assert _exact_invariant(got)
 
 
 @given(st.data(), st.integers(0, 1))
 def test_derivation_keeps_no_state_between_calls(data, parity):
-    # a flagged input, then an unflagged one, then the first again: each
-    # result equals a fresh derivation's and the oracle's
+    # two inputs, then the first again: each result equals a fresh
+    # derivation's and the oracle's
     A = data.draw(algebras())
     gens = [(c, i) for c, n in enumerate(A.odd_counts) for i in range(n)]
     gens += [(EVEN, k) for k in range(A.n_even)]
     images = data.draw(st.dictionaries(st.sampled_from(gens), vecs(A, 3),
                                        min_size=1, max_size=len(gens)))
     xs = [data.draw(vecs(A, max_exp=2)) for _ in range(2)]
-    xs[0].truncated = True
-    xs[1].truncated = False
     D = Derivation(A, images, parity)
     for x in xs + xs[:1]:
-        got = D(x)
-        want = oracle_derive(A, images, parity, x)
-        fresh = Derivation(A, images, parity)(x)
-        assert got == want == fresh
-        assert got.truncated == want.truncated == fresh.truncated
+        assert D(x) == oracle_derive(A, images, parity, x) \
+            == Derivation(A, images, parity)(x)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -506,45 +493,40 @@ def test_derive_matches_leibniz_oracle_exhaustive(parity):
                      for t in range(3)})
         for w in words:
             x = Vec({w: 3})
-            got = A.derive({g: image}, parity, x)
-            want = oracle_derive(A, {g: image}, parity, x)
-            assert got == want and got.truncated == want.truncated
+            assert A.derive({g: image}, parity, x) \
+                == oracle_derive(A, {g: image}, parity, x)
 
 
-def test_derive_flags_truncation_at_either_product():
+def test_derive_drops_an_overflow_at_either_product():
     # odd generator -> chi: pre * image fits, the suffix chi^2 overflows;
     # and an image that alone exceeds the cap
     A = WordAlgebra((1,), 1, 2)
     x = Vec({A.make_word([(0,)], (2,)): 1})
     for image in (Vec({A.even_word((1,)): 1}), Vec({A.even_word((3,)): 1})):
-        got = A.derive({(0, 0): image}, 1, x)
-        assert got.is_zero() and got.truncated
-        assert oracle_derive(A, {(0, 0): image}, 1, x).truncated
+        assert A.derive({(0, 0): image}, 1, x).is_zero()
+        assert oracle_derive(A, {(0, 0): image}, 1, x).is_zero()
     fits = A.derive({(0, 0): Vec({A.even_word((0,)): 1})}, 1, x)
-    assert fits == Vec({A.even_word((2,)): 1}) and not fits.truncated
+    assert fits == Vec({A.even_word((2,)): 1})
 
 
-def test_derive_overflow_meeting_the_prefix_is_not_flagged():
+def test_derive_drops_an_overflow_meeting_the_prefix():
     # x = a0 a1 chi^2, cap 2; the image a0 chi of a1 overflows against
-    # chi^2 but meets the prefix a0, so pre * img is zero before any
-    # weight is looked at
+    # chi^2 and meets the prefix a0
     A = WordAlgebra((2,), 1, 2)
     x = Vec({A.make_word([(0, 1)], (2,)): 1})
     images = {(0, 1): Vec({A.make_word([(0,)], (1,)): 1})}
-    got = A.derive(images, 1, x)
-    assert got.is_zero() and not got.truncated
-    assert not oracle_derive(A, images, 1, x).truncated
+    assert A.derive(images, 1, x).is_zero()
+    assert oracle_derive(A, images, 1, x).is_zero()
 
 
-def test_derive_overflow_meeting_the_suffix_is_flagged():
+def test_derive_drops_an_overflow_meeting_the_suffix():
     # the image a1 chi of a0 meets only the suffix a1 chi^2: pre * img
-    # survives, and the product with the suffix overflows first
+    # survives, and the product with the suffix overflows
     A = WordAlgebra((2,), 1, 2)
     x = Vec({A.make_word([(0, 1)], (2,)): 1})
     images = {(0, 0): Vec({A.make_word([(1,)], (1,)): 1})}
-    got = A.derive(images, 1, x)
-    assert got.is_zero() and got.truncated
-    assert oracle_derive(A, images, 1, x).truncated
+    assert A.derive(images, 1, x).is_zero()
+    assert oracle_derive(A, images, 1, x).is_zero()
 
 
 @given(st.integers(0, 6).flatmap(lambda ncols: st.lists(

@@ -275,7 +275,7 @@ def test_d_a_u_squares_to_zero(built):
 
 
 def dense_pbw_inv(P, inv, cls):
-    out = Vec(truncated=cls.truncated)
+    out = Vec()
     for J, c in cls.items():
         col = P._index[J]
         for row, Jr in enumerate(P._basis):
@@ -296,7 +296,6 @@ def dense_inverses(built):
 def assert_same_inv(P, inv, cls):
     got, want = P.pbw_inv(cls), dense_pbw_inv(P, inv, cls)
     assert got == want
-    assert got.truncated == want.truncated
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
                for c in got.values())
 
@@ -308,7 +307,7 @@ def test_sparse_pbw_inv_matches_dense_exhaustive(built, dense_inverses):
             for c in (1, -2, Fraction(3, 4)):
                 assert_same_inv(P, inv, Vec({J: c}))
         assert_same_inv(P, inv, Vec({J: i - 3 for i, J in
-                                     enumerate(P._basis)}, truncated=True))
+                                     enumerate(P._basis)}))
 
 
 @settings(deadline=None)
@@ -322,6 +321,5 @@ def test_sparse_pbw_inv_matches_dense(built, dense_inverses, data):
             st.sampled_from(P._basis),
             st.one_of(st.integers(-5, 5),
                       st.fractions(-3, 3, max_denominator=6)),
-            max_size=6),
-        truncated=st.booleans()))
+            max_size=6)))
     assert_same_inv(P, inv, cls)

@@ -222,10 +222,8 @@ def test_q_is_derivation_of_schouten(machines):
 
 
 def per_term_schouten(T, u, v):
-    """The double loop over term pairs.  The first form skipped an empty
-    product (`if t1:`), and so dropped the truncation flag of a term pair
-    whose products all overflow; this copy keeps every flag."""
-    out = Vec(truncated=u.truncated or v.truncated)
+    """The double loop over term pairs."""
+    out = Vec()
     for wu, cu in u.items():
         xu = Vec({wu: cu})
         s1 = -1 if T.deg(wu) % 2 == 0 else 1
@@ -238,9 +236,7 @@ def per_term_schouten(T, u, v):
 
 
 def assert_same_schouten(T, u, v):
-    got, want = T.schouten(u, v), per_term_schouten(T, u, v)
-    assert got == want, (u, v)
-    assert got.truncated == want.truncated, (u, v)
+    assert T.schouten(u, v) == per_term_schouten(T, u, v), (u, v)
 
 
 def test_schouten_matches_per_term_oracle_exhaustive():
@@ -263,22 +259,20 @@ def test_schouten_matches_per_term_oracle(machines, data):
 
     def element():
         return Vec(data.draw(st.dictionaries(st.sampled_from(words), coefs,
-                                             max_size=4)),
-                   truncated=data.draw(st.booleans()))
+                                             max_size=4)))
 
     assert_same_schouten(T, element(), element())
 
 
-def test_schouten_flags_a_term_pair_that_overflows(machines):
-    # iota_0(xi_0 chi_0^3) d_0(chi_0^4) has weight 6 > N and d_0 of the
-    # first against iota_0 of the second is zero: the bracket is known
-    # only to vanish below the cap, which the first form did not say
+def test_schouten_drops_a_term_pair_that_overflows(machines):
+    # iota_0(xi_0 chi_0^3) d_0(chi_0^4) has weight 6 > N, and d_0 of the
+    # first against iota_0 of the second is zero: the pair is dropped
     T = machines["sl2_h"]
     r = T.r
     u = Vec({((), (), (0,), (3,) + (0,) * (r - 1)): 1})
     v = Vec({((), (), (), (4,) + (0,) * (r - 1)): 1})
-    got = T.schouten(u, v)
-    assert got.is_zero() and got.truncated
+    assert T.schouten(u, v).is_zero()
+    assert per_term_schouten(T, u, v).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -323,4 +317,4 @@ def test_lifted_q_is_minus_delta_plus_rho(machines):
             x = Vec({w: Fraction(-2, 3)})
             q = T.q_op(x)
             want = -1 * T.delta(x) + T.rho(x)
-            assert q == want and q.truncated == want.truncated, (name, w)
+            assert q == want, (name, w)

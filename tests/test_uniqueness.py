@@ -142,13 +142,11 @@ def test_wrong_transport_detected(setups):
     alg = uni.W2.alg
 
     def bad_map(x):
-        out = Vec(truncated=x.truncated)
+        out = Vec()
         for w, c in x.items():
             series = uni._apply_table(uni.dual, Vec({w[-1]: Fraction(1)}))
-            img = alg.mul(Vec({w[:-1] + (mi_zero(sp.r),): c}), Vec(
-                ((alg.even_word(J), cj) for J, cj in series.items()),
-                truncated=series.truncated))
-            out += img
+            out += alg.mul(Vec({w[:-1] + (mi_zero(sp.r),): c}), Vec(
+                (alg.even_word(J), cj) for J, cj in series.items()))
         return out
 
     q1 = lambda y: -1 * uni.W1.delta(y) + uni.W1.rho(y)

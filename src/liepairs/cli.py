@@ -365,8 +365,7 @@ def run_cohomology(run, p):
     run.artifacts["cohomology"]["tables-nonzero"] = tables
     dcoh = d_cohomology(sp, p.pd.d_small, max_weight=2)
     run.artifacts["cohomology"]["polydifferential-window-dims"] = {
-        str(n): d for n, d in dcoh.dims().items()
-        if n in dcoh.valid_degrees}
+        str(n): d for n, d in dcoh.dims().items()}
 
 
 @click.group()

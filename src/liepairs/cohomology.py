@@ -2,110 +2,92 @@
 structures it inherits.
 
 A small complex is handed over as a finite ordered list of basis keys,
-a differential acting on Vecs over those keys, and a degree function.
-Kernels and images are computed degree by degree over the rationals;
-representatives are kernel vectors reduced modulo the image, kept in
-echelon form so that projection to cohomology coordinates is plain
-back-substitution.  The binary bracket and the product descend to
-cohomology, and two pipelines can be compared there after transporting
-representatives.
+a differential acting on Vecs over those keys, a degree function and
+the top degree to compute.  Each d_n is kept as sparse rows, one dict
+{column: entry} per degree-n key, and reduced over the rationals by the
+one exact elimination, core.rref.  Representatives are kernel vectors
+reduced modulo the image, kept in reduced echelon form, so that
+projection to cohomology coordinates is plain back-substitution.  The
+binary bracket and the product descend to cohomology, and two pipelines
+can be compared there after transporting representatives.
 """
 
-from fractions import Fraction
 import itertools
 
-from .core import Vec, kernel_basis, mi_upto, rref
+from .core import Vec, kernel_basis, mi_upto, rref, sub_scaled
 from .liepair import a_form_algebra, d_a_bott
 from .transfer import small_sdeg
 
 
 class Cohomology:
+    """The cohomology of a small complex, in the degrees up to `top`
+    (every degree when top is None).  Keys of degree top + 1 only index
+    the codomain of d_top."""
 
-    def __init__(self, keys, diff, deg, square_check_max=None):
+    def __init__(self, keys, diff, deg, top=None):
         self.keys = list(keys)
         self.diff = diff
         self.deg = deg
-        self.square_check_max = square_check_max
         self.by_deg = {}
         for key in self.keys:
             self.by_deg.setdefault(deg(key), []).append(key)
-        self.degrees = sorted(self.by_deg)
+        self.degrees = sorted(n for n in self.by_deg
+                              if top is None or n <= top)
         self._index = {n: {k: i for i, k in enumerate(ks)}
                        for n, ks in self.by_deg.items()}
-        # differential d_n as rows indexed by the degree-n basis
-        self._rows = {}
-        for n in self.degrees:
-            rows = []
-            for key in self.by_deg[n]:
-                img = diff(Vec({key: 1}))
-                rows.append(self._coords(img, n + 1))
-            self._rows[n] = rows
+        # d_n as one sparse row per degree-n key, over the degree n + 1 keys
+        self._rows = {n: [self._coords(diff(Vec({key: 1})), n + 1)
+                          for key in self.by_deg[n]]
+                      for n in self.degrees}
         self._check_square_zero()
-        # image echelon rows sitting in each degree, from one below, kept
-        # as their nonzero entries
+        # the image of d_{n-1} in echelon form, then the kernel of d_n
+        # reduced modulo it, in echelon form: the representatives
         self._image = {}
         for n in self.degrees:
-            rows = self._rows.get(n - 1, [])
-            red, piv = rref([r for r in rows if any(r)] or
-                            [[Fraction(0)] * len(self.by_deg[n])])
-            self._image[n] = (sparse_rows(red[:len(piv)]), piv)
-        # kernel of d_n, then representatives modulo the image
+            rows, piv = rref(self._rows.get(n - 1, []))
+            self._image[n] = dict(zip(piv, rows))
         self.reps = {}
-        self._rep_rows = {}
         for n in self.degrees:
-            ker = kernel_basis([list(col) for col in zip(*self._rows[n])],
-                               len(self.by_deg[n]))
-            im_rows, im_piv = self._image[n]
-            reduced = []
-            for v in ker:
-                w = self._reduce(v, im_rows, im_piv)
-                if any(w):
-                    reduced.append(w)
-            red, piv = rref(reduced or [[Fraction(0)] *
-                                        len(self.by_deg[n])])
-            self.reps[n] = (red[:len(piv)], piv)
-            self._rep_rows[n] = sparse_rows(self.reps[n][0])
+            cols = [{} for _ in self.by_deg.get(n + 1, [])]
+            for i, row in enumerate(self._rows[n]):
+                for j, a in row.items():
+                    cols[j][i] = a
+            reduced = (self._reduce(v, self._image[n])
+                       for v in kernel_basis(cols, len(self.by_deg[n])))
+            self.reps[n] = rref(v for v in reduced if v)
 
     # -- coordinate plumbing ----------------------------------------------------
 
     def _coords(self, x, n):
+        """x as a sparse row over the degree-n keys."""
         idx = self._index.get(n, {})
-        out = [Fraction(0)] * len(self.by_deg.get(n, []))
-        for k, c in x.items():
-            if k not in idx:
-                raise ValueError("element leaves the complex window")
-            out[idx[k]] = Fraction(c)
-        return out
-
-    def _to_vec(self, coords, n):
-        return Vec({k: c for k, c in zip(self.by_deg[n], coords) if c})
+        try:
+            return {idx[k]: c for k, c in x.items()}
+        except KeyError:
+            raise ValueError("element leaves the complex window") from None
 
     def _check_square_zero(self):
-        """d(d(key)) = 0 for every key, composed from the rows: d is
-        linear, and d(key) already lies in the window."""
+        """d(d(key)) = 0 for every key whose d_{n+1} is built, composed
+        from the rows: d is linear, and d(key) already lies in the
+        window."""
         for n in self.degrees:
-            if (self.square_check_max is not None
-                    and n > self.square_check_max):
+            nxt = self._rows.get(n + 1)
+            if nxt is None:
                 continue
-            nxt = sparse_rows(self._rows.get(n + 1, []))
             for row in self._rows[n]:
                 dd = Vec()
-                for j, a in enumerate(row):
-                    if a:
-                        for i, b in nxt[j]:
-                            dd.iadd_term(i, a * b)
+                for j, a in row.items():
+                    dd.iadd_scaled(a, nxt[j])
                 if dd:
                     raise ValueError("differential does not square to zero")
 
     @staticmethod
-    def _reduce(v, rows, piv):
-        """v reduced against echelon rows given by their nonzero entries."""
-        v = list(v)
-        for row, p in zip(rows, piv):
-            f = v[p]
-            if f:
-                for j, b in row:
-                    v[j] -= f * b
+    def _reduce(v, echelon):
+        """v reduced against reduced echelon rows, given as {pivot: row}:
+        reducing by one row leaves the other pivot columns alone."""
+        v = dict(v)
+        for p in [j for j in v if j in echelon]:
+            sub_scaled(v, v[p], echelon[p])
         return v
 
     # -- the public face ----------------------------------------------------------
@@ -114,28 +96,18 @@ class Cohomology:
         return {n: len(self.reps[n][0]) for n in self.degrees}
 
     def rep(self, n, i):
-        return self._to_vec(self.reps[n][0][i], n)
-
-    def is_coboundary(self, x, n):
-        v = self._coords(x, n)
-        rows, piv = self._image[n]
-        return not any(self._reduce(v, rows, piv))
+        keys = self.by_deg[n]
+        return Vec({keys[j]: c for j, c in self.reps[n][0][i].items()})
 
     def project(self, x, n):
-        """Cohomology coordinates of a cocycle of degree n."""
-        v = self._reduce(self._coords(x, n), *self._image[n])
-        # the rows are in reduced echelon form: reducing by one row leaves
-        # the other pivot entries alone, so they are the coordinates
-        out = [v[p] for p in self.reps[n][1]]
-        v = self._reduce(v, self._rep_rows[n], self.reps[n][1])
-        if any(v):
+        """Cohomology coordinates of a cocycle of degree n: its reduction
+        modulo the image, read at the pivots of the representatives."""
+        v = self._reduce(self._coords(x, n), self._image[n])
+        rows, piv = self.reps[n]
+        out = [v.get(p, 0) for p in piv]
+        if self._reduce(v, dict(zip(piv, rows))):
             raise ValueError("not a cocycle modulo the image")
         return out
-
-
-def sparse_rows(rows):
-    """Each row as the list of its nonzero (column, entry) pairs."""
-    return [[(j, b) for j, b in enumerate(row) if b] for row in rows]
 
 
 def t_complex_keys(sp):
@@ -181,24 +153,17 @@ def _class_tuples(weighted, arity, budget):
 
 
 def d_cohomology(sp, d_small, max_weight=2, max_arity=None):
-    """Cohomology of the polydifferential small complex restricted to
-    the finite window of bounded class weight and arity.  The weight
-    bound cuts out a genuine subcomplex (the differential never raises
-    the total class weight); the arity cap does not, so the differential
-    is clamped to the window and only the degrees listed in
-    `valid_degrees` (where the clamp is inactive) are meaningful."""
+    """Cohomology of the polydifferential small complex in the degrees
+    up to max_arity - 2, on the keys of class weight at most max_weight
+    and degree at most max_arity - 1.  The weight bound cuts out a
+    subcomplex (the differential never raises the total class weight),
+    and a key of degree at most max_arity - 1 has arity at most
+    max_arity, so the window holds d of every degree it builds."""
     if max_arity is None:
         max_arity = sp.m + 3
-    keys = d_complex_keys(sp, max_weight, max_arity)
-    keyset = set(keys)
-
-    def clamped(x):
-        return Vec(((k, c) for k, c in d_small(x).items() if k in keyset))
-
-    coh = Cohomology(keys, clamped, small_sdeg,
-                     square_check_max=max_arity - 3)
-    coh.valid_degrees = [n for n in coh.degrees if n <= max_arity - 2]
-    return coh
+    keys = [key for key in d_complex_keys(sp, max_weight, max_arity)
+            if small_sdeg(key) <= max_arity - 1]
+    return Cohomology(keys, d_small, small_sdeg, top=max_arity - 2)
 
 
 def t_cup(T, pt):

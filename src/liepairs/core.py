@@ -15,6 +15,7 @@ denominator 1 is stored as its int numerator).  Never a float.
 
 from fractions import Fraction
 from functools import cache
+from heapq import heapify, heappop, heappush
 from math import factorial, comb
 import itertools
 from operator import add
@@ -489,60 +490,75 @@ class Derivation:
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra (small matrices of Fractions)
+# exact sparse linear algebra: a row is a dict {column: entry} whose
+# entries are nonzero ints or Fractions with denominator > 1, as in a Vec
+
+def sub_scaled(v, f, row):
+    """v -= f * row, in place, on sparse rows."""
+    for j, b in row.items():
+        new = v.get(j, 0) - f * b
+        if not new:
+            del v[j]
+        elif type(new) is Fraction and new.denominator == 1:
+            v[j] = new.numerator
+        else:
+            v[j] = new
+
 
 def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns).
+    """Reduced row echelon form of sparse rows: (rows, pivots), the
+    nonzero rows sorted by pivot, each with entry 1 at its own pivot and
+    no entry at the others, and the pivot columns in increasing order.
 
-    Each elimination step touches only the pivot row's nonzero columns,
-    and zero entries are found by truth value, not by Fraction.__eq__.
-    The entries become Fractions first, for the division by the pivot."""
-    rows = [[v if type(v) is Fraction else Fraction(v) for v in r]
-            for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        nz = [j for j in range(col, ncols) if prow[j]]
-        inv = Fraction(1) / prow[col]
-        for j in nz:
-            prow[j] *= inv
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != rank:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
+    The rows are taken one at a time.  Each is reduced against the rows
+    kept so far, lowest pivot first (a kept row has no entry left of its
+    pivot, so reducing by it leaves the lower pivot columns alone), and
+    kept, scaled to 1 at its first column.  Then each kept row, highest
+    pivot first, is reduced against the rows above it.  The result is
+    the reduced echelon form, which is unique."""
+    kept = {}
+    for row in rows:
+        v = dict(row)
+        todo = [j for j in v if j in kept]
+        heapify(todo)
+        while todo:
+            p = heappop(todo)
+            f = v.get(p)
+            if f:
+                r = kept[p]
+                sub_scaled(v, f, r)
+                for j in r:
+                    if j != p and j in kept:
+                        heappush(todo, j)
+        if v:
+            p = min(v)
+            f = v[p]
+            if f != 1:
+                inv = 1 / Fraction(f)
+                for j, b in v.items():
+                    c = b * inv
+                    v[j] = c.numerator if c.denominator == 1 else c
+            kept[p] = v
+    pivots = sorted(kept)
+    for p in reversed(pivots):
+        r = kept[p]
+        for q in [j for j in r if j != p and j in kept]:
+            sub_scaled(r, r[q], kept[q])
+    return [kept[p] for p in pivots], pivots
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix given by `rows`."""
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)]
-                for i in range(ncols)]
+    """Basis of the right kernel of the matrix given by sparse `rows`
+    over columns 0..ncols-1: one vector per free column, in column
+    order, with 1 at that column."""
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            e = red[r][fc]
-            if e:
-                v[pc] = -e
-        basis.append(v)
-    return basis
+    pivot_set = set(pivots)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for fc, e in row.items():
+            if fc != pc:
+                basis[fc][pc] = -e
+    return list(basis.values())
 
 
 def mat_vec(a, v):
@@ -550,11 +566,11 @@ def mat_vec(a, v):
 
 
 def mat_inv(a):
+    """Inverse of the square matrix a (a list of rows), as a list of
+    rows, by the reduced echelon form of (a | 1)."""
     n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = rref([{j: _exact(x) for j, x in enumerate(row) if x}
+                        | {n + i: 1} for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
-
+    return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in red]

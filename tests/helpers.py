@@ -65,6 +65,12 @@ def d_a_scalar(splitting, x):
     return Vec({w: c for (w, _), c in res.items()})
 
 
+def is_coboundary(coh, x, n):
+    """Whether x, of degree n in the complex of the Cohomology coh, is a
+    coboundary: its reduction modulo the image vanishes."""
+    return not coh._reduce(coh._coords(x, n), coh._image[n])
+
+
 def d_chain_defect(uni, x):
     """The isomorphism of a Uniqueness after the first total differential
     (Q plus the insertion coboundary) minus the second one after it."""
@@ -119,3 +125,47 @@ def oracle_derive(A, images, parity, x):
             out += A.mul(A.mul(Vec({front: coef * base * J[k]}), img),
                          Vec({rest: 1}))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exact elimination densely: a plain Gauss-Jordan pass over Fraction
+# lists, every row kept
+
+
+def oracle_rref(rows):
+    rows = [list(map(Fraction, r)) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows, pivots
+
+
+def oracle_kernel_basis(rows, ncols):
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)]
+                for i in range(ncols)]
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis

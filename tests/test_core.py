@@ -2,15 +2,18 @@ from fractions import Fraction
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liepairs.core import (
-    EVEN, Derivation, Vec, WordAlgebra, kernel_basis, mat_vec, mi_add,
-    mi_all, mi_binom, mi_fact, mi_le, mi_sub, mi_unit, mi_upto, mi_weight,
-    mi_zero, pair_dual, rref, sort_sign, sym_comul,
+    EVEN, Derivation, Vec, WordAlgebra, kernel_basis, mat_inv, mat_vec,
+    mi_add, mi_all, mi_binom, mi_fact, mi_le, mi_sub, mi_unit, mi_upto,
+    mi_weight, mi_zero, pair_dual, rref, sort_sign, sym_comul,
 )
 
-from helpers import odd_letters, oracle_derive, word_of_letters
+from helpers import (
+    odd_letters, oracle_derive, oracle_kernel_basis, oracle_rref,
+    word_of_letters,
+)
 
 
 def alg(na=2, nb=2, ne=2, trunc=5):
@@ -356,7 +359,8 @@ def test_vec_invariant_under_arithmetic(terms, scale):
 # ---------------------------------------------------------------------------
 # the kernel against its earlier formulations: flatten the odd generators,
 # sort with sort_sign, rebuild; one Vec per Leibniz factor (oracle_derive
-# in helpers); dense rref and kernel
+# in helpers); dense rref and kernel (oracle_rref and oracle_kernel_basis
+# in helpers)
 
 
 def oracle_mul_words(A, w1, w2):
@@ -367,45 +371,6 @@ def oracle_mul_words(A, w1, w2):
     if sign == 0:
         return None
     return sign, word_of_letters(A, merged, J)
-
-
-def oracle_rref(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
-
-
-def oracle_kernel_basis(rows, ncols):
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)]
-                for i in range(ncols)]
-    red, pivots = oracle_rref(rows)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
 
 
 # a cap that no product of the words drawn below exceeds: at most 3 even
@@ -529,33 +494,73 @@ def test_derive_drops_an_overflow_meeting_the_suffix():
     assert oracle_derive(A, images, 1, x).is_zero()
 
 
-@given(st.integers(0, 6).flatmap(lambda ncols: st.lists(
-    st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
-             min_size=ncols, max_size=ncols), max_size=6)))
-def test_rref_matches_dense_oracle(rows):
-    assert rref(rows) == oracle_rref(rows)
+def sparse(rows):
+    """Dense rows as sparse rows {column: entry}, zeros dropped and
+    entries normalised as in a Vec."""
+    return [Vec(enumerate(row)) for row in rows]
+
+
+def dense(row, ncols):
+    return [Fraction(row.get(j, 0)) for j in range(ncols)]
+
+
+def normalised(row):
+    return all(type(c) is int and c or type(c) is Fraction
+               and c.denominator > 1 for c in row.values())
 
 
 @st.composite
 def matrices_with_zero_lines(draw):
-    """Fraction matrices (often sparse) with some rows and some columns
-    zeroed."""
-    ncols = draw(st.integers(0, 6))
+    """Fraction matrices up to 12 x 12 (often sparse) with some rows and
+    some columns zeroed."""
+    ncols = draw(st.integers(0, 12))
     rows = draw(st.lists(
         st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
-                 min_size=ncols, max_size=ncols), max_size=6))
-    zero_rows = draw(st.sets(st.integers(0, 5)))
-    zero_cols = draw(st.sets(st.integers(0, 5)))
+                 min_size=ncols, max_size=ncols), max_size=12))
+    zero_rows = draw(st.sets(st.integers(0, 11)))
+    zero_cols = draw(st.sets(st.integers(0, 11)))
     return [[Fraction(0) if i in zero_rows or j in zero_cols else v
              for j, v in enumerate(row)] for i, row in enumerate(rows)], ncols
 
 
+@settings(deadline=None)
+@given(matrices_with_zero_lines())
+def test_rref_matches_dense_oracle(case):
+    # the sparse form holds the nonzero rows of the dense one
+    rows, ncols = case
+    red, pivots = rref(sparse(rows))
+    want, want_pivots = oracle_rref(rows)
+    assert pivots == want_pivots
+    assert [dense(row, ncols) for row in red] == want[:len(pivots)]
+    assert not any(any(row) for row in want[len(pivots):])
+    assert all(normalised(row) for row in red)
+
+
+@settings(deadline=None)
 @given(matrices_with_zero_lines())
 def test_kernel_basis_matches_dense_formula(case):
     rows, ncols = case
-    basis = kernel_basis(rows, ncols)
+    basis = [dense(v, ncols) for v in kernel_basis(sparse(rows), ncols)]
     for v in basis:
         assert all(e == 0 for e in mat_vec(rows, v))
     rank = len(oracle_rref(rows)[1]) if rows else 0
     assert len(basis) == ncols - rank
     assert basis == oracle_kernel_basis(rows, ncols)
+
+
+@settings(deadline=None)
+@given(matrices_with_zero_lines())
+def test_mat_inv_matches_dense_oracle(case):
+    # square cases only: (a | 1) reduced densely gives the inverse
+    rows, _ = case
+    a = [row[:len(rows)] + [Fraction(0)] * (len(rows) - len(row))
+         for row in rows]
+    n = len(a)
+    red, pivots = oracle_rref([row + [Fraction(int(i == j))
+                                      for j in range(n)]
+                               for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError, match="not invertible"):
+            mat_inv(a)
+    else:
+        assert mat_inv(a) == [row[n:] for row in red]

@@ -55,6 +55,13 @@ RANK3_FEDOSOV = \
     "85ae5c3ea6a0e51a9672769e8aa34cb061e3a49b65ba0452967aa17b376db4d2"
 
 
+# sha256 of the sl3_borel (rank 3) cohomology report at --trunc 3
+# --arity 1 --seed 0, recorded while the elimination was still dense and
+# the d-window still built every degree (218 s and 2.3 GB then)
+RANK3_COHOMOLOGY = \
+    "6eb91a21a5cf61f5038ce5184fbde3ba1b6bcee6eb2c950e26a287eb83efdf3b"
+
+
 # sha256 of the heis5_lag (dim 5, r = 3) reports at --trunc 4 --arity 2
 # --seed 0: the wide small complexes of the contraction and cohomology
 # suites, where the perturbed tau/d_small, the PBW inverse and the exact
@@ -90,6 +97,11 @@ def test_default_report_bytes_unchanged(name, tmp_path):
 def test_rank3_fedosov_report_bytes_unchanged(tmp_path):
     assert report_digest(tmp_path, "sl3_borel", "fedosov", 3, 1) \
         == RANK3_FEDOSOV
+
+
+def test_rank3_cohomology_report_bytes_unchanged(tmp_path):
+    assert report_digest(tmp_path, "sl3_borel", "cohomology", 3, 1) \
+        == RANK3_COHOMOLOGY
 
 
 @pytest.mark.parametrize("suite", sorted(WIDE))

@@ -4,6 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.core import Vec
 from liepairs.liepair import (
@@ -60,6 +61,73 @@ def test_jacobi_failure_rejected():
     brackets = {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {0: 1}}
     with pytest.raises(PairError):
         LiePair(3, [0], brackets)
+
+
+class DenseJacobiPair(LiePair):
+    """A LiePair validated by the Jacobi check as first written: dense
+    Fraction vectors over all d^3 basis triples, and no subalgebra
+    check (the tables below have A = 0)."""
+
+    def _validate(self):
+        d = self.dim
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    acc = [Fraction(0)] * d
+                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                        inner = self.bracket_basis(b, c)
+                        ei = [Fraction(int(t == a)) for t in range(d)]
+                        term = self.bracket(ei, [inner.get(t, Fraction(0))
+                                                 for t in range(d)])
+                        for t in range(d):
+                            acc[t] += term[t]
+                    if any(v != 0 for v in acc):
+                        raise PairError(
+                            "Jacobi identity fails on basis triple (%d,%d,%d)"
+                            % (i, j, k))
+
+
+# Lie algebras of dim 3 on x0, x1, x2: sl2 (h, e, f), so3, Heisenberg
+LIE_TABLES = [
+    {},
+    {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
+    {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
+    {(0, 1): {2: 1}},
+]
+
+
+@st.composite
+def bracket_tables(draw):
+    """A Lie table (or none) in dim 3 to 5, with up to three entries
+    set at random on top: both Lie algebras and tables that fail Jacobi
+    on some triple."""
+    d = draw(st.integers(3, 5))
+    table = {ij: dict(c) for ij, c in draw(st.sampled_from(LIE_TABLES))
+             .items()}
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(d),
+                                                                 2))))
+        k = draw(st.integers(0, d - 1))
+        table.setdefault((i, j), {})[k] = draw(
+            st.fractions(-2, 2, max_denominator=2))
+    return d, table
+
+
+def validation_outcome(cls, d, table):
+    try:
+        cls(d, (), table)
+    except PairError as e:
+        return str(e)
+    return "valid"
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_tables())
+def test_jacobi_check_matches_dense_check(case):
+    # same accept/reject and the same first failing triple in the message
+    d, table = case
+    assert validation_outcome(LiePair, d, table) \
+        == validation_outcome(DenseJacobiPair, d, table)
 
 
 def test_non_subalgebra_rejected():

@@ -170,17 +170,24 @@ class DPoly:
     def _slides(self, J, w2, S2):
         """The ways the slot d^J of the outer operator absorbs the inner
         argument term (w2, S2): d^J splits over the len(S2) slots of the
-        argument, and its first part slides past the coefficient w2.  A
-        list of (coefficient word, middle slots, int coefficient), built
-        once per (J, w2, S2) and shared: callers must not mutate it."""
+        argument, and its first part slides past the coefficient w2.  An
+        argument with no slot is a coefficient: the whole of d^J acts on
+        w2 and no middle slot is left.  A list of (coefficient word,
+        middle slots, int coefficient), built once per (J, w2, S2) and
+        shared: callers must not mutate it."""
         key = (J, w2, S2)
         out = self._slide_cache.get(key)
         if out is None:
-            out = self._slide_cache[key] = [
-                (w2b, (J0,) + tuple(map(mi_add, parts[1:], S2[1:])),
-                 c0 * mult)
-                for parts, mult in multi_splits(J, len(S2))
-                for w2b, J0, c0 in self._slot_into(parts[0], w2, S2[0])]
+            if not S2:
+                c = falling(w2[-1], J)
+                out = [(w2[:-1] + (mi_sub(w2[-1], J),), (), c)] if c else []
+            else:
+                out = [
+                    (w2b, (J0,) + tuple(map(mi_add, parts[1:], S2[1:])),
+                     c0 * mult)
+                    for parts, mult in multi_splits(J, len(S2))
+                    for w2b, J0, c0 in self._slot_into(parts[0], w2, S2[0])]
+            self._slide_cache[key] = out
         return out
 
     def star(self, x, y):

@@ -158,6 +158,24 @@ def test_gerst_matches_per_term_formulation(machines, data):
     assert D.gerst(x, y) == old_gerst(D, x, y)
 
 
+def per_term_slides(D, J, w2, S2):
+    """(coefficient word, middle slots, coefficient) of the slot d^J
+    absorbing the argument term (w2, S2), rebuilt every time.  With no
+    slot in S2, of the higher Leibniz terms of d^J past w2 only the one
+    where all of d^J reaches w2 leaves no slot."""
+    if not S2:
+        zero = mi_zero(D.r)
+        return [(w2b, (), c0) for w2b, J0, c0 in D._slot_into(J, w2, zero)
+                if J0 == zero]
+    out = []
+    for parts, mult in multi_splits(J, len(S2)):
+        for w2b, J0, c0 in D._slot_into(parts[0], w2, S2[0]):
+            mid = (J0,) + tuple(mi_add(parts[i], S2[i])
+                                for i in range(1, len(S2)))
+            out.append((w2b, mid, c0 * mult))
+    return out
+
+
 def per_term_star(D, x, y):
     """The insertion product as first written: the slot splittings and
     the slides past the coefficient rebuilt for every pair of terms."""
@@ -169,16 +187,13 @@ def per_term_star(D, x, y):
             g2 = D.alg.form_deg(w2)
             for k in range(u + 1):
                 sgn = -1 if (k * v + g2 * u + u * v) % 2 else 1
-                for parts, mult in multi_splits(S1[k], v + 1):
-                    for w2b, J0, c0 in D._slot_into(parts[0], w2, S2[0]):
-                        prod = D.alg.mul_words(w1, w2b)
-                        if prod is None:
-                            continue
-                        sign, w3 = prod
-                        mid = (J0,) + tuple(mi_add(parts[i], S2[i])
-                                            for i in range(1, v + 1))
-                        out.iadd_term((w3, S1[:k] + mid + S1[k + 1:]),
-                                      c1 * c2 * c0 * mult * sign * sgn)
+                for w2b, mid, c in per_term_slides(D, S1[k], w2, S2):
+                    prod = D.alg.mul_words(w1, w2b)
+                    if prod is None:
+                        continue
+                    sign, w3 = prod
+                    out.iadd_term((w3, S1[:k] + mid + S1[k + 1:]),
+                                  c1 * c2 * c * sign * sgn)
     return out
 
 
@@ -201,10 +216,10 @@ def test_star_matches_per_term_oracle_on_key_pairs(machines):
 @given(st.data())
 def test_star_matches_per_term_oracle(machines, data):
     # coefficient words up to the cap and slots up to weight 2, so that
-    # some products overflow
+    # some products overflow; a term with no slot is a coefficient
     D = machines[data.draw(st.sampled_from(FIXTURES))]
     words = list(D.alg.words())
-    slots = st.lists(st.sampled_from(list(mi_upto(D.r, 2))), min_size=1,
+    slots = st.lists(st.sampled_from(list(mi_upto(D.r, 2))), min_size=0,
                      max_size=3).map(tuple)
     coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -213,6 +228,33 @@ def test_star_matches_per_term_oracle(machines, data):
         return Vec(data.draw(st.dictionaries(keys, coefs, max_size=4)))
 
     assert_same_star(D, element(), element())
+
+
+def d_along(D, J, x):
+    """d^J applied to a Vec of words, one chi-derivative at a time."""
+    for k, e in enumerate(J):
+        for _ in range(e):
+            x = D.alg.dchi(k, x)
+    return x
+
+
+def test_slotless_arguments(machines):
+    # coefficients f, g (keys with no slot) bracket to zero, and the
+    # bracket of the operator w1 d^J with f is w1 d^J(f): the whole of
+    # d^J acts on the coefficient, and no slot is left
+    for name in ("sl2_h", "heisenberg_x"):
+        D = machines[name]
+        words = list(D.alg.words())
+        for w2 in words:
+            f = Vec({(w2, ()): Fraction(-3, 2)})
+            for w1 in words:
+                assert D.gerst(Vec({(w1, ()): 1}), f).is_zero(), (w1, w2)
+            for w1 in words[::11]:
+                for J in mi_upto(D.r, 2):
+                    want = D.alg.mul(Vec({w1: 1}),
+                                     d_along(D, J, Vec({w2: Fraction(-3, 2)})))
+                    assert D.gerst(Vec({(w1, (J,)): 1}), f) == Vec(
+                        {(w, ()): c for w, c in want.items()}), (w1, J, w2)
 
 
 def test_gerst_jacobi(machines):

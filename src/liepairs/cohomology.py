@@ -25,11 +25,10 @@ class Cohomology:
     the codomain of d_top."""
 
     def __init__(self, keys, diff, deg, top=None):
-        self.keys = list(keys)
         self.diff = diff
         self.deg = deg
         self.by_deg = {}
-        for key in self.keys:
+        for key in keys:
             self.by_deg.setdefault(deg(key), []).append(key)
         self.degrees = sorted(n for n in self.by_deg
                               if top is None or n <= top)

@@ -269,7 +269,7 @@ def run_matched(run, p, seed):
     dkeys = d_complex_keys(sp)
 
     def de_susp(sdeg, val):
-        return -1 * val if sdeg % 2 else val
+        return -val if sdeg % 2 else val
 
     run.all_zero(
         "matched:binary-bracket-equals-direct-schouten",
@@ -404,9 +404,11 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
             click.echo("error: cannot write report: %s" % e, err=True)
             sys.exit(2)
     try:
-        with open(pair_path) as f:
+        with open(pair_path, encoding="utf-8") as f:
             spec = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError covers malformed JSON and a file that is not UTF-8;
+        # RecursionError, JSON nested past the recursion limit
         click.echo("error: cannot read pair spec: %s" % e, err=True)
         sys.exit(2)
 

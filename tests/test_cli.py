@@ -103,6 +103,21 @@ def test_malformed_json_is_config_error(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"dimL": 1, "aIndices": [], "basis": ["\xff"]}',  # not UTF-8
+    b"[" * 100000,  # nested past the recursion limit
+])
+def test_unreadable_pair_spec_is_config_error(tmp_path, content):
+    # both used to end in a traceback with exit code 1, "a check failed"
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    res = run_cli(["check", "--pair", str(bad)])
+    assert res.exit_code == 2
+    assert "error: cannot read pair spec: " in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_unwritable_report_path_is_config_error(tmp_path):
     # used to run every suite first and then end in a FileNotFoundError
     # traceback with exit code 1

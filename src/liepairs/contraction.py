@@ -53,7 +53,7 @@ class Contraction:
             out after kmax passes."""
             acc = term = first
             for _ in range(kmax):
-                term = -1 * h(rho(term))
+                term = -h(rho(term))
                 if term.is_zero():
                     return acc
                 acc = acc + term
@@ -91,17 +91,14 @@ class Contraction:
 
     def defect_homotopy(self, x):
         """id - tau sigma - (h d + d h) on a big element."""
-        return (x - self.tau(self.sigma(x))
-                - self.h(self.d_big(x)) - self.d_big(self.h(x)))
+        out = Vec(x)
+        out -= self.tau(self.sigma(x))
+        out -= self.h(self.d_big(x))
+        out -= self.d_big(self.h(x))
+        return out
 
     def defect_side_sh(self, x):
         return self.sigma(self.h(x))
-
-    def defect_side_ht(self, x):
-        return self.h(self.tau(x))
-
-    def defect_side_hh(self, x):
-        return self.h(self.h(x))
 
     def defect_chain_sigma(self, x):
         """sigma d_big - d_small sigma on a big element."""
@@ -122,8 +119,8 @@ def t_contraction(side):
         return x * 0
 
     return Contraction(side.project_small, side.include_small,
-                       lambda x: -1 * side.h(x),
-                       lambda x: -1 * side.delta(x), d_small, side.N + 2)
+                       lambda x: -side.h(x),
+                       lambda x: -side.delta(x), d_small, side.N + 2)
 
 
 d_contraction = t_contraction

@@ -16,9 +16,9 @@ denominator 1 is stored as its int numerator).  Never a float.
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from math import factorial, comb
+from math import comb, factorial, lcm
 import itertools
-from operator import add
+from operator import add, neg
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +53,6 @@ def mi_fact(J):
     for a in J:
         out *= factorial(a)
     return out
-
-
-def mi_le(J, K):
-    return all(a <= b for a, b in zip(J, K))
 
 
 def mi_binom(J, K):
@@ -115,11 +111,6 @@ def falling(K, J):
     return out
 
 
-def pair_dual(K, J):
-    """Dual pairing of the monomial chi^K against the operator d^J: K! if K=J."""
-    return Fraction(mi_fact(K)) if K == J else Fraction(0)
-
-
 def sort_sign(seq):
     """Parity of the permutation sorting seq; (0, None) on repeated entries."""
     lst = list(seq)
@@ -153,7 +144,10 @@ class Vec(dict):
 
     def __init__(self, data=()):
         super().__init__()
-        self.__iadd__(data)
+        if type(data) is Vec:
+            self.update(data)  # already normalised
+        elif data:
+            self.__iadd__(data)
 
     def __getitem__(self, key):
         return self.get(key, 0)
@@ -198,20 +192,35 @@ class Vec(dict):
         return out
 
     def __neg__(self):
-        return self * -1
+        out = Vec()
+        out.update(zip(self.keys(), map(neg, self.values())))
+        return out
 
     def __mul__(self, n):
+        if type(n) is not int:
+            n = _exact(n)
         if n == 0:
             return Vec()
+        if n == 1:
+            return Vec(self)
+        if n == -1:
+            return -self
         return Vec((k, c * n) for k, c in self.items())
 
     __rmul__ = __mul__
 
     def iadd_scaled(self, coef, other):
-        if coef == 0:
-            return self
-        for k, c in other.items():
-            self.iadd_term(k, c * coef)
+        if type(coef) is not int:
+            coef = _exact(coef)
+        if coef == 1:
+            for k, c in other.items():
+                self.iadd_term(k, c)
+        elif coef == -1:
+            for k, c in other.items():
+                self.iadd_term(k, -c)
+        elif coef:
+            for k, c in other.items():
+                self.iadd_term(k, c * coef)
         return self
 
     def is_zero(self):
@@ -400,6 +409,23 @@ class Derivation:
       bits b of popcount(rest >> (b + 1)), times (-1)^(|img| |suf|).
 
     A term that overflows or vanishes is dropped, as mul_words drops it.
+
+    The arithmetic is on integers.  D, the lcm of the denominators of
+    every image coefficient, is taken once, and each image coefficient
+    i_c is stored as the int i_c * D.  A call takes d_x, the lcm of the
+    denominators of its input, and scales each input coefficient c to
+    the int c * d_x.  Every Leibniz term is (sign or a factor J_k) * c *
+    i_c, so the output is exactly
+
+        out = (1 / (D d_x)) * sum (c d_x) (i_c D),
+
+    the sum taken over the same terms in the same order.  The int sums
+    are the rational ones times the constant D d_x, so a key cancels to
+    zero (and is deleted, as iadd_term deletes it) exactly when the
+    rational sum does, and the keys keep iadd_term's insertion order.
+    Each surviving sum is divided once at the end: an exact quotient is
+    stored as an int, any other as a Fraction; with D d_x = 1 nothing is
+    divided.
     """
 
     def __init__(self, alg, images, parity):
@@ -407,33 +433,59 @@ class Derivation:
         self.odd = parity % 2
         self.offsets = tuple(itertools.accumulate((0,) + alg.odd_counts[:-1]))
         self.cap = alg.trunc
+        exact = {}
+        for g, img in images.items():
+            img = [(w, e) for w, c in img.items() if (e := _exact(c))]
+            if img:
+                exact[g] = img
+        self.den = lcm(*(c.denominator for img in exact.values()
+                         for _, c in img))
         # letter bit / even index -> the image's terms
         self._odd = {}
         self._even = {}
-        for g, img in images.items():
-            if not img:
-                continue
-            terms = tuple(self._term(w, c) for w, c in img.items())
+        for g, img in exact.items():
+            terms = tuple(self._term(w, c) for w, c in img)
             if g[0] == EVEN:
                 self._even[g[1]] = terms
             else:
                 self._odd[self.offsets[g[0]] + g[1]] = terms
 
     def _term(self, w, coef):
-        """An image term: (word, coefficient, chi-weight, parity of its
-        odd letters, odd-letter mask, the mask's bits, nonempty colours)."""
+        """An image term: (word, coefficient times D as an int,
+        chi-weight, parity of its odd letters, odd-letter mask, the
+        mask's bits, nonempty colours)."""
         bits = tuple(o + i for o, part in zip(self.offsets, w) for i in part)
         mask = 0
         for b in bits:
             mask |= 1 << b
-        return (w, coef, mi_weight(w[-1]), len(bits) % 2, mask, bits,
+        return (w, coef.numerator * (self.den // coef.denominator),
+                mi_weight(w[-1]), len(bits) % 2, mask, bits,
                 tuple(c for c in range(self.alg.n_colours) if w[c]))
 
     def __call__(self, x):
-        odd, offsets = self.odd, self.offsets
+        """The derivation applied to x, on int numerators; see the class
+        docstring."""
+        odd, offsets, cap = self.odd, self.offsets, self.cap
         odd_images, even_images = self._odd, self._even
         out = Vec()
+        if not (odd_images or even_images):
+            return out
+        out_get = out.get
+        dx = 1
+        for coef in x.values():
+            if type(coef) is not int:
+                d = (coef if type(coef) is Fraction
+                     else _exact(coef)).denominator
+                if dx % d:
+                    dx = lcm(dx, d)
         for w, coef in x.items():
+            if type(coef) is not int:
+                coef = coef if type(coef) is Fraction else _exact(coef)
+                coef = coef.numerator * (dx // coef.denominator)
+            else:
+                coef *= dx
+            if not coef:
+                continue
             parts, J = w[:-1], w[-1]
             mask = 0
             for o, part in zip(offsets, parts):
@@ -441,6 +493,10 @@ class Derivation:
                     mask |= 1 << (o + i)
             n = mask.bit_count()
             weight = sum(J)
+            # one entry per letter with an image: its terms, the word
+            # pre * suf = rest + (K,) they meet, its weight and odd-letter
+            # mask, the parity of suf's odd letters, and the coefficient
+            jobs = []
             if odd_images:
                 t = 0  # odd letters before the one being replaced
                 for c, part in enumerate(parts):
@@ -448,45 +504,50 @@ class Derivation:
                     for p, i in enumerate(part):
                         terms = odd_images.get(o + i)
                         if terms is not None:
-                            bit = 1 << (o + i)
-                            self._apply(
-                                out, terms,
+                            jobs.append((
+                                terms,
                                 parts[:c] + (part[:p] + part[p + 1:],)
-                                + parts[c + 1:], J, weight, mask ^ bit,
-                                (n - t - 1) % 2,
-                                -coef if odd and t % 2 else coef)
+                                + parts[c + 1:], J, weight,
+                                mask ^ (1 << (o + i)), (n - t - 1) % 2,
+                                -coef if odd and t % 2 else coef))
                         t += 1
             if even_images:
                 base = -coef if odd and n % 2 else coef
                 for k, jk in enumerate(J):
                     terms = even_images.get(k) if jk else None
                     if terms is not None:
-                        self._apply(out, terms, parts,
-                                    J[:k] + (jk - 1,) + J[k + 1:],
-                                    weight - 1, mask, 0, base * jk)
+                        jobs.append((terms, parts,
+                                     J[:k] + (jk - 1,) + J[k + 1:],
+                                     weight - 1, mask, 0, base * jk))
+            for terms, rest, K, kweight, rest_mask, swap, kcoef in jobs:
+                for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
+                    if kweight + iweight > cap or rest_mask & imask:
+                        continue
+                    s = swap & ipar
+                    for b in ibits:
+                        s += (rest_mask >> (b + 1)).bit_count()
+                    L = mi_add(K, iw[-1]) if iweight else K
+                    if icolours:
+                        merged = list(rest)
+                        for col in icolours:
+                            merged[col] = (tuple(sorted(rest[col] + iw[col]))
+                                           if rest[col] else iw[col])
+                        merged.append(L)
+                        word = tuple(merged)
+                    else:
+                        word = rest + (L,)
+                    new = out_get(word, 0) + (-kcoef * ic if s % 2
+                                              else kcoef * ic)
+                    if new:
+                        out[word] = new
+                    else:
+                        del out[word]
+        den = self.den * dx
+        if den != 1:
+            for word, num in out.items():
+                q, r = divmod(num, den)
+                out[word] = Fraction(num, den) if r else q
         return out
-
-    def _apply(self, out, terms, rest, J, weight, rest_mask, swap, coef):
-        """out += coef * pre * img * suf for the word rest + (J,) = pre * suf
-        of the given weight and odd-letter mask, swap the parity of suf's
-        odd letters."""
-        cap = self.cap
-        for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
-            if weight + iweight > cap or rest_mask & imask:
-                continue
-            s = swap & ipar
-            for b in ibits:
-                s += (rest_mask >> (b + 1)).bit_count()
-            if icolours:
-                parts = list(rest)
-                for c in icolours:
-                    parts[c] = (tuple(sorted(rest[c] + iw[c])) if rest[c]
-                                else iw[c])
-                parts.append(mi_add(J, iw[-1]) if iweight else J)
-                word = tuple(parts)
-            else:
-                word = rest + (mi_add(J, iw[-1]) if iweight else J,)
-            out.iadd_term(word, -coef * ic if s % 2 else coef * ic)
 
 
 # ---------------------------------------------------------------------------

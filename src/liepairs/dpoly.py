@@ -142,7 +142,7 @@ class DPoly:
     def q_op(self, x):
         """-delta + rho: rho also acts on the slots, so Q is not one
         derivation of the word algebra here."""
-        return -1 * self.delta(x) + self.rho(x)
+        return -self.delta(x) + self.rho(x)
 
     # -- the Hochschild-type operator ----------------------------------------------
 

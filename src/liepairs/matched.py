@@ -116,7 +116,7 @@ class MatchedT:
         else:
             # single letter on the right: flip (the right degree is even
             # after the shift, so the swap costs a bare minus sign)
-            out = -1 * self._br_seq(v, u)
+            out = -self._br_seq(v, u)
         self._cache[(u, v)] = out
         return out
 

@@ -88,7 +88,7 @@ class Transfer:
                 continue
             img = self.bracket(part, v)
             if par:
-                img = -1 * img
+                img = -img
             out += img
         return out
 
@@ -100,7 +100,7 @@ class Transfer:
         if len(keys) == 1:
             out = self.tau(Vec({keys[0]: 1}))
         else:
-            out = -1 * self.h(self._B(keys))
+            out = -self.h(self._B(keys))
         self._f_cache[keys] = out
         return out
 
@@ -137,7 +137,7 @@ class Transfer:
                 out = self._lam_cache[srt] = self.sigma(self._B(srt))
             if sorting_sign(keys,
                             [self.small_sdeg(k) + 1 for k in keys]) < 0:
-                out = -1 * out
+                out = -out
         self._lam_cache[keys] = out
         return out
 

@@ -40,7 +40,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .core import (
-    EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight, mi_zero,
+    EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight,
 )
 
 
@@ -138,15 +138,18 @@ class Weyl:
             wJ = mi_weight(J)
             if wJ + 1 > self.N:
                 continue
-            f = Fraction(1, v + wJ) * c
+            f = Fraction(c, v + wJ)
+            if f.denominator == 1:
+                f = f.numerator
             if len(w[0]) % 2:
                 f = -f
+            nf = -f
             head, chis, mid = w[:1], w[1], w[2:-1]
             for p, k in enumerate(chis):
                 out.iadd_term(
                     head + (chis[:p] + chis[p + 1:],) + mid
                     + (J[:k] + (J[k] + 1,) + J[k + 1:],),
-                    -f if p % 2 else f)
+                    nf if p % 2 else f)
         return out
 
     def sigma(self, x):
@@ -159,15 +162,6 @@ class Weyl:
     # the inclusion of A-forms: in the adapted frame the pullback of an
     # A-dual generator is the corresponding form generator
     tau = sigma
-
-    def project_a(self, x):
-        """sigma followed by rewriting into bare A-form words."""
-        return Vec(((w[0], ()), c) for w, c in self.sigma(x).items())
-
-    def include_a(self, x):
-        """Bare A-form words into this algebra."""
-        zero = mi_zero(self.r)
-        return Vec({(w[0], (), zero): c for w, c in x.items()})
 
     # -- vertical derivations --------------------------------------------------
 
@@ -247,5 +241,5 @@ class Weyl:
         r = self.r
         rho_chi = [self.rho(Vec({self.alg.even_word(mi_unit(r, l)):
                                  Fraction(1)})) for l in range(r)]
-        return [[-1 * self.alg.dchi(k, rho_chi[l]) for l in range(r)]
+        return [[-self.alg.dchi(k, rho_chi[l]) for l in range(r)]
                 for k in range(r)]

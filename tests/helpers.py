@@ -9,6 +9,36 @@ from liepairs.core import (
 from liepairs.liepair import ce_differential
 
 
+def mi_le(J, K):
+    return all(a <= b for a, b in zip(J, K))
+
+
+def pair_dual(K, J):
+    """Dual pairing of the monomial chi^K against the operator d^J: K! if K=J."""
+    return Fraction(mi_fact(K)) if K == J else Fraction(0)
+
+
+def project_a(W, x):
+    """sigma of a Weyl followed by rewriting into bare A-form words."""
+    return Vec(((w[0], ()), c) for w, c in W.sigma(x).items())
+
+
+def include_a(W, x):
+    """Bare A-form words into the algebra of a Weyl."""
+    zero = mi_zero(W.r)
+    return Vec({(w[0], (), zero): c for w, c in x.items()})
+
+
+def defect_side_ht(C, x):
+    """h tau of a Contraction on a small element."""
+    return C.h(C.tau(x))
+
+
+def defect_side_hh(C, x):
+    """h h of a Contraction on a big element."""
+    return C.h(C.h(x))
+
+
 def evaluate(D, x, args):
     """Apply a DPoly element of arity v to v+1 power-series arguments
     (each a Vec over multi-indices); the value is a Vec of words."""

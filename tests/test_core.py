@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.core import (
     EVEN, Derivation, Vec, WordAlgebra, kernel_basis, mat_inv, mat_vec,
-    mi_add, mi_all, mi_binom, mi_fact, mi_le, mi_sub, mi_unit, mi_upto,
-    mi_weight, mi_zero, pair_dual, rref, sort_sign, sym_comul,
+    mi_add, mi_all, mi_binom, mi_fact, mi_sub, mi_unit, mi_upto,
+    mi_weight, mi_zero, rref, sort_sign, sym_comul,
 )
 
 from helpers import (
-    odd_letters, oracle_derive, oracle_kernel_basis, oracle_rref,
-    word_of_letters,
+    mi_le, odd_letters, oracle_derive, oracle_kernel_basis, oracle_rref,
+    pair_dual, word_of_letters,
 )
 
 
@@ -328,6 +328,14 @@ def test_vec_stores_ints_and_proper_fractions():
     lambda: Vec({('x',): 1}).iadd_term(('x',), 0.25),
     lambda: Vec().iadd_term(('x',), 0.25),
     lambda: Vec({('x',): 1}).iadd_scaled(1.5, Vec({('x',): 1})),
+    lambda: Vec({('x',): 1}) * 1.0,
+    lambda: -1.0 * Vec({('x',): 1}),
+    lambda: Vec({('x',): 1}).iadd_scaled(1.0, Vec({('x',): 1})),
+    lambda: Vec({('x',): 1}).iadd_scaled(-1.0, Vec({('x',): 1})),
+    lambda: Derivation(WordAlgebra((1,), 0, 0),
+                       {(0, 0): {((), ()): 0.5}}, 1),
+    lambda: Derivation(WordAlgebra((1,), 0, 0),
+                       {(0, 0): Vec({((), ()): 1})}, 1)({((0,), ()): 0.5}),
 ])
 def test_vec_rejects_floats(make):
     with pytest.raises(TypeError):
@@ -354,6 +362,29 @@ def test_vec_invariant_under_arithmetic(terms, scale):
                 Vec(v).iadd_scaled(scale, w)):
         assert _exact_invariant(out)
     assert v == w
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), RATIONALS), max_size=8),
+       st.lists(st.tuples(st.integers(3, 8), RATIONALS), max_size=8))
+def test_vec_signs_match_the_scaled_form(terms, more):
+    # negation, a copy and iadd_scaled by +-1 against the per-term
+    # products they replace: same entries, same key order, normalised
+    v, w = Vec(terms), Vec(more)
+    for n, got in ((-1, -v), (-1, v * -1), (-1, -1 * v), (1, v * 1),
+                   (1, Vec(v)), (Fraction(-1), v * Fraction(-1)),
+                   (Fraction(1), v * Fraction(1))):
+        want = Vec((k, c * n) for k, c in v.items())
+        assert got == want and list(got) == list(want)
+        assert _exact_invariant(got)
+        assert got is not v
+    for n in (1, -1, Fraction(1), Fraction(-1)):
+        got = Vec(w).iadd_scaled(n, v)
+        want = Vec(w)
+        for k, c in v.items():
+            want.iadd_term(k, c * n)
+        assert got == want and list(got) == list(want)
+        assert _exact_invariant(got)
+    assert v == Vec(terms)  # untouched
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +424,18 @@ def raw_words(A, max_exp=1):
     return st.tuples(*parts, J)
 
 
-def vecs(A, max_size=4, max_exp=1):
+# beside RATIONALS: image coefficients with pairwise coprime
+# denominators, and inputs that mix ints and Fractions, so that the
+# integer kernel's D * d_x is a real product
+IMAGE_COEFS = st.one_of(RATIONALS, st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(3, 7)]))
+INPUT_COEFS = st.one_of(RATIONALS, st.integers(-3, 3), st.sampled_from(
+    [Fraction(-5, 4), Fraction(3, 10), Fraction(7, 9)]))
+
+
+def vecs(A, max_size=4, max_exp=1, coefs=RATIONALS):
     return st.builds(
-        Vec, st.dictionaries(raw_words(A, max_exp), RATIONALS,
+        Vec, st.dictionaries(raw_words(A, max_exp), coefs,
                              max_size=max_size))
 
 
@@ -423,11 +463,14 @@ def test_derive_matches_leibniz_oracle(data, parity):
     A = data.draw(algebras())
     gens = [(c, i) for c, n in enumerate(A.odd_counts) for i in range(n)]
     gens += [(EVEN, k) for k in range(A.n_even)]
-    images = data.draw(st.dictionaries(st.sampled_from(gens), vecs(A, 3),
-                                       min_size=1, max_size=len(gens)))
-    x = data.draw(vecs(A, max_exp=2))
+    images = data.draw(st.dictionaries(
+        st.sampled_from(gens), vecs(A, 3, coefs=IMAGE_COEFS),
+        min_size=1, max_size=len(gens)))
+    x = data.draw(vecs(A, 5, max_exp=2, coefs=INPUT_COEFS))
     got = A.derive(images, parity, x)
-    assert got == oracle_derive(A, images, parity, x)
+    want = oracle_derive(A, images, parity, x)
+    # the same entries, inserted in the same order
+    assert got == want and list(got) == list(want)
     assert _exact_invariant(got)
 
 
@@ -445,6 +488,26 @@ def test_derivation_keeps_no_state_between_calls(data, parity):
     for x in xs + xs[:1]:
         assert D(x) == oracle_derive(A, images, parity, x) \
             == Derivation(A, images, parity)(x)
+
+
+def test_integer_kernel_cancels_to_an_int():
+    # a0 -> chi/3 and a1 -> 2 chi/3 on 3/2 a0 + 3/4 a1: D = 3, d_x = 4,
+    # and chi collects 1/2 + 1/2 = 1, stored as the int 1; dchi_0 of
+    # a0 a1 chi/6 leaves 1/6 a0 a1, which is no int
+    A = WordAlgebra((2,), 1, 3)
+    a0, a1 = A.odd_word(0, 0), A.odd_word(0, 1)
+    chi = A.even_word((1,))
+    images = {(0, 0): Vec({chi: Fraction(1, 3)}),
+              (0, 1): Vec({chi: Fraction(2, 3)})}
+    x = Vec({a0: Fraction(3, 2), a1: Fraction(3, 4)})
+    for parity in (0, 1):
+        got = Derivation(A, images, parity)(x)
+        assert got == Vec({chi: 1}) == oracle_derive(A, images, parity, x)
+        assert type(got[chi]) is int and _exact_invariant(got)
+    x = Vec({A.make_word([(0, 1)], (1,)): Fraction(1, 6), a0: 2})
+    got = A.dchi(0, x)
+    assert got == Vec({A.make_word([(0, 1)], (0,)): Fraction(1, 6)})
+    assert _exact_invariant(got)
 
 
 @pytest.mark.parametrize("parity", [0, 1])

@@ -12,7 +12,7 @@ from liepairs.liepair import Connection, parse_pair_spec
 from liepairs.tpoly import TPoly
 from liepairs.weyl import Weyl
 
-from helpers import apply_x, oracle_derive
+from helpers import apply_x, include_a, oracle_derive, project_a
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
@@ -86,7 +86,7 @@ def test_sigma_tau(machines):
         assert W.sigma(W.tau(alpha)) == alpha
         assert W.sigma(Vec({W.alg.odd_word(1, 0): 1})).is_zero()
         unit_a_form = Vec({((), ()): 1})
-        assert W.project_a(W.include_a(unit_a_form)) == unit_a_form
+        assert project_a(W, include_a(W, unit_a_form)) == unit_a_form
 
 
 def test_homotopy_identity_example(machines):

@@ -213,12 +213,10 @@ class Vec(dict):
         if type(coef) is not int:
             coef = _exact(coef)
         if coef == 1:
-            for k, c in other.items():
-                self.iadd_term(k, c)
-        elif coef == -1:
-            for k, c in other.items():
-                self.iadd_term(k, -c)
-        elif coef:
+            return self.__iadd__(other)
+        if coef == -1:
+            return self.__isub__(other)
+        if coef:
             for k, c in other.items():
                 self.iadd_term(k, c * coef)
         return self

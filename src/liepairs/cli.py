@@ -92,19 +92,24 @@ class Runner:
 
 
 class Pipeline:
-    """The resolution objects the suites share for one pair.  Each is
-    built at most once, when a suite first asks for it."""
+    """The resolution objects the suites share for one pair: one Weyl,
+    solved once, under both sides.  Each is built at most once, when a
+    suite first asks for it."""
 
     def __init__(self, sp, conn, trunc):
         self.sp, self.conn, self.trunc = sp, conn, trunc
 
     @cached_property
+    def W(self):
+        return Weyl(self.sp, self.conn, self.trunc)
+
+    @cached_property
     def T(self):
-        return TPoly(self.sp, self.conn, self.trunc)
+        return TPoly(self.W)
 
     @cached_property
     def D(self):
-        return DPoly(self.sp, self.conn, self.trunc)
+        return DPoly(self.W)
 
     @cached_property
     def pt(self):
@@ -135,8 +140,8 @@ def run_validate(run, pair, sp, conn):
                              "complement-closed": is_matched(sp)}
 
 
-def run_fedosov(run, sp, conn, trunc):
-    W = Weyl(sp, conn, trunc)
+def run_fedosov(run, p):
+    sp, trunc, W = p.sp, p.trunc, p.W
     X = W.solve()
     run.all_zero("fedosov:homotopy-normalization",
                  ((k, W.h(X[k])) for k in range(sp.r)))
@@ -294,9 +299,8 @@ def run_matched(run, p, seed):
         for fw2 in fws:
             for b in range(sp.r):
                 prod = fa.mul(Vec({fw1: 1}), Vec({fw2: 1}))
-                lhs = Vec()
-                for fw3, c in prod.items():
-                    lhs += c * pt.tau(Vec({(fw3, (b,)): 1}))
+                lhs = pt.tau(Vec(((fw3, (b,)), c)
+                                 for fw3, c in prod.items()))
                 rhs = T.alg.mul(pt.tau(Vec({(fw1, ()): 1})),
                                 pt.tau(Vec({(fw2, (b,)): 1})))
                 defects.append(((fw1, fw2, b), lhs - rhs))
@@ -311,18 +315,18 @@ def second_choice(sp, conn):
     return Connection(sp, gamma)
 
 
-def run_uniqueness(run, sp, conn, trunc):
+def run_uniqueness(run, p):
+    sp, trunc = p.sp, p.trunc
     if not sp.r:
         # with A = L there is no complement to choose: one admissible choice
         run.add("uniqueness:not-applicable", True, count=0)
         return
-    conn2 = second_choice(sp, conn)
-    uni = Uniqueness(sp, conn, sp, conn2, trunc)
-    pd1 = d_contraction(uni.D1).perturb(d_perturbation(uni.D1))
-    pd2 = d_contraction(uni.D2).perturb(d_perturbation(uni.D2))
+    D2 = DPoly(Weyl(sp, second_choice(sp, p.conn), trunc))
+    uni = Uniqueness(p.D, D2)
+    pd2 = d_contraction(D2).perturb(d_perturbation(D2))
     run.all_zero(
         "uniqueness:composition-is-identity",
-        ((k, uni.composition(pd1, pd2, Vec({k: 1}))
+        ((k, uni.composition(p.pd, pd2, Vec({k: 1}))
           - uni.small_relabel(Vec({k: 1})))
          for k in d_complex_keys(sp)))
     run.all_zero(
@@ -431,7 +435,7 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     if "validate" in wanted:
         run_validate(run, pair, sp, conn)
     if "fedosov" in wanted:
-        run_fedosov(run, sp, conn, trunc)
+        run_fedosov(run, p)
     if "contraction" in wanted:
         run_contraction(run, p)
     if "transfer-t" in wanted:
@@ -441,7 +445,7 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     if "matched" in wanted:
         run_matched(run, p, seed)
     if "uniqueness" in wanted:
-        run_uniqueness(run, sp, conn, trunc)
+        run_uniqueness(run, p)
     if "cohomology" in wanted:
         run_cohomology(run, p)
 

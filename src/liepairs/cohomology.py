@@ -14,7 +14,7 @@ can be compared there after transporting representatives.
 
 import itertools
 
-from .core import Vec, kernel_basis, mi_upto, rref, sub_scaled
+from .core import Vec, kernel_basis, linear, mi_upto, rref, sub_scaled
 from .liepair import a_form_algebra, d_a_bott
 from .transfer import small_sdeg
 
@@ -74,10 +74,7 @@ class Cohomology:
             if nxt is None:
                 continue
             for row in self._rows[n]:
-                dd = Vec()
-                for j, a in row.items():
-                    dd.iadd_scaled(a, nxt[j])
-                if dd:
+                if linear(nxt.__getitem__, row):
                     raise ValueError("differential does not square to zero")
 
     @staticmethod

@@ -31,7 +31,9 @@ word, before any cancellation, so no term the cap drops can change
 it: rho tau' is applied once, to tau alone.
 """
 
-from .core import Vec
+from functools import cache
+
+from .core import Vec, linear
 
 
 class Contraction:
@@ -60,16 +62,12 @@ class Contraction:
             raise RuntimeError("perturbation series did not terminate "
                                "within %d passes" % kmax)
 
-        tau_keys = {}
+        @cache
+        def tau_key(key):
+            return series(self.tau(Vec({key: 1})))
 
         def tau_new(x):
-            out = Vec()
-            for key, c in x.items():
-                img = tau_keys.get(key)
-                if img is None:
-                    img = tau_keys[key] = series(self.tau(Vec({key: 1})))
-                out.iadd_scaled(c, img)
-            return out
+            return linear(tau_key, x)
 
         def d_small_new(x):
             return self.d_small(x) + self.sigma(rho(self.tau(x)))

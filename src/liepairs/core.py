@@ -238,6 +238,28 @@ def tensor_product(coef, factors):
     return acc
 
 
+def linear(images, x):
+    """The linear extension of a map on keys, applied to x: the sum of
+    c * images(key) over the terms of x.  images(key) is a Vec (or a
+    dict); None or an empty one means zero."""
+    out = Vec()
+    for key, c in x.items():
+        img = images(key)
+        if img:
+            out.iadd_scaled(c, img)
+    return out
+
+
+def on_first(op, x):
+    """A word operator op applied to the word of each (word, rest) key
+    of x, with rest carried along."""
+    out = Vec()
+    for (w, rest), c in x.items():
+        for w2, c2 in op(Vec({w: c})).items():
+            out.iadd_term((w2, rest), c2)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the word algebra
 

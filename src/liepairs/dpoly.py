@@ -13,15 +13,13 @@ the lift of the flat structure differential acting on slots through the
 commutator with the vertical directions.
 """
 
-from fractions import Fraction
 from functools import cache
 
 from .core import (
-    Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, sym_comul,
-    tensor_product,
+    Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, on_first,
+    sym_comul, tensor_product,
 )
 from .pbw import Pbw
-from .weyl import Weyl
 
 
 @cache
@@ -40,30 +38,22 @@ def multi_splits(J, parts):
 
 class DPoly:
 
-    def __init__(self, splitting, conn, trunc=5):
-        self.sp = splitting
-        self.conn = conn
-        self.N = trunc
-        m, r = splitting.m, splitting.r
-        self.m, self.r = m, r
-        self.W = Weyl(splitting, conn, trunc)
-        self.W.solve()
-        self.P = Pbw(splitting, conn, trunc)
-        self.alg = self.W.alg
-        self.c_vert = self.W.vertical_commutator()
+    def __init__(self, W):
+        """The operators over the resolution of the Weyl W (solved
+        here if it is not yet)."""
+        self.W = W
+        W.solve()
+        self.sp, self.conn, self.N = W.sp, W.conn, W.N
+        self.m, self.r = W.m, W.r
+        self.P = Pbw(W.sp, W.conn, W.N)
+        self.alg = W.alg
+        self.c_vert = W.vertical_commutator()
         self._q_slot_cache = {}
         self._slide_cache = {}
-        # pbw and pbw_inv of single multi-indices, for the projections
-        self._pbw_memo = {}
-        self._pbw_inv_memo = {}
 
     def deg(self, key):
         w, slots = key
         return self.alg.form_deg(w) + len(slots) - 1
-
-    def mult_element(self):
-        z = mi_zero(self.r)
-        return Vec({(self.alg.unit_word(), (z, z)): Fraction(1)})
 
     # -- coefficients sliding past a slot ---------------------------------------
 
@@ -83,22 +73,14 @@ class DPoly:
 
     # -- word-wise operators from the scalar resolution ---------------------------
 
-    def _wordwise(self, op, x):
-        out = Vec()
-        for (w, slots), c in x.items():
-            img = op(Vec({w: c}))
-            for w2, c2 in img.items():
-                out.iadd_term((w2, slots), c2)
-        return out
-
     def delta(self, x):
-        return self._wordwise(self.W.delta, x)
+        return on_first(self.W.delta, x)
 
     def h(self, x):
-        return self._wordwise(self.W.h, x)
+        return on_first(self.W.h, x)
 
     def restrict_weight(self, x, wmax):
-        return self._wordwise(lambda y: self.W.restrict_weight(y, wmax), x)
+        return on_first(lambda y: self.W.restrict_weight(y, wmax), x)
 
     # -- the lifted flat differential ---------------------------------------------
 
@@ -126,7 +108,7 @@ class DPoly:
         return out
 
     def rho(self, x):
-        out = self._wordwise(self.W.rho, x)
+        out = on_first(self.W.rho, x)
         for (w, slots), c in x.items():
             base = -1 if self.alg.form_deg(w) % 2 else 1
             for t, J in enumerate(slots):
@@ -236,16 +218,6 @@ class DPoly:
 
     # -- projection to the small complex -----------------------------------------------
 
-    @staticmethod
-    def _memo(memo, op, J):
-        """op of the single multi-index J, kept in memo.  The Vec is
-        shared between calls: tensor_product only reads its factors, and
-        no caller may mutate it."""
-        out = memo.get(J)
-        if out is None:
-            out = memo[J] = op(Vec({J: Fraction(1)}))
-        return out
-
     def project_small(self, x):
         """Coefficient words with no chi content survive; each slot is
         symmetrized into a class of the enveloping-algebra quotient."""
@@ -253,8 +225,7 @@ class DPoly:
         for (w, slots), c in x.items():
             if w[1] or mi_weight(w[-1]) != 0:
                 continue
-            acc = tensor_product(c, [self._memo(self._pbw_memo, self.P.pbw, J)
-                                     for J in slots])
+            acc = tensor_product(c, [self.P.table[J] for J in slots])
             for cls, cc in acc.items():
                 out.iadd_term(((w[0], ()), cls), cc)
         return out
@@ -263,9 +234,7 @@ class DPoly:
         zero = mi_zero(self.r)
         out = Vec()
         for (fw, cls), c in x.items():
-            acc = tensor_product(
-                c, [self._memo(self._pbw_inv_memo, self.P.pbw_inv, K)
-                    for K in cls])
+            acc = tensor_product(c, [self.P.inv_table[K] for K in cls])
             for slots, cc in acc.items():
                 out.iadd_term(((fw[0], (), zero), slots), cc)
         return out

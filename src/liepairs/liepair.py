@@ -12,7 +12,10 @@ from fractions import Fraction
 from functools import cached_property
 import itertools
 
-from .core import Derivation, Vec, WordAlgebra, mat_inv, mat_vec, sort_sign
+from .core import (
+    Derivation, Vec, WordAlgebra, linear, mat_inv, mat_vec, on_first,
+    sort_sign,
+)
 
 
 class PairError(ValueError):
@@ -213,10 +216,7 @@ class Connection:
         return Vec(enumerate(self.gamma[l][b]))
 
     def nabla_vec(self, l, bvec):
-        out = Vec()
-        for b, c in bvec.items():
-            out.iadd_scaled(c, self.nabla(l, b))
-        return out
+        return linear(lambda b: self.nabla(l, b), bvec)
 
     def extends_bott(self):
         sp = self.splitting
@@ -280,11 +280,8 @@ def ce_differential(splitting, action, x):
     """
     sp = splitting
     fa, d_a = sp.ce_base
-    out = Vec()
+    out = on_first(d_a, x)
     for (fw, ck), coef in x.items():
-        dfw = d_a(Vec({fw: coef}))
-        for w2, c2 in dfw.items():
-            out.iadd_term((w2, ck), c2)
         for s in range(sp.m):
             acted = action(s, ck)
             if not acted:

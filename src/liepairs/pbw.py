@@ -10,8 +10,8 @@ the left ideal U(L)A are labelled by multi-indices counting y-letters.
 from fractions import Fraction
 
 from .core import (
-    Vec, mat_inv, mat_vec, mi_add, mi_all, mi_fact, mi_sub, mi_unit,
-    mi_upto, mi_zero, sym_comul, tensor_product,
+    Vec, linear, mat_inv, mat_vec, mi_add, mi_all, mi_fact, mi_sub,
+    mi_unit, mi_upto, mi_zero, tensor_product,
 )
 from .liepair import ce_differential
 
@@ -24,8 +24,6 @@ class Pbw:
         self.N = trunc
         self.cap = trunc + 1   # head room for one left multiplication
         self.m, self.r = splitting.m, splitting.r
-        self._basis = list(mi_upto(self.r, self.cap))
-        self._index = {J: i for i, J in enumerate(self._basis)}
         self._build()
 
     # -- normal form in the enveloping algebra --------------------------------
@@ -89,6 +87,8 @@ class Pbw:
         return out
 
     def _build(self):
+        """The two tables: pbw and pbw^{-1} of each multi-index of weight
+        at most cap, as {J: Vec}."""
         r = self.r
         table = {mi_zero(r): Vec({mi_zero(r): Fraction(1)})}
         for wgt in range(1, self.cap + 1):
@@ -99,49 +99,21 @@ class Pbw:
                         continue
                     Jm = mi_sub(J, mi_unit(r, k))
                     t1 = self.left_mult(self.m + k, table[Jm])
-                    nab = self.sb_nabla(self.m + k, Vec({Jm: Fraction(1)}))
-                    t2 = Vec()
-                    for J2, c in nab.items():
-                        t2.iadd_scaled(c, table[J2])
+                    t2 = linear(table.__getitem__, self.sb_nabla(
+                        self.m + k, Vec({Jm: Fraction(1)})))
                     acc.iadd_scaled(Fraction(J[k]), t1 - t2)
                 table[J] = acc * Fraction(1, wgt)
-        self._table = table
-        n = len(self._basis)
-        mat = [[table[self._basis[col]][self._basis[row]]
-                for col in range(n)] for row in range(n)]
-        inv = mat_inv(mat)
-        # the nonzero entries of each column of the inverse, as (J, entry)
-        self._inv_cols = [[(Jr, inv[row][col])
-                           for row, Jr in enumerate(self._basis)
-                           if inv[row][col]] for col in range(n)]
-
-    def pbw(self, s):
-        """Symmetrization map on a Vec over multi-indices."""
-        out = Vec()
-        for J, c in s.items():
-            out.iadd_scaled(c, self._table[J])
-        return out
+        self.table = table
+        basis = list(table)   # mi_upto(r, cap) order
+        inv = mat_inv([[table[Jc][Jr] for Jc in basis] for Jr in basis])
+        self.inv_table = {Jc: Vec((Jr, inv[row][col])
+                                  for row, Jr in enumerate(basis)
+                                  if inv[row][col])
+                          for col, Jc in enumerate(basis)}
 
     def pbw_inv(self, cls):
-        out = Vec()
-        for J, c in cls.items():
-            # Fraction first: int * Fraction takes the slow reflected path
-            for Jr, e in self._inv_cols[self._index[J]]:
-                out.iadd_term(Jr, e * c)
-        return out
-
-    # -- the flat connection and its dual ---------------------------------------
-
-    def nabla_flash(self, l, s):
-        """pbw^{-1} of the left action of E_l on pbw(s); inputs of weight
-        at most trunc (one unit of head room is built in)."""
-        return self.pbw_inv(self.left_mult(l, self.pbw(s)))
-
-    def class_comul(self, J):
-        """Comultiplication of the class of a sorted y-monomial: the
-        y-letters are primitive, so this is the same shuffle count as for
-        polynomial monomials."""
-        return sym_comul(J)
+        """The inverse of the symmetrization map on a Vec of classes."""
+        return linear(self.inv_table.__getitem__, cls)
 
 
 def relabel(src, dst):
@@ -174,7 +146,7 @@ def transition(pbw1, pbw2):
     to_first = relabel(pbw2, pbw1)
     out = {}
     for J in mi_upto(pbw1.r, pbw1.N):
-        out[J] = pbw1.pbw_inv(to_first(pbw2.pbw(Vec({J: Fraction(1)}))))
+        out[J] = pbw1.pbw_inv(to_first(pbw2.table[J]))
     return out
 
 

@@ -16,16 +16,15 @@ from .weyl import Weyl
 
 class TPoly:
 
-    def __init__(self, splitting, conn, trunc=5):
-        self.sp = splitting
-        self.conn = conn
-        self.N = trunc
-        m, r = splitting.m, splitting.r
-        self.m, self.r = m, r
-        self.W = Weyl(splitting, conn, trunc)
-        self.W.solve()
+    def __init__(self, W):
+        """The polyvectors over the resolution of the Weyl W (solved
+        here if it is not yet)."""
+        self.W = W
+        W.solve()
+        self.sp, self.conn, self.N = W.sp, W.conn, W.N
+        m, r = self.m, self.r = W.m, W.r
         # colours: 0 = alpha_s, 1 = chi_k-form, 2 = xi_k
-        self.alg = WordAlgebra((m, r, r), r, trunc)
+        self.alg = WordAlgebra((m, r, r), r, W.N)
 
         self._delta_images = {g: self.embed(img)
                               for g, img in self.W._delta_images.items()}

@@ -28,7 +28,7 @@ the recursion below the top only ever meets sorted tuples.
 
 import itertools
 
-from .core import Vec
+from .core import Vec, linear, tensor_product
 
 
 def koszul_sign(degs, left, right):
@@ -143,14 +143,7 @@ class Transfer:
 
     def lam(self, args):
         """Multilinear extension of lam_keys to a tuple of Vecs."""
-        out = Vec()
-        for combo in itertools.product(*[list(a.items()) for a in args]):
-            keys = tuple(k for k, _ in combo)
-            c = 1
-            for _, ci in combo:
-                c *= ci
-            out += c * self.lam_keys(keys)
-        return out
+        return linear(self.lam_keys, tensor_product(1, args))
 
     def jacobi_defect(self, keys):
         """The arity-n structure identity evaluated on small basis keys:

@@ -15,21 +15,21 @@ identity linear part.
 from fractions import Fraction
 
 from .core import (
-    Vec, falling, mat_vec, mi_add, mi_fact, mi_sub, mi_upto, mi_weight,
-    mi_zero, tensor_product,
+    Vec, falling, linear, mat_vec, mi_add, mi_fact, mi_sub, mi_upto,
+    mi_weight, mi_zero, tensor_product,
 )
-from .dpoly import DPoly
 from .pbw import dual_map, relabel, transition
 
 
 class Uniqueness:
 
-    def __init__(self, sp1, conn1, sp2, conn2, trunc=5):
-        self.sp1, self.sp2 = sp1, sp2
-        self.N = trunc
-        self.D1 = DPoly(sp1, conn1, trunc)
-        self.D2 = DPoly(sp2, conn2, trunc)
-        self.W1, self.W2 = self.D1.W, self.D2.W
+    def __init__(self, D1, D2):
+        """The comparison of two DPolys of the same pair and truncation,
+        built over the two choices."""
+        self.D1, self.D2 = D1, D2
+        self.W1, self.W2 = D1.W, D2.W
+        sp1, sp2 = self.sp1, self.sp2 = D1.sp, D2.sp
+        trunc = self.N = D1.N
         self.r = sp1.r
         self.m = sp1.m
         # dual of the coalgebra automorphism between the two normal forms
@@ -53,13 +53,6 @@ class Uniqueness:
 
     # -- the power-series automorphism ----------------------------------------
 
-    def _apply_table(self, table, f):
-        out = Vec()
-        for I, c in f.items():
-            if I in table:
-                out.iadd_scaled(c, table[I])
-        return out
-
     def map_scalar(self, x):
         """Frame change plus the dual automorphism on the power-series
         part; a chain map from the first scalar complex to the second."""
@@ -69,7 +62,7 @@ class Uniqueness:
             base = alg.substitute(
                 self._frame_images,
                 Vec({w[:-1] + (mi_zero(self.r),): c}))
-            series = self._apply_table(self.dual, Vec({w[-1]: Fraction(1)}))
+            series = self.dual[w[-1]]
             out += alg.mul(base, Vec(
                 (alg.even_word(J), cj) for J, cj in series.items()))
         return out
@@ -79,14 +72,14 @@ class Uniqueness:
     def _operator_on(self, J, K):
         """Value of the conjugated slot operator on a power-series basis
         element, as a Vec over multi-indices."""
-        f = self._apply_table(self.dual_inv, Vec({K: Fraction(1)}))
+        f = self.dual_inv[K]
         df = Vec()
         for I, c in f.items():
             low = mi_sub(I, J)
             if low is None:
                 continue
             df.iadd_term(low, c * falling(I, J))
-        return self._apply_table(self.dual, df)
+        return linear(self.dual.get, df)
 
     def conj_slot(self, J):
         """Normal form of the conjugated slot operator: a Vec over pairs

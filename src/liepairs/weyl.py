@@ -179,7 +179,10 @@ class Weyl:
     def solve(self):
         """Weight-graded fixed point for the vertical one-form X with
         h(X) = 0 making (-delta + d + X)^2 = 0; converges because each
-        pass determines one more symmetric weight."""
+        pass determines one more symmetric weight.  Solved once: a later
+        call returns the stored X."""
+        if self.x_vert is not None:
+            return self.x_vert
         r = self.r
         X = {k: Vec() for k in range(r)}
         for _ in range(self.N + 2):

@@ -4,7 +4,7 @@ pipeline's objects from outside them, so it lives beside the tests."""
 from fractions import Fraction
 
 from liepairs.core import (
-    EVEN, Vec, falling, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
+    EVEN, Vec, falling, linear, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
 )
 from liepairs.liepair import ce_differential
 
@@ -59,6 +59,26 @@ def evaluate(D, x, args):
     return out
 
 
+def pbw(P, s):
+    """The symmetrization map of the Pbw P on a Vec over
+    multi-indices: the linear extension of its table."""
+    return linear(P.table.__getitem__, s)
+
+
+def nabla_flash(P, l, s):
+    """pbw^{-1} of the left action of E_l on pbw(s), for the Pbw P;
+    inputs of weight at most trunc (one unit of head room is built
+    in)."""
+    return P.pbw_inv(P.left_mult(l, pbw(P, s)))
+
+
+def mult_element(D):
+    """The multiplication element of a DPoly: the unit word with two
+    empty slots."""
+    z = mi_zero(D.r)
+    return Vec({(D.alg.unit_word(), (z, z)): Fraction(1)})
+
+
 def dual_nabla_chi(P, l, k):
     """Image of the degree-one generator chi_k under the dual of the
     flat connection of the Pbw table P along E_l: a Vec over multi-indices
@@ -66,7 +86,7 @@ def dual_nabla_chi(P, l, k):
     out = Vec()
     ek = mi_unit(P.r, k)
     for J in mi_upto(P.r, P.N):
-        img = P.nabla_flash(l, Vec({J: Fraction(1)}))
+        img = nabla_flash(P, l, Vec({J: Fraction(1)}))
         c = img[ek]
         if c:
             out.iadd_term(J, -c * Fraction(1, mi_fact(J)))

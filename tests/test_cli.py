@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from liepairs.cli import main
+from liepairs.weyl import Weyl
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 
@@ -15,6 +16,30 @@ def pair_path(name):
 
 def run_cli(args):
     return CliRunner().invoke(main, args)
+
+
+def test_all_suites_build_one_resolution_per_choice(monkeypatch):
+    # one Weyl for the pair's own choice, shared by every suite, and one
+    # for the second connection of the uniqueness suite; each is solved
+    # once
+    built, solved = [], []
+    init, solve = Weyl.__init__, Weyl.solve
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_solve(self):
+        if self.x_vert is None:
+            solved.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(Weyl, "__init__", counting_init)
+    monkeypatch.setattr(Weyl, "solve", counting_solve)
+    res = run_cli(["check", "--pair", pair_path("sl2_h"), "--suite", "all"])
+    assert res.exit_code == 0, res.output
+    assert len(built) == 2
+    assert solved == built
 
 
 def test_validate_suite_passes():

@@ -24,6 +24,7 @@ from liepairs.liepair import (
 )
 from liepairs.tpoly import TPoly
 from liepairs.transfer import t_transfer
+from liepairs.weyl import Weyl
 
 from helpers import is_coboundary, oracle_rref
 
@@ -43,7 +44,7 @@ def t_pipelines():
     out = {}
     for name in FIXTURES:
         pair, sp, conn = load(name)
-        T = TPoly(sp, conn, trunc=N)
+        T = TPoly(Weyl(sp, conn, trunc=N))
         pt = t_contraction(T).perturb(t_perturbation(T))
         out[name] = (sp, T, pt, t_transfer(T, pt), t_cohomology(sp))
     return out
@@ -218,7 +219,7 @@ def test_jacobi_and_cup_laws_on_cohomology(t_pipelines):
 def test_d_side_window(t_pipelines):
     for name in ("heisenberg_center", "abelian"):
         pair, sp, conn = load(name)
-        D = DPoly(sp, conn, trunc=N)
+        D = DPoly(Weyl(sp, conn, trunc=N))
         pd = d_contraction(D).perturb(d_perturbation(D))
         coh = d_cohomology(sp, pd.d_small, max_weight=2)
         dims = coh.dims()
@@ -235,7 +236,7 @@ def test_compare_two_connections_equal(t_pipelines):
     gamma = [[list(row) for row in bl] for bl in conn.gamma]
     gamma[sp.m + 0][0][0] += 1
     conn2 = Connection(sp, gamma)
-    T2 = TPoly(sp, conn2, trunc=N)
+    T2 = TPoly(Weyl(sp, conn2, trunc=N))
     pt2 = t_contraction(T2).perturb(t_perturbation(T2))
     tr2 = t_transfer(T2, pt2)
     sp1, T1, pt1, tr1, coh = t_pipelines["heisenberg_center"]
@@ -327,7 +328,7 @@ def d_windows():
     out = {}
     for name in ("heisenberg_x", "sl2_borel"):
         pair, sp, conn = load(name)
-        D = DPoly(sp, conn, trunc=4)
+        D = DPoly(Weyl(sp, conn, trunc=4))
         pd = d_contraction(D).perturb(d_perturbation(D))
         out[name] = d_cohomology(sp, pd.d_small, max_weight=2)
     return out

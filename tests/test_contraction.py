@@ -36,7 +36,8 @@ def sides():
     out = {}
     for name in FIXTURES:
         pair, sp, conn = load(name)
-        out[name] = (TPoly(sp, conn, trunc=N), DPoly(sp, conn, trunc=N))
+        W = Weyl(sp, conn, trunc=N)
+        out[name] = (TPoly(W), DPoly(W))
     return out
 
 
@@ -227,8 +228,8 @@ def lower_cap():
     out = {}
     for name in FIXTURES:
         pair, sp, conn = load(name)
-        out[name] = (TPoly(sp, conn, trunc=N - 1),
-                     DPoly(sp, conn, trunc=N - 1))
+        W = Weyl(sp, conn, trunc=N - 1)
+        out[name] = (TPoly(W), DPoly(W))
     return out
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepairs.core import (
-    EVEN, Derivation, Vec, WordAlgebra, kernel_basis, mat_inv, mat_vec,
-    mi_add, mi_all, mi_binom, mi_fact, mi_sub, mi_unit, mi_upto,
-    mi_weight, mi_zero, rref, sort_sign, sym_comul,
+    EVEN, Derivation, Vec, WordAlgebra, kernel_basis, linear, mat_inv,
+    mat_vec, mi_add, mi_all, mi_binom, mi_fact, mi_sub, mi_unit, mi_upto,
+    mi_weight, mi_zero, on_first, rref, sort_sign, sym_comul,
 )
 
 from helpers import (
@@ -385,6 +385,46 @@ def test_vec_signs_match_the_scaled_form(terms, more):
         assert got == want and list(got) == list(want)
         assert _exact_invariant(got)
     assert v == Vec(terms)  # untouched
+
+
+VECS = st.builds(Vec, st.lists(st.tuples(st.integers(0, 6), RATIONALS),
+                               max_size=4))
+# images of a few keys: a missing key, None and an empty Vec are all zero
+IMAGES = st.dictionaries(st.integers(0, 5), st.one_of(st.none(), VECS),
+                         max_size=6)
+
+
+@given(IMAGES, st.lists(st.tuples(st.integers(0, 7), RATIONALS),
+                        max_size=8))
+def test_linear_matches_the_per_term_loop(images, terms):
+    # the linear extension against the per-term loop it replaced: same
+    # entries, same key order, normalised, and no image changed
+    x = Vec(terms)
+    before = {k: None if v is None else Vec(v) for k, v in images.items()}
+    got = linear(images.get, x)
+    want = Vec()
+    for key, c in x.items():
+        for k2, c2 in (images.get(key) or {}).items():
+            want.iadd_term(k2, c2 * c)
+    assert got == want and list(got) == list(want)
+    assert _exact_invariant(got)
+    assert images == before
+
+
+@given(IMAGES, st.lists(st.tuples(
+    st.tuples(st.integers(0, 7), st.sampled_from([(), (0,), (1, 0)])),
+    RATIONALS), max_size=8))
+def test_on_first_matches_the_per_term_loop(images, terms):
+    # a word operator on the first part of each key against the per-term
+    # loop it replaced, with the rest of the key carried along
+    x = Vec(terms)
+    got = on_first(lambda y: linear(images.get, y), x)
+    want = Vec()
+    for (w, rest), c in x.items():
+        for w2, c2 in (images.get(w) or {}).items():
+            want.iadd_term((w2, rest), c2 * c)
+    assert got == want and list(got) == list(want)
+    assert _exact_invariant(got)
 
 
 # ---------------------------------------------------------------------------

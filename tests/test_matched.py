@@ -14,6 +14,7 @@ from liepairs.liepair import a_form_algebra, parse_pair_spec
 from liepairs.matched import MatchedD, MatchedT, b_action_images, is_matched
 from liepairs.transfer import d_transfer, t_transfer
 from liepairs.tpoly import TPoly
+from liepairs.weyl import Weyl
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 MATCHED = ["heisenberg_x", "sl2_borel", "abelian"]
@@ -31,8 +32,8 @@ def pipelines():
     out = {}
     for name in MATCHED:
         pair, sp, conn = load(name)
-        T = TPoly(sp, conn, trunc=N)
-        D = DPoly(sp, conn, trunc=N)
+        W = Weyl(sp, conn, trunc=N)
+        T, D = TPoly(W), DPoly(W)
         pt = t_contraction(T).perturb(t_perturbation(T))
         pd = d_contraction(D).perturb(d_perturbation(D))
         out[name] = (sp, T, D, pt, t_transfer(T, pt), d_transfer(D, pd))

@@ -42,7 +42,11 @@ def test_traced_invocation_spans_every_layer(tmp_path):
     spans = Counter(meta["names"][i] for i in cols[0])
     # the two brackets are spanned for their per-layer calls and self
     # time (68 and 142 spans on this invocation), and so are the total
-    # differential of the q^2 check and the exact row reduction
+    # differential of the q^2 check and the exact row reduction; the
+    # resolution's solve, the inverse PBW map, the uniqueness set-up and
+    # the CE differential are reached through the shared pipeline
     for name in ("contraction.d_small", "transfer.lam_keys.arity2",
-                 "tpoly.schouten", "dpoly.star", "weyl.q_op", "core.rref"):
+                 "tpoly.schouten", "dpoly.star", "weyl.q_op", "core.rref",
+                 "weyl.solve", "pbw.pbw_inv", "uniqueness.init",
+                 "liepair.ce_differential"):
         assert spans[name] > 0, (name, sorted(spans))

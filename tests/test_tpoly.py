@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from liepairs.core import EVEN, Vec, mi_unit, mi_weight, mi_zero
 from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
 from liepairs.tpoly import TPoly
+from liepairs.weyl import Weyl
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
@@ -25,7 +26,7 @@ def machines():
     out = {}
     for name in FIXTURES:
         pair, sp, conn = load(name)
-        out[name] = TPoly(sp, conn, trunc=N)
+        out[name] = TPoly(Weyl(sp, conn, trunc=N))
     return out
 
 
@@ -243,7 +244,7 @@ def test_schouten_matches_per_term_oracle_exhaustive():
     # every pair of words at a cap of 2, where pairs of weight 4 and up
     # overflow
     pair, sp, conn = load("sl2_h")
-    T = TPoly(sp, conn, trunc=2)
+    T = TPoly(Weyl(sp, conn, trunc=2))
     xs = [Vec({w: Fraction(-3, 2)}) for w in all_words(T, 2)]
     for u in xs:
         for v in xs:
@@ -302,7 +303,8 @@ def old_rho_images(T):
 
 def test_lifted_tables_match_first_construction(machines):
     pair, sp, conn = load("sl3_borel")
-    cases = list(machines.items()) + [("sl3_borel", TPoly(sp, conn, 3))]
+    cases = list(machines.items()) + [("sl3_borel",
+                                       TPoly(Weyl(sp, conn, 3)))]
     for name, T in cases:
         assert T._rho_images == old_rho_images(T), name
         for g, img in T._rho_images.items():

@@ -16,6 +16,7 @@ from liepairs.transfer import (
 )
 from liepairs.tpoly import TPoly
 from liepairs.dpoly import DPoly
+from liepairs.weyl import Weyl
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
@@ -33,8 +34,8 @@ def transfers():
     out = {}
     for name in FIXTURES:
         pair, sp, conn = load(name)
-        T = TPoly(sp, conn, trunc=N)
-        D = DPoly(sp, conn, trunc=N)
+        W = Weyl(sp, conn, trunc=N)
+        T, D = TPoly(W), DPoly(W)
         pt = t_contraction(T).perturb(t_perturbation(T))
         pd = d_contraction(D).perturb(d_perturbation(D))
         out[name] = (T, D, t_transfer(T, pt), d_transfer(D, pd))

@@ -11,7 +11,9 @@ from liepairs.liepair import (
     Connection, Splitting, a_form_algebra, default_connection,
     parse_pair_spec,
 )
+from liepairs.dpoly import DPoly
 from liepairs.uniqueness import Uniqueness
+from liepairs.weyl import Weyl
 
 from helpers import d_chain_defect
 
@@ -49,7 +51,8 @@ def setups():
     for name in ("heisenberg_center", "sl2_borel"):
         pair, sp, conn = load(name)
         sp2, conn2 = second_choice(name, pair, sp, conn)
-        uni = Uniqueness(sp, conn, sp2, conn2, trunc=N)
+        uni = Uniqueness(DPoly(Weyl(sp, conn, N)),
+                         DPoly(Weyl(sp2, conn2, N)))
         pd1 = d_contraction(uni.D1).perturb(d_perturbation(uni.D1))
         pd2 = d_contraction(uni.D2).perturb(d_perturbation(uni.D2))
         out[name] = (sp, sp2, uni, pd1, pd2)
@@ -67,7 +70,8 @@ def test_second_choices_admissible(setups):
 
 def test_identical_choices_trivial():
     pair, sp, conn = load("heisenberg_center")
-    uni = Uniqueness(sp, conn, sp, conn, trunc=N)
+    D = DPoly(Weyl(sp, conn, N))
+    uni = Uniqueness(D, D)
     for w in uni.W1.alg.words(max_weight=2):
         x = Vec({w: 1})
         assert (uni.map_scalar(x) - x).is_zero()
@@ -144,7 +148,7 @@ def test_wrong_transport_detected(setups):
     def bad_map(x):
         out = Vec()
         for w, c in x.items():
-            series = uni._apply_table(uni.dual, Vec({w[-1]: Fraction(1)}))
+            series = uni.dual[w[-1]]
             out += alg.mul(Vec({w[:-1] + (mi_zero(sp.r),): c}), Vec(
                 (alg.even_word(J), cj) for J, cj in series.items()))
         return out

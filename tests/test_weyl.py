@@ -311,7 +311,7 @@ def assert_same_delta(X, x):
 def test_delta_matches_derivation_oracle_exhaustive():
     for name, trunc in DELTA_PAIRS.items():
         pair, sp, conn = load(name)
-        T = TPoly(sp, conn, trunc=trunc)
+        T = TPoly(Weyl(sp, conn, trunc=trunc))
         for X in (T.W, T):
             words = list(X.alg.words())
             for w in words:
@@ -357,7 +357,7 @@ COMPILED_PAIRS.update(heis5_lag=(4, 1), sl3_borel=(3, 1))
 def test_compiled_tables_match_leibniz_oracle():
     for name, (trunc, wmax) in COMPILED_PAIRS.items():
         pair, sp, conn = load(name)
-        T = TPoly(sp, conn, trunc=trunc)
+        T = TPoly(Weyl(sp, conn, trunc=trunc))
         W = T.W
         cases = [(W, W._d, W._d_images), (W, W._rho, W._rho_images),
                  (W, W._q, W._q_images), (T, T._rho, T._rho_images),

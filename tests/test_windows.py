@@ -18,6 +18,7 @@ import pytest
 from liepairs.cli import Pipeline, second_choice
 from liepairs.cohomology import d_complex_keys, t_complex_keys
 from liepairs.core import Vec, mi_unit, mi_zero
+from liepairs.dpoly import DPoly
 from liepairs.liepair import parse_pair_spec
 from liepairs.uniqueness import Uniqueness
 from liepairs.weyl import Weyl
@@ -92,7 +93,8 @@ def perturbed_inclusion(side):
 
 def transport(sp, conn, trunc, window):
     """map(Q1(w)) and Q2(map(w)) on the words of the check."""
-    uni = Uniqueness(sp, conn, sp, second_choice(sp, conn), trunc)
+    uni = Uniqueness(DPoly(Weyl(sp, conn, trunc)),
+                     DPoly(Weyl(sp, second_choice(sp, conn), trunc)))
     for w in uni.W1.alg.words(max_weight=2):
         x = Vec({w: 1})
         yield w, [uni.W2.restrict_weight(v, window) for v in (

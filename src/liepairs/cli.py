@@ -425,7 +425,7 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     except PairError as e:
         run.add("validate:pair-structure", False,
                 witness={"input": str(e)})
-        _emit(run, spec.get("name", pair_path), trunc, arity, suite,
+        _emit(run, spec.get("name") or pair_path, trunc, arity, suite,
               seed, out_path)
         sys.exit(1)
     run.add("validate:pair-structure", True, count=1)

@@ -1,16 +1,20 @@
 """Contractions and homological perturbation.
 
-A contraction packages a projection, an inclusion, a homotopy and the
-two differentials.  Perturbing the big differential d by a
-filtration-raising operator rho yields new data by the usual geometric
-series (the perturbation lemma):
+A contraction packages a projection sigma, an inclusion tau, a homotopy
+h and the two differentials, with sigma tau = id and
 
-    tau' = sum_k (-h rho)^k tau,   h' = sum_k (-h rho)^k h,
+    d_big h + h d_big = tau sigma - id,
+
+the convention of Crainic's perturbation lemma (arXiv:math/0403266).
+Perturbing d_big by a filtration-raising operator rho yields new data by
+the usual geometric series, which in this convention carries no sign:
+
+    tau' = sum_k (h rho)^k tau,   h' = sum_k (h rho)^k h,
     d_small' = d_small + sigma rho tau'.
 
 The series terminates here because the homotopy raises the power-series
-weight by one at every pass.  tau' is linear, so it is kept once per
-small basis key and extended by linearity.
+weight by one at every pass.  tau' and d_small' are linear, so each is
+kept once per small basis key and extended by linearity.
 
 d_small' needs no series at all: sigma rho h = 0, so every term of
 tau' after the first drops out and d_small' = d_small + sigma rho tau.
@@ -26,7 +30,7 @@ even generators chi (mi_weight of a word's last part), and
     d_h leaves the word alone;
   * sigma keeps weight 0 only.
 
-So sigma rho of each term (-h rho)^k tau with k >= 1 is zero word by
+So sigma rho of each term (h rho)^k tau with k >= 1 is zero word by
 word, before any cancellation, so no term the cap drops can change
 it: rho tau' is applied once, to tau alone.
 """
@@ -51,11 +55,11 @@ class Contraction:
         kmax, h = self.kmax, self.h
 
         def series(first):
-            """sum_k (-h rho)^k first.  Raises if the terms have not died
+            """sum_k (h rho)^k first.  Raises if the terms have not died
             out after kmax passes."""
             acc = term = first
             for _ in range(kmax):
-                term = -h(rho(term))
+                term = h(rho(term))
                 if term.is_zero():
                     return acc
                 acc = acc + term
@@ -69,8 +73,13 @@ class Contraction:
         def tau_new(x):
             return linear(tau_key, x)
 
-        def d_small_new(x):
+        @cache
+        def d_small_key(key):
+            x = Vec({key: 1})
             return self.d_small(x) + self.sigma(rho(self.tau(x)))
+
+        def d_small_new(x):
+            return linear(d_small_key, x)
 
         def h_new(x):
             return series(h(x))
@@ -88,11 +97,10 @@ class Contraction:
         return self.sigma(self.tau(x)) - x
 
     def defect_homotopy(self, x):
-        """id - tau sigma - (h d + d h) on a big element."""
-        out = Vec(x)
+        """h d + d h + id - tau sigma on a big element."""
+        out = self.h(self.d_big(x)) + self.d_big(self.h(x))
+        out += x
         out -= self.tau(self.sigma(x))
-        out -= self.h(self.d_big(x))
-        out -= self.d_big(self.h(x))
         return out
 
     def defect_side_sh(self, x):
@@ -110,14 +118,13 @@ class Contraction:
 def t_contraction(side):
     """Unperturbed contraction of the polyvector (a TPoly) or the
     polydifferential (a DPoly) side.  The big differential is minus the
-    letter-lowering map, so the homotopy carries a matching sign; the
-    perturbation is the lifted flat part of the differential, plus the
-    insertion coboundary on the polydifferential side."""
+    letter-lowering map, as in Q = -delta + rho; the perturbation is the
+    lifted flat part of the differential, plus the insertion coboundary
+    on the polydifferential side."""
     def d_small(x):
         return x * 0
 
-    return Contraction(side.project_small, side.include_small,
-                       lambda x: -side.h(x),
+    return Contraction(side.project_small, side.include_small, side.h,
                        lambda x: -side.delta(x), d_small, side.N + 2)
 
 

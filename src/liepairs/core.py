@@ -364,36 +364,12 @@ class WordAlgebra:
                 out.iadd_term(w, c1 * c2 * sign)
         return out
 
-    # -- derivations and morphisms ------------------------------------------
+    # -- derivations ------------------------------------------------------
 
     def derive(self, images, parity, x):
         """Extend generator images to a derivation of the stated parity
         and apply it to x; see Derivation for the rules."""
         return Derivation(self, images, parity)(x)
-
-    def substitute(self, images, x):
-        """Extend generator images to an algebra endomorphism.
-
-        Generators absent from images are sent to themselves.  Images must
-        have the same parity as the generator they replace.
-        """
-        out = Vec()
-        for w, coef in x.items():
-            acc = self.one(coef)
-            for g in self.odd_seq(w):
-                img = images.get(g)
-                if img is None:
-                    img = Vec({self.odd_word(*g): Fraction(1)})
-                acc = self.mul(acc, img)
-            J = w[-1]
-            for k in range(self.n_even):
-                for _ in range(J[k]):
-                    img = images.get((EVEN, k))
-                    if img is None:
-                        img = Vec({self.even_word(mi_unit(self.n_even, k)): Fraction(1)})
-                    acc = self.mul(acc, img)
-            out += acc
-        return out
 
     def contract_odd(self, colour, idx, x):
         """Interior product with the dual of one odd generator."""

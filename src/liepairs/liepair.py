@@ -334,7 +334,7 @@ def _entry(obj, key, kind=object, default=None):
         return default
     if not isinstance(v, kind):
         raise SpecError("%r must be a JSON %s" % (
-            key, "array" if kind is list else "object"))
+            key, {list: "array", str: "string"}.get(kind, "object")))
     return v
 
 
@@ -374,6 +374,8 @@ def parse_pair_spec(d):
     if dim < 0:
         raise SpecError("dimL must not be negative")
     basis = _entry(d, "basis", list, [])
+    if not all(isinstance(label, str) for label in basis):
+        raise SpecError("'basis' labels must be JSON strings")
     if basis and len(basis) != dim:
         raise SpecError("basis has %d labels but dimL is %d"
                         % (len(basis), dim))
@@ -386,7 +388,7 @@ def parse_pair_spec(d):
     pair = LiePair(dim, [_number(int, i)
                          for i in _entry(d, "aIndices", list)],
                    brackets, basis=basis,
-                   name=d.get("name", ""))
+                   name=_entry(d, "name", str, ""))
     if "dimA" in d and _number(int, d["dimA"]) != pair.dim_a:
         raise PairError("dimA=%s does not match aIndices" % d["dimA"])
     jmatrix = d.get("splitting")

@@ -8,14 +8,7 @@ on the small complex, built from rooted binary trees: the inclusion at
 the leaves, the homotopy on internal edges, the projection at the root,
 and the suspended bracket at the nodes.  The recursion over trees is
 the usual one grouped by the partition of the leaf set at the top node.
-
-Internal edges carry minus the homotopy of the contraction record: the
-structure identities pair the unary bracket with the higher ones only
-when the homotopy convention is dh + hd = incl proj - id, so the sign
-is absorbed here once instead of flipping the contraction's homotopy.
-With the homotopy as-is the binary bracket still satisfies the Leibniz
-and Jacobi identities, but the mixed identities coupling the unary and
-ternary brackets fail whenever the small differential is nonzero.
+The homotopy is the contraction's own, with dh + hd = tau sigma - id.
 
 The tree sums are graded symmetric in their leaves: permuting the keys
 multiplies them by the Koszul sign of the permutation for the
@@ -79,18 +72,12 @@ class Transfer:
     def _bracket_susp(self, u, v):
         """The bracket pulled through the suspension: an extra sign from
         the shifted degree of the first argument makes it symmetric for
-        the once-more-shifted degrees."""
-        out = Vec()
-        for par in (0, 1):
-            part = Vec((k, c) for k, c in u.items()
-                       if self.big_sdeg(k) % 2 == par)
-            if not part:
-                continue
-            img = self.bracket(part, v)
-            if par:
-                img = -img
-            out += img
-        return out
+        the once-more-shifted degrees.  A zero argument gives zero
+        without a bracket call."""
+        if not u or not v:
+            return Vec()
+        return self.bracket(Vec((k, -c if self.big_sdeg(k) % 2 else c)
+                                for k, c in u.items()), v)
 
     def _F(self, keys):
         """The tree sum with the homotopy at the root edge, on a sorted
@@ -100,7 +87,7 @@ class Transfer:
         if len(keys) == 1:
             out = self.tau(Vec({keys[0]: 1}))
         else:
-            out = -self.h(self._B(keys))
+            out = self.h(self._B(keys))
         self._f_cache[keys] = out
         return out
 

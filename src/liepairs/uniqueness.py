@@ -13,10 +13,11 @@ identity linear part.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     Vec, falling, linear, mat_vec, mi_add, mi_fact, mi_sub, mi_upto,
-    mi_weight, mi_zero, tensor_product,
+    mi_weight, tensor_product,
 )
 from .pbw import dual_map, relabel, transition
 
@@ -49,23 +50,29 @@ class Uniqueness:
                 if c:
                     img.iadd_term(alg.odd_word(1, l), c)
             self._frame_images[(0, s)] = img
-        self._conj_cache = {}
+        # the per-key maps, each computed once per instance
+        self.word_image = cache(self.word_image)
+        self.conj_slot = cache(self.conj_slot)
+        self._slot_factors = cache(self._slot_factors)
 
     # -- the power-series automorphism ----------------------------------------
 
     def map_scalar(self, x):
         """Frame change plus the dual automorphism on the power-series
         part; a chain map from the first scalar complex to the second."""
+        return linear(self.word_image, x)
+
+    def word_image(self, w):
+        """map_scalar of one word: the product of the frame images of its
+        odd letters (a letter with none maps to itself), times the dual
+        automorphism's image of its power-series part."""
         alg = self.W2.alg
-        out = Vec()
-        for w, c in x.items():
-            base = alg.substitute(
-                self._frame_images,
-                Vec({w[:-1] + (mi_zero(self.r),): c}))
-            series = self.dual[w[-1]]
-            out += alg.mul(base, Vec(
-                (alg.even_word(J), cj) for J, cj in series.items()))
-        return out
+        out = alg.one()
+        for g in alg.odd_seq(w):
+            img = self._frame_images.get(g)
+            out = alg.mul(out, img or Vec({alg.odd_word(*g): 1}))
+        return alg.mul(out, Vec((alg.even_word(J), c)
+                                for J, c in self.dual[w[-1]].items()))
 
     # -- slotwise conjugation ---------------------------------------------------
 
@@ -85,8 +92,6 @@ class Uniqueness:
         """Normal form of the conjugated slot operator: a Vec over pairs
         (series multi-index, slot multi-index), solved triangularly in
         increasing argument weight."""
-        if J in self._conj_cache:
-            return self._conj_cache[J]
         solved = {}
         for K in sorted(mi_upto(self.r, self.N), key=mi_weight):
             residual = dict(self._operator_on(J, K).items())
@@ -105,8 +110,16 @@ class Uniqueness:
         for K, g in solved.items():
             for M, c in g.items():
                 out.iadd_term((M, K), c)
-        self._conj_cache[J] = out
         return out
+
+    def _slot_factors(self, J):
+        """conj_slot(J) grouped by slot K, each series part written as a
+        Vec over even words."""
+        alg = self.W2.alg
+        grouped = {}
+        for (M, K), c in self.conj_slot(J).items():
+            grouped.setdefault(K, Vec()).iadd_term(alg.even_word(M), c)
+        return grouped
 
     def map_d(self, x):
         """The isomorphism on vertical operator elements: frame change
@@ -114,28 +127,20 @@ class Uniqueness:
         alg = self.W2.alg
         out = Vec()
         for (w, slots), c in x.items():
-            word = self.map_scalar(Vec({w: c}))
             # fold the slots one at a time, multiplying the series part
             # of each conjugated slot into the word
-            result = [(word, ())]
+            result = [(self.word_image(w), ())]
             for J in slots:
-                table = self.conj_slot(J)
                 nxt = []
                 for wordvec, done in result:
-                    grouped = {}
-                    for (M, K), cc in table.items():
-                        grouped.setdefault(K, Vec()).iadd_term(M, cc)
-                    for K, series in grouped.items():
-                        mult = alg.mul(wordvec, Vec(
-                            (alg.even_word(M), cm)
-                            for M, cm in series.items()))
-                        if not mult:
-                            continue
-                        nxt.append((mult, done + (K,)))
+                    for K, series in self._slot_factors(J).items():
+                        mult = alg.mul(wordvec, series)
+                        if mult:
+                            nxt.append((mult, done + (K,)))
                 result = nxt
             for wordvec, done in result:
                 for ww, cc in wordvec.items():
-                    out.iadd_term((ww, done), cc)
+                    out.iadd_term((ww, done), c * cc)
         return out
 
     # -- the comparison statements ------------------------------------------------

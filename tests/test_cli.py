@@ -268,6 +268,25 @@ def test_top_level_array_is_config_error(tmp_path):
                     "'basis' must be a JSON array")
 
 
+def test_name_that_is_not_a_string_is_config_error(tmp_path):
+    check_malformed(tmp_path, {"name": ["x"], "dimL": 1, "aIndices": [0]},
+                    "'name' must be a JSON string")
+    # a null name counts as missing, also when the pair is refused: the
+    # report names the pair by its path
+    path = write_spec(tmp_path, {
+        "name": None, "dimL": 2, "aIndices": [0],
+        "brackets": [{"i": 0, "j": 5, "coeffs": {"1": "1"}}]})
+    res = run_cli(["check", "--pair", path, "--suite", "validate"])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["pair"] == path
+
+
+def test_basis_label_that_is_not_a_string_is_config_error(tmp_path):
+    check_malformed(tmp_path, {"dimL": 2, "aIndices": [0],
+                               "basis": ["x", 7]},
+                    "'basis' labels must be JSON strings")
+
+
 def test_float_dim_is_config_error(tmp_path):
     check_malformed(tmp_path, {"dimL": 3.7, "aIndices": [0]},
                     "3.7 is not an integer")

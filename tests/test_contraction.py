@@ -261,7 +261,7 @@ def old_perturbed(c, rho):
         def apply(x):
             acc = term = first(x)
             for _ in range(c.kmax):
-                term = -1 * c.h(rho(term))
+                term = c.h(rho(term))
                 if term.is_zero():
                     return acc
                 acc = acc + term

@@ -280,20 +280,6 @@ def test_odd_derivation_sends_even_to_odd_with_signs():
     assert got == -1 * A.mul(a1, Vec({A.odd_word(1, 0): 1}))
 
 
-def test_substitute_is_algebra_morphism():
-    A = alg(na=1, nb=2, ne=2, trunc=4)
-    images = {
-        (1, 0): Vec({A.odd_word(1, 0): 1, A.odd_word(1, 1): Fraction(1, 2)}),
-        (EVEN, 1): Vec({A.even_word((0, 1)): 1, A.even_word((1, 0)): -2}),
-    }
-    words = list(A.words(max_weight=1))
-    for w1, w2 in itertools.product(words, repeat=2):
-        x, y = Vec({w1: 1}), Vec({w2: 1})
-        lhs = A.substitute(images, A.mul(x, y))
-        rhs = A.mul(A.substitute(images, x), A.substitute(images, y))
-        assert lhs == rhs
-
-
 @given(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
                 min_size=0, max_size=4))
 def test_product_of_odd_generators_matches_sort_sign(seq):

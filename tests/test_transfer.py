@@ -176,6 +176,24 @@ def test_lam_multilinear(transfers):
     assert tr.lam((x, y)) == expect
 
 
+def test_zero_argument_makes_no_bracket_call():
+    # a zero u or v brackets to zero without calling the big bracket; a
+    # nonzero pair calls it once, on u with its odd-degree terms negated
+    calls = []
+
+    def bracket(u, v):
+        calls.append((u, v))
+        return Vec({"out": 1})
+
+    tr = Transfer(None, None, None, None, bracket, lambda key: key, None)
+    u = Vec({1: 2, 2: 3})
+    for a, b in ((Vec(), u), (u, Vec()), (Vec(), Vec())):
+        assert tr._bracket_susp(a, b) == Vec()
+    assert calls == []
+    assert tr._bracket_susp(u, u) == Vec({"out": 1})
+    assert calls == [(Vec({1: -2, 2: 3}), u)]
+
+
 def test_sorting_sign():
     assert sorting_sign((1, 2), [1, 1]) == 1
     assert sorting_sign((2, 1), [1, 1]) == -1
@@ -214,7 +232,7 @@ class PlainTree:
             if len(keys) == 1:
                 self.f[keys] = self.tr.tau(Vec({keys[0]: 1}))
             else:
-                self.f[keys] = -1 * self.tr.h(self.B(keys))
+                self.f[keys] = self.tr.h(self.B(keys))
         return self.f[keys]
 
     def B(self, keys):

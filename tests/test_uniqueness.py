@@ -4,6 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.contraction import d_contraction, d_perturbation
 from liepairs.core import Vec, mi_upto, mi_weight, mi_zero
@@ -78,6 +79,20 @@ def test_identical_choices_trivial():
     for J in mi_upto(sp.r, 2):
         x = Vec({(uni.D1.alg.unit_word(), (J,)): 1})
         assert (uni.map_d(x) - x).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_map_scalar_is_multiplicative(setups, data):
+    # frame change and dual automorphism make an algebra map: the image
+    # of a product of words is the product of their images
+    name = data.draw(st.sampled_from(sorted(setups)))
+    uni = setups[name][2]
+    A1, A2 = uni.W1.alg, uni.W2.alg
+    words = st.sampled_from(list(A1.words()))
+    x, y = Vec({data.draw(words): 1}), Vec({data.draw(words): 1})
+    assert (uni.map_scalar(A1.mul(x, y))
+            == A2.mul(uni.map_scalar(x), uni.map_scalar(y))), (name, x, y)
 
 
 def test_scalar_intertwining(setups):

@@ -372,12 +372,42 @@ class WordAlgebra:
         return Derivation(self, images, parity)(x)
 
     def contract_odd(self, colour, idx, x):
-        """Interior product with the dual of one odd generator."""
-        return self.derive({(colour, idx): self.one()}, 1, x)
+        """Interior product with the dual of one odd generator, the odd
+        derivation sending it to 1, in closed form: a word holding the
+        letter loses it, with sign (-1)^(odd letters before it, in every
+        colour up to its own); a word without it maps to zero.  Words
+        are dropped, as the Leibniz rule drops them, when their even
+        weight is over the cap."""
+        out = Vec()
+        cap = self.trunc
+        for w, c in x.items():
+            part = w[colour]
+            if idx not in part or sum(w[-1]) > cap:
+                continue
+            p = part.index(idx)
+            before = p + sum(len(q) for q in w[:colour])
+            out[w[:colour] + (part[:p] + part[p + 1:],) + w[colour + 1:]] = \
+                -c if before % 2 else c
+        return out
 
     def dchi(self, k, x):
-        """d/dchi_k: the even derivation along one even generator."""
-        return self.derive({(EVEN, k): self.one()}, 0, x)
+        """d/dchi_k, the even derivation sending chi_k to 1, in closed
+        form: a word with J_k > 0 is multiplied by J_k, and J_k is
+        lowered by one; a word with J_k = 0 maps to zero.  Words are
+        dropped, as the Leibniz rule drops them, when their lowered even
+        weight is over the cap."""
+        out = Vec()
+        cap = self.trunc
+        for w, c in x.items():
+            J = w[-1]
+            jk = J[k]
+            if not jk or sum(J) > cap + 1:
+                continue
+            c *= jk
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[w[:-1] + (J[:k] + (jk - 1,) + J[k + 1:],)] = c
+        return out
 
 
 class Derivation:
@@ -405,6 +435,24 @@ class Derivation:
       bits b of popcount(rest >> (b + 1)), times (-1)^(|img| |suf|).
 
     A term that overflows or vanishes is dropped, as mul_words drops it.
+
+    Every one of these decisions depends on the word only through its
+    odd part and its slack, the cap minus its even weight.  So the
+    derivation is compiled a second time, lazily, once per input shape:
+    the plan of (odd part, slack) lists the surviving terms in Leibniz
+    order (odd letters in (colour, index) order, then the even letters
+    by index, each letter's image terms in order), as four columns:
+
+    - the odd part of the product, interned;
+    - the multi-index the term adds to J (the image term's, minus e_k
+      for an even letter k), or None when it adds nothing;
+    - the int factor: the image coefficient times D (below) with every
+      sign folded in;
+    - k for an even letter, whose term is also multiplied by J_k and
+      skipped when J_k = 0; -1 for an odd letter.
+
+    A call then makes one dict lookup per word and, per plan entry, one
+    multi-index sum, one tuple concatenation and one int multiply-add.
 
     The arithmetic is on integers.  D, the lcm of the denominators of
     every image coefficient, is taken once, and each image coefficient
@@ -438,13 +486,16 @@ class Derivation:
                          for _, c in img))
         # letter bit / even index -> the image's terms
         self._odd = {}
-        self._even = {}
+        even = {}
         for g, img in exact.items():
             terms = tuple(self._term(w, c) for w, c in img)
             if g[0] == EVEN:
-                self._even[g[1]] = terms
+                even[g[1]] = terms
             else:
                 self._odd[self.offsets[g[0]] + g[1]] = terms
+        self._even = sorted(even.items())
+        self._plans = {}
+        self._interned = {}  # one object per odd part, multi-index, plan
 
     def _term(self, w, coef):
         """An image term: (word, coefficient times D as an int,
@@ -458,14 +509,66 @@ class Derivation:
                 mi_weight(w[-1]), len(bits) % 2, mask, bits,
                 tuple(c for c in range(self.alg.n_colours) if w[c]))
 
+    def _plan(self, parts, slack):
+        """The plan of every word with this odd part and slack; see the
+        class docstring."""
+        odd, offsets = self.odd, self.offsets
+        intern = self._interned.setdefault
+        mask = 0
+        for o, part in zip(offsets, parts):
+            for i in part:
+                mask |= 1 << (o + i)
+        n = mask.bit_count()
+        # one entry per letter with an image: its terms, the odd part of
+        # pre * suf and its mask, the parity of suf's odd letters, the
+        # sign of the letter, the largest image weight that fits, and k
+        jobs = []
+        t = 0  # odd letters before the one being replaced
+        for c, part in enumerate(parts):
+            o = offsets[c]
+            for p, i in enumerate(part):
+                terms = self._odd.get(o + i)
+                if terms is not None:
+                    jobs.append((terms,
+                                 parts[:c] + (part[:p] + part[p + 1:],)
+                                 + parts[c + 1:],
+                                 mask ^ (1 << (o + i)), (n - t - 1) % 2,
+                                 -1 if odd and t % 2 else 1, slack, -1))
+                t += 1
+        base = -1 if odd and n % 2 else 1
+        for k, terms in self._even:
+            jobs.append((terms, parts, mask, 0, base, slack + 1, k))
+        entries = []
+        for terms, rest, rest_mask, swap, sign, room, k in jobs:
+            for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
+                if iweight > room or rest_mask & imask:
+                    continue
+                s = swap & ipar
+                for b in ibits:
+                    s += (rest_mask >> (b + 1)).bit_count()
+                merged = rest
+                if icolours:
+                    merged = list(rest)
+                    for col in icolours:
+                        merged[col] = (tuple(sorted(rest[col] + iw[col]))
+                                       if rest[col] else iw[col])
+                    merged = tuple(merged)
+                dJ = iw[-1]
+                if k >= 0:
+                    dJ = dJ[:k] + (dJ[k] - 1,) + dJ[k + 1:]
+                entries.append((intern(merged, merged),
+                                intern(dJ, dJ) if any(dJ) else None,
+                                -sign * ic if s % 2 else sign * ic, k))
+        plan = tuple(zip(*entries))
+        return intern(plan, plan)
+
     def __call__(self, x):
         """The derivation applied to x, on int numerators; see the class
         docstring."""
-        odd, offsets, cap = self.odd, self.offsets, self.cap
-        odd_images, even_images = self._odd, self._even
         out = Vec()
-        if not (odd_images or even_images):
+        if not (self._odd or self._even):
             return out
+        cap, plans = self.cap, self._plans
         out_get = out.get
         dx = 1
         for coef in x.values():
@@ -482,62 +585,23 @@ class Derivation:
                 coef *= dx
             if not coef:
                 continue
-            parts, J = w[:-1], w[-1]
-            mask = 0
-            for o, part in zip(offsets, parts):
-                for i in part:
-                    mask |= 1 << (o + i)
-            n = mask.bit_count()
-            weight = sum(J)
-            # one entry per letter with an image: its terms, the word
-            # pre * suf = rest + (K,) they meet, its weight and odd-letter
-            # mask, the parity of suf's odd letters, and the coefficient
-            jobs = []
-            if odd_images:
-                t = 0  # odd letters before the one being replaced
-                for c, part in enumerate(parts):
-                    o = offsets[c]
-                    for p, i in enumerate(part):
-                        terms = odd_images.get(o + i)
-                        if terms is not None:
-                            jobs.append((
-                                terms,
-                                parts[:c] + (part[:p] + part[p + 1:],)
-                                + parts[c + 1:], J, weight,
-                                mask ^ (1 << (o + i)), (n - t - 1) % 2,
-                                -coef if odd and t % 2 else coef))
-                        t += 1
-            if even_images:
-                base = -coef if odd and n % 2 else coef
-                for k, jk in enumerate(J):
-                    terms = even_images.get(k) if jk else None
-                    if terms is not None:
-                        jobs.append((terms, parts,
-                                     J[:k] + (jk - 1,) + J[k + 1:],
-                                     weight - 1, mask, 0, base * jk))
-            for terms, rest, K, kweight, rest_mask, swap, kcoef in jobs:
-                for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
-                    if kweight + iweight > cap or rest_mask & imask:
+            J = w[-1]
+            shape = (w[:-1], cap - sum(J))
+            plan = plans.get(shape)
+            if plan is None:
+                plan = plans[shape] = self._plan(*shape)
+            for parts, dJ, f, k in zip(*plan):
+                if k >= 0:
+                    jk = J[k]
+                    if not jk:
                         continue
-                    s = swap & ipar
-                    for b in ibits:
-                        s += (rest_mask >> (b + 1)).bit_count()
-                    L = mi_add(K, iw[-1]) if iweight else K
-                    if icolours:
-                        merged = list(rest)
-                        for col in icolours:
-                            merged[col] = (tuple(sorted(rest[col] + iw[col]))
-                                           if rest[col] else iw[col])
-                        merged.append(L)
-                        word = tuple(merged)
-                    else:
-                        word = rest + (L,)
-                    new = out_get(word, 0) + (-kcoef * ic if s % 2
-                                              else kcoef * ic)
-                    if new:
-                        out[word] = new
-                    else:
-                        del out[word]
+                    f *= jk
+                word = parts + ((tuple(map(add, J, dJ)) if dJ else J),)
+                new = out_get(word, 0) + coef * f
+                if new:
+                    out[word] = new
+                else:
+                    del out[word]
         den = self.den * dx
         if den != 1:
             for word, num in out.items():

@@ -192,13 +192,27 @@ class DPoly:
                                       c12 * (c * sign * sgn))
         return out
 
-    def gerst(self, x, y):
+    def gerst(self, x, y, suspended=False):
         """star(x, y) - (-1)^(|x| |y|) star(y, x).  The sign depends only
         on the degree parities, so with y = y_0 + y_1 split by parity the
         reversed term is star(y_0, x) + star(y_1, x_0) - star(y_1, x_1):
-        at most four calls of star."""
-        x0, x1 = self._by_parity(x)
+        at most four calls of star.
+
+        With `suspended`, the bracket pulled through the suspension, the
+        bracket of x' = (-1)^|x| x, which transfer.py takes.  As x'_0 =
+        x_0 and x'_1 = -x_1, it is star(x', y) - star(y_0, x') -
+        star(y_1, x): at most three calls."""
         y0, y1 = self._by_parity(y)
+        if suspended:
+            xs = Vec((key, -c if self.deg(key) % 2 else c)
+                     for key, c in x.items())
+            out = self.star(xs, y)
+            if y0:
+                out -= self.star(y0, xs)
+            if y1:
+                out -= self.star(y1, x)
+            return out
+        x0, x1 = self._by_parity(x)
         out = self.star(x, y)
         if y0:
             out -= self.star(y0, x)

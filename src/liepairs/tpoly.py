@@ -78,7 +78,7 @@ class TPoly:
     def deg(self, w):
         return self.alg.form_deg(w)
 
-    def schouten(self, u, v):
+    def schouten(self, u, v, suspended=False):
         """Odd graded Lie bracket of vertical polyvectors; the pairing
         contracts one xi against one chi, and the signs make the degree
         shifted by one a Lie degree.  It is bilinear, so each contraction
@@ -86,11 +86,15 @@ class TPoly:
 
             [u, v] = sum_k iota_k(u') d_k v - d_k u iota_k v,
 
-        where u' is u with its even-degree terms negated."""
+        where u' is u with its even-degree terms negated.  With
+        `suspended`, the bracket pulled through the suspension,
+        (-1)^(|u| - 1) [u, v], which transfer.py takes: its iota term
+        reads u as it is, and its d term reads u'."""
         u_signed = Vec((w, -c if self.deg(w) % 2 == 0 else c)
                        for w, c in u.items())
+        a, b = (u, u_signed) if suspended else (u_signed, u)
         out = Vec()
         for k in range(self.r):
-            out += self.alg.mul(self.dxi(u_signed, k), self.alg.dchi(k, v))
-            out -= self.alg.mul(self.alg.dchi(k, u), self.dxi(v, k))
+            out += self.alg.mul(self.dxi(a, k), self.alg.dchi(k, v))
+            out -= self.alg.mul(self.alg.dchi(k, b), self.dxi(v, k))
         return out

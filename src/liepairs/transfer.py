@@ -52,32 +52,29 @@ class Transfer:
     """L-infinity brackets on a small complex.
 
     sigma, tau, h, d_small come from a perturbed contraction; bracket is
-    the big-side binary bracket; big_sdeg and small_sdeg give the shifted
-    degree of a big or small basis key.
+    the big-side binary bracket pulled through the suspension (an extra
+    sign from the shifted degree of its first argument makes it
+    symmetric for the once-more-shifted degrees); small_sdeg gives the
+    shifted degree of a small basis key.
     """
 
-    def __init__(self, sigma, tau, h, d_small, bracket, big_sdeg,
-                 small_sdeg):
+    def __init__(self, sigma, tau, h, d_small, bracket, small_sdeg):
         self.sigma = sigma
         self.tau = tau
         self.h = h
         self.d_small = d_small
         self.bracket = bracket
-        self.big_sdeg = big_sdeg
         self.small_sdeg = small_sdeg
         self._f_cache = {}
         self._b_cache = {}
         self._lam_cache = {}
 
-    def _bracket_susp(self, u, v):
-        """The bracket pulled through the suspension: an extra sign from
-        the shifted degree of the first argument makes it symmetric for
-        the once-more-shifted degrees.  A zero argument gives zero
-        without a bracket call."""
+    def _bracket(self, u, v):
+        """The suspended bracket; a zero argument gives zero without a
+        bracket call."""
         if not u or not v:
             return Vec()
-        return self.bracket(Vec((k, -c if self.big_sdeg(k) % 2 else c)
-                                for k, c in u.items()), v)
+        return self.bracket(u, v)
 
     def _F(self, keys):
         """The tree sum with the homotopy at the root edge, on a sorted
@@ -106,7 +103,7 @@ class Transfer:
                 eps = koszul_sign(degs, left, right)
                 u = self._F(tuple(keys[i] for i in left))
                 v = self._F(tuple(keys[i] for i in right))
-                out += eps * self._bracket_susp(u, v)
+                out += eps * self._bracket(u, v)
         self._b_cache[keys] = out
         return out
 
@@ -160,14 +157,13 @@ def small_sdeg(key):
 
 def t_transfer(T, pt):
     """Transfer record for the polyvector side."""
-    def big_sdeg(w):
-        return len(w[0]) + len(w[1]) + len(w[2]) - 1
-
-    return Transfer(pt.sigma, pt.tau, pt.h, pt.d_small, T.schouten,
-                    big_sdeg, small_sdeg)
+    return Transfer(pt.sigma, pt.tau, pt.h, pt.d_small,
+                    lambda u, v: T.schouten(u, v, suspended=True),
+                    small_sdeg)
 
 
 def d_transfer(D, pd):
     """Transfer record for the polydifferential side."""
-    return Transfer(pd.sigma, pd.tau, pd.h, pd.d_small, D.gerst,
-                    D.deg, small_sdeg)
+    return Transfer(pd.sigma, pd.tau, pd.h, pd.d_small,
+                    lambda u, v: D.gerst(u, v, suspended=True),
+                    small_sdeg)

@@ -593,8 +593,8 @@ def test_acc8_sign_flipped_binary_bracket_detected(pipelines):
                 return -1 * val
             return val
 
-    bad = SignFlipped(pt.sigma, pt.tau, pt.h, pt.d_small, T.schouten,
-                      tr.big_sdeg, tr.small_sdeg)
+    bad = SignFlipped(pt.sigma, pt.tau, pt.h, pt.d_small, tr.bracket,
+                      tr.small_sdeg)
     keys = t_small_keys(sp)
     # the corruption really is a sign flip of part of the binary table
     flipped = [
@@ -616,7 +616,7 @@ def test_acc8_suspension_sign_dropped_detected(pipelines):
     # the arity-3 identity fails with a witness
     pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines["sl2_h"]
     bad = Transfer(pt.sigma, pt.tau, pt.h, pt.d_small, T.schouten,
-                   lambda key: 0, tr.small_sdeg)
+                   tr.small_sdeg)
     keys = t_small_keys(sp)
     witness = None
     for tup in itertools.product(keys, repeat=3):

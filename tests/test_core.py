@@ -583,6 +583,82 @@ def test_derive_drops_an_overflow_meeting_the_suffix():
     assert oracle_derive(A, images, 1, x).is_zero()
 
 
+# ---------------------------------------------------------------------------
+# the closed forms of iota and d/dchi, and the plan table of Derivation
+
+
+def assert_closed_forms_match_derivation(A, x):
+    """contract_odd and dchi on x, for every generator, against the
+    compiled derivation sending that generator to 1: the same entries,
+    inserted in the same order."""
+    for c, n in enumerate(A.odd_counts):
+        for i in range(n):
+            got = A.contract_odd(c, i, x)
+            want = Derivation(A, {(c, i): A.one()}, 1)(x)
+            assert got == want and list(got) == list(want), (c, i, x)
+            assert _exact_invariant(got)
+    for k in range(A.n_even):
+        got = A.dchi(k, x)
+        want = Derivation(A, {(EVEN, k): A.one()}, 0)(x)
+        assert got == want and list(got) == list(want), (k, x)
+        assert _exact_invariant(got)
+
+
+@given(st.data())
+def test_closed_forms_match_derivation(data):
+    # random words of every colour, with or without each letter, some
+    # over the cap
+    A = data.draw(algebras())
+    x = data.draw(vecs(A, 6, max_exp=3, coefs=INPUT_COEFS))
+    assert_closed_forms_match_derivation(A, x)
+
+
+def test_closed_forms_match_derivation_exhaustive():
+    # every word of three colours, one at a time and all together: the
+    # sign of iota counts the odd letters of the earlier colours too
+    A = WordAlgebra((2, 2, 2), 2, 2)
+    words = list(A.words(max_weight=3))
+    for w in words:
+        assert_closed_forms_match_derivation(A, Vec({w: Fraction(3, 2)}))
+    assert_closed_forms_match_derivation(
+        A, Vec({w: t % 5 - 2 for t, w in enumerate(words)}))
+
+
+def test_plans_are_reused_across_weights_and_calls():
+    # one compiled derivation per image set, driven over the words of
+    # each odd part at every weight up to two over the cap, rising, then
+    # falling, then all together: every shape's plan is built from one
+    # word and read by the others, and the cap cuts image terms of
+    # weight 0, 1 and 2 at different slacks
+    A = WordAlgebra((2, 2), 2, 2)
+    low = list(A.words(max_weight=0))
+    chi = [A.even_word(J) for J in mi_upto(2, 2)]
+    gens = [(c, i) for c in range(2) for i in range(2)]
+    gens += [(EVEN, k) for k in range(2)]
+    for parity in (0, 1):
+        for n in range(3):
+            images = {
+                g: Vec({A.mul_words(low[(3 * t + 5 * n) % len(low)],
+                                    chi[(t + 2 * n + j) % len(chi)])[1]:
+                        Fraction(t + 1, 1 + j % 2)
+                        for j in range(3)})
+                for t, g in enumerate(gens)}
+            D = Derivation(A, images, parity)
+            parts = {w[:-1] for w in low}
+            Js = list(mi_upto(2, 4))
+            for order in (Js, Js[::-1]):
+                for p in parts:
+                    for J in order:
+                        x = Vec({p + (J,): 2})
+                        got, want = D(x), oracle_derive(A, images, parity, x)
+                        assert got == want and list(got) == list(want), \
+                            (parity, n, p, J)
+            x = Vec({p + (J,): 1 + t % 3
+                     for t, (p, J) in enumerate(itertools.product(parts, Js))})
+            got, want = D(x), oracle_derive(A, images, parity, x)
+            assert got == want and list(got) == list(want)
+
+
 def sparse(rows):
     """Dense rows as sparse rows {column: entry}, zeros dropped and
     entries normalised as in a Vec."""

@@ -148,7 +148,8 @@ def old_gerst(D, x, y):
 @given(st.data())
 def test_gerst_matches_per_term_formulation(machines, data):
     # the parity split calls star at most four times; the value is that
-    # of one star per pair of terms
+    # of one star per pair of terms.  The suspended bracket is the
+    # bracket of x with its odd-degree terms negated
     D = machines[data.draw(st.sampled_from(FIXTURES))]
     keys = sample_keys(D)
     coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -159,6 +160,8 @@ def test_gerst_matches_per_term_formulation(machines, data):
 
     x, y = element(), element()
     assert D.gerst(x, y) == old_gerst(D, x, y)
+    x_susp = Vec((k, -c if D.deg(k) % 2 else c) for k, c in x.items())
+    assert D.gerst(x, y, suspended=True) == old_gerst(D, x_susp, y)
 
 
 def per_term_slides(D, J, w2, S2):

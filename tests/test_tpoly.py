@@ -237,7 +237,12 @@ def per_term_schouten(T, u, v):
 
 
 def assert_same_schouten(T, u, v):
+    # the suspended bracket is the bracket of u with the terms of odd
+    # shifted degree (even degree) negated
     assert T.schouten(u, v) == per_term_schouten(T, u, v), (u, v)
+    u_susp = Vec((w, -c if T.deg(w) % 2 == 0 else c) for w, c in u.items())
+    assert T.schouten(u, v, suspended=True) \
+        == per_term_schouten(T, u_susp, v), (u, v)
 
 
 def test_schouten_matches_per_term_oracle_exhaustive():

@@ -156,7 +156,7 @@ def test_corrupted_bracket_fails_jacobi(transfers):
     # checker reports a witness
     T, D, tr, td = transfers["sl2_h"]
     bad = Transfer(tr.sigma, tr.tau, tr.h, tr.d_small, T.schouten,
-                   lambda key: 0, tr.small_sdeg)
+                   tr.small_sdeg)
     keys = t_keys(T)
     witness = None
     for tup in itertools.product(keys, repeat=3):
@@ -178,20 +178,20 @@ def test_lam_multilinear(transfers):
 
 def test_zero_argument_makes_no_bracket_call():
     # a zero u or v brackets to zero without calling the big bracket; a
-    # nonzero pair calls it once, on u with its odd-degree terms negated
+    # nonzero pair calls it once, on u and v as they are
     calls = []
 
     def bracket(u, v):
         calls.append((u, v))
         return Vec({"out": 1})
 
-    tr = Transfer(None, None, None, None, bracket, lambda key: key, None)
+    tr = Transfer(None, None, None, None, bracket, None)
     u = Vec({1: 2, 2: 3})
     for a, b in ((Vec(), u), (u, Vec()), (Vec(), Vec())):
-        assert tr._bracket_susp(a, b) == Vec()
+        assert tr._bracket(a, b) == Vec()
     assert calls == []
-    assert tr._bracket_susp(u, u) == Vec({"out": 1})
-    assert calls == [(Vec({1: -2, 2: 3}), u)]
+    assert tr._bracket(u, u) == Vec({"out": 1})
+    assert calls == [(u, u)]
 
 
 def test_sorting_sign():
@@ -222,7 +222,7 @@ class PlainTree:
             for wv, cv in v.items():
                 val = self.pairs.get((wu, wv))
                 if val is None:
-                    val = self.pairs[(wu, wv)] = self.tr._bracket_susp(
+                    val = self.pairs[(wu, wv)] = self.tr.bracket(
                         Vec({wu: 1}), Vec({wv: 1}))
                 out.iadd_scaled(cu * cv, val)
         return out

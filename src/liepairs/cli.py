@@ -8,14 +8,14 @@ means every selected check passed, 1 means at least one check failed, 2
 means the configuration or input file was unusable.
 """
 
+import argparse
 from fractions import Fraction
 from functools import cached_property
 import itertools
 import json
+import os
 import random
 import sys
-
-import click
 
 from .cohomology import (
     d_cohomology, d_complex_keys, induced_table, t_cohomology,
@@ -372,32 +372,82 @@ def run_cohomology(run, p):
         str(n): d for n, d in dcoh.dims().items()}
 
 
-@click.group()
-def main():
-    """Exact verification pipelines for finite-dimensional Lie pairs."""
+def _parser(prog):
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Exact verification pipelines for "
+        "finite-dimensional Lie pairs.")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    cmd = commands.add_parser(
+        "check", help="run verification suites on one Lie-pair spec file",
+        description="Run verification suites on one Lie-pair spec file.")
+    cmd.add_argument("--pair", dest="pair_path", required=True,
+                     metavar="PATH", help="the pair spec (JSON); required")
+    cmd.add_argument("--trunc", type=int, default=5,
+                     help="series truncation weight (default: %(default)s)")
+    cmd.add_argument("--arity", type=int, default=3,
+                     help="maximal bracket arity checked "
+                     "(default: %(default)s)")
+    cmd.add_argument("--suite", default="all", choices=SUITES,
+                     metavar="SUITE", help="one of " + ", ".join(SUITES)
+                     + " (default: %(default)s)")
+    cmd.add_argument("--seed", type=int, default=0,
+                     help="seed for sampled (non-exhaustive) checks "
+                     "(default: %(default)s)")
+    cmd.add_argument("--out", dest="out_path", metavar="PATH",
+                     help="write the report here (default: stdout)")
+    return parser
 
 
-@main.command()
-@click.option("--pair", "pair_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--trunc", default=5, show_default=True,
-              help="series truncation weight")
-@click.option("--arity", default=3, show_default=True,
-              help="maximal bracket arity checked")
-@click.option("--suite", default="all", show_default=True,
-              type=click.Choice(SUITES))
-@click.option("--seed", default=0, show_default=True,
-              help="seed for sampled (non-exhaustive) checks")
-@click.option("--out", "out_path", default=None,
-              type=click.Path(dir_okay=False))
+def main(args=None, prog_name="liepairs"):
+    """The `liepairs` command line; argument errors exit 2, as argparse
+    does, like the configuration errors of `check`."""
+    opts = _parser(prog_name).parse_args(args)
+    try:
+        check(opts.pair_path, opts.trunc, opts.arity, opts.suite,
+              opts.seed, opts.out_path)
+    except BrokenPipeError:
+        # the report's reader went away (`liepairs check ... | head`):
+        # exit 1 without a traceback, and send the flush at exit to
+        # /dev/null so that it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+# perfbench/tracer.py calls main.main(args=..., prog_name=...)
+main.main = main
+
+
+def _refuse(message):
+    print("error: " + message, file=sys.stderr)
+    sys.exit(2)
+
+
+def _unique_keys(items):
+    """A JSON object as a dict; a key given twice is an error, where
+    json.load would keep the last value."""
+    obj = {}
+    for k, v in items:
+        if k in obj:
+            raise ValueError("key %r is given twice in one object" % k)
+        obj[k] = v
+    return obj
+
+
 def check(pair_path, trunc, arity, suite, seed, out_path):
     """Run verification suites on one Lie-pair spec file."""
     if arity < 1:
-        click.echo("error: arity must be at least 1", err=True)
-        sys.exit(2)
+        _refuse("arity must be at least 1")
     if trunc < arity + 2:
-        click.echo("error: trunc must be at least arity + 2", err=True)
-        sys.exit(2)
+        _refuse("trunc must be at least arity + 2")
+    try:
+        with open(pair_path, encoding="utf-8") as f:
+            spec = json.load(f, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as e:
+        # OSError covers a missing file and a directory; ValueError,
+        # malformed JSON and a file that is not UTF-8; RecursionError,
+        # JSON nested past the recursion limit
+        _refuse("cannot read pair spec: %s" % e)
     if out_path:
         # fail before the suites run, not after; appending creates the
         # file if need be and leaves an existing one as it is
@@ -405,23 +455,13 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
             with open(out_path, "a"):
                 pass
         except OSError as e:
-            click.echo("error: cannot write report: %s" % e, err=True)
-            sys.exit(2)
-    try:
-        with open(pair_path, encoding="utf-8") as f:
-            spec = json.load(f)
-    except (OSError, ValueError, RecursionError) as e:
-        # ValueError covers malformed JSON and a file that is not UTF-8;
-        # RecursionError, JSON nested past the recursion limit
-        click.echo("error: cannot read pair spec: %s" % e, err=True)
-        sys.exit(2)
+            _refuse("cannot write report: %s" % e)
 
     run = Runner()
     try:
         pair, sp, conn = parse_pair_spec(spec)
     except SpecError as e:
-        click.echo("error: malformed pair spec: %s" % e, err=True)
-        sys.exit(2)
+        _refuse("malformed pair spec: %s" % e)
     except PairError as e:
         run.add("validate:pair-structure", False,
                 witness={"input": str(e)})
@@ -468,15 +508,15 @@ def _emit(run, name, trunc, arity, suite, seed, out_path):
         with open(out_path, "w") as f:
             f.write(text + "\n")
     else:
-        click.echo(text)
+        # flushed here, so that a closed stdout fails inside main's handler
+        print(text, flush=True)
     passed = sum(1 for c in run.checks if c["status"] == "pass")
-    click.echo("%s: %d/%d checks passed" % (name, passed,
-                                            len(run.checks)), err=True)
+    print("%s: %d/%d checks passed" % (name, passed, len(run.checks)),
+          file=sys.stderr)
     for c in run.checks:
         if c["status"] != "pass":
-            click.echo("FAIL %s witness=%s" % (c["name"],
-                                               c.get("witness")),
-                       err=True)
+            print("FAIL %s witness=%s" % (c["name"], c.get("witness")),
+                  file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -58,14 +58,15 @@ class LiePair:
             if i > j:
                 i, j = j, i
                 coeffs = {k: -Fraction(v) for k, v in coeffs.items()}
-            cur = self._c.setdefault((i, j), {})
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if (k in cur and cur[k] != v) or not (0 <= k < dim):
+            for k in coeffs:
+                if not (0 <= k < dim):
                     raise PairError("inconsistent bracket entry (%d,%d,%d)"
                                     % (i, j, k))
-                if v != 0:
-                    cur[k] = v
+            coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+            # given in both orders, the two entries must agree in full
+            if self._c.setdefault((i, j), coeffs) != coeffs:
+                raise PairError("inconsistent bracket entry: [x%d, x%d] and "
+                                "[x%d, x%d] disagree" % (i, j, j, i))
         self._validate()
 
     # -- brackets ----------------------------------------------------------
@@ -379,12 +380,20 @@ def parse_pair_spec(d):
     if basis and len(basis) != dim:
         raise SpecError("basis has %d labels but dimL is %d"
                         % (len(basis), dim))
+    # an entry given twice is refused, not overwritten: [x_i, x_j] and
+    # [x_j, x_i] may both be given, and LiePair checks that they agree
     brackets = {}
     for entry in _entry(d, "brackets", list, []):
         i, j = (_number(int, _entry(entry, n)) for n in "ij")
-        brackets[(i, j)] = {
-            _number(int, k): _number(Fraction, v)
-            for k, v in _entry(entry, "coeffs", dict, {}).items()}
+        if (i, j) in brackets:
+            raise SpecError("bracket (%d, %d) is given twice" % (i, j))
+        coeffs = brackets[(i, j)] = {}
+        for k, v in _entry(entry, "coeffs", dict, {}).items():
+            k = _number(int, k)
+            if k in coeffs:
+                raise SpecError("coefficient %d of bracket (%d, %d) is "
+                                "given twice" % (k, i, j))
+            coeffs[k] = _number(Fraction, v)
     pair = LiePair(dim, [_number(int, i)
                          for i in _entry(d, "aIndices", list)],
                    brackets, basis=basis,

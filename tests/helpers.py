@@ -1,8 +1,12 @@
 """Operators that only the tests use.  Each states something about the
 pipeline's objects from outside them, so it lives beside the tests."""
 
+import contextlib
 from fractions import Fraction
+import io
+from typing import NamedTuple
 
+from liepairs.cli import main
 from liepairs.core import (
     EVEN, Vec, falling, linear, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
 )
@@ -219,3 +223,26 @@ def oracle_kernel_basis(rows, ncols):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
+def run_cli(args):
+    """Run the `liepairs` command in this process on the argument list;
+    what it writes to stdout and stderr is captured, not shown."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as e:
+            code = e.code or 0
+    return CliResult(code, out.getvalue(), err.getvalue())

@@ -1,21 +1,23 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
-from click.testing import CliRunner
 
-from liepairs.cli import main
 from liepairs.weyl import Weyl
 
+from helpers import run_cli
+
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
+# a fresh interpreter that imports the sources under test
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+    + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def pair_path(name):
     return os.path.join(PAIRS_DIR, name + ".json")
-
-
-def run_cli(args):
-    return CliRunner().invoke(main, args)
 
 
 def test_all_suites_build_one_resolution_per_choice(monkeypatch):
@@ -131,6 +133,8 @@ def test_malformed_json_is_config_error(tmp_path):
 @pytest.mark.parametrize("content", [
     b'{"dimL": 1, "aIndices": [], "basis": ["\xff"]}',  # not UTF-8
     b"[" * 100000,  # nested past the recursion limit
+    # a repeated key, which json.load would resolve to its last value
+    b'{"dimL": 1, "dimL": 2, "aIndices": []}',
 ])
 def test_unreadable_pair_spec_is_config_error(tmp_path, content):
     # both used to end in a traceback with exit code 1, "a check failed"
@@ -141,6 +145,75 @@ def test_unreadable_pair_spec_is_config_error(tmp_path, content):
     assert "error: cannot read pair spec: " in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--pair", "{sl2_h}", "--suite", "every"],
+     "argument --suite: invalid choice: 'every'"),
+    (["--pair", "{sl2_h}", "--trunc", "five"],
+     "argument --trunc: invalid int value: 'five'"),
+    (["--suite", "validate"], "the following arguments are required: --pair"),
+    (["--pair", "{tmp}/absent.json"], "error: cannot read pair spec: "),
+    (["--pair", "{tmp}"], "error: cannot read pair spec: "),
+    (["--pair", "{sl2_h}", "--out", "{tmp}"], "error: cannot write report: "),
+])
+def test_unusable_arguments_are_usage_errors(tmp_path, args, message):
+    res = run_cli(["check"] + [a.format(sl2_h=pair_path("sl2_h"),
+                                        tmp=tmp_path) for a in args])
+    assert res.exit_code == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert "checks passed" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args, shown", [
+    (["--help"], ["check"]),
+    (["check", "--help"], [
+        "--pair PATH", "--trunc TRUNC", "(default: 5)", "--arity ARITY",
+        "(default: 3)", "--suite SUITE", "(default: all)", "--seed SEED",
+        "(default: 0)", "--out PATH", "(default: stdout)"]),
+])
+def test_help_lists_commands_options_and_defaults(args, shown):
+    res = run_cli(args)
+    assert res.exit_code == 0
+    text = " ".join(res.stdout.split())
+    for s in shown:
+        assert s in text
+
+
+def test_cli_imports_only_the_standard_library():
+    # every (pair, suite) check is its own process, so each import of the
+    # command is paid once per check: click alone took about 18 ms
+    code = ("import json, sys; before = set(sys.modules); "
+            "import liepairs.cli; "
+            "print(json.dumps([sorted(sys.modules), "
+            "sorted(set(sys.modules) - before)]))")
+    res = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True, check=True)
+    loaded, imported = json.loads(res.stdout)
+    assert "click" not in loaded
+    assert [m for m in imported if m.split(".")[0] != "liepairs"
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # `liepairs check ... | head`: the reader is gone before the report
+    # is written; with stdout buffered, as it is by default, the write
+    # fails only when the buffer is flushed
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "liepairs.cli", "check", "--pair",
+             pair_path("sl2_h"), "--suite", "validate"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert "Exception ignored" not in res.stderr
 
 
 def test_unwritable_report_path_is_config_error(tmp_path):
@@ -341,3 +414,42 @@ def test_zero_subalgebra(tmp_path):
         "name": "aff1_zero", "dimL": 2, "aIndices": [],
         "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]})
     assert "uniqueness:composition-is-identity" in names
+
+
+def sl2_h_spec(brackets):
+    return {"name": "sl2_h", "dimL": 3, "basis": ["h", "e", "f"],
+            "aIndices": [0], "brackets": brackets}
+
+
+@pytest.mark.parametrize("brackets, message", [
+    # [h, e] given as e and then as 2e: the last entry used to win, and
+    # the pair passed validation
+    ([{"i": 0, "j": 1, "coeffs": {"1": "1"}}] + SL2,
+     "bracket (0, 1) is given twice"),
+    # "1" and "01" name the same basis element
+    ([{"i": 0, "j": 1, "coeffs": {"01": "1", "1": "2"}}] + SL2[1:],
+     "coefficient 1 of bracket (0, 1) is given twice"),
+])
+def test_repeated_bracket_entry_is_config_error(tmp_path, brackets,
+                                                message):
+    check_malformed(tmp_path, sl2_h_spec(brackets), message)
+
+
+@pytest.mark.parametrize("coeffs, code", [
+    # [e, h] = -2e agrees with [h, e] = 2e
+    ({"1": "-2", "2": "0"}, 0),
+    # these two used to be merged with [h, e] = 2e into [h, e] = 2e - 5f,
+    # and the pair passed validation
+    ({"2": "5"}, 1), ({"1": "-2", "2": "5"}, 1)])
+def test_bracket_given_in_both_orders_must_agree(tmp_path, coeffs, code):
+    spec = sl2_h_spec(SL2 + [{"i": 1, "j": 0, "coeffs": coeffs}])
+    res = run_cli(["check", "--pair", write_spec(tmp_path, spec),
+                   "--suite", "validate"])
+    assert res.exit_code == code, res.output
+    failed = [c for c in json.loads(res.stdout)["checks"]
+              if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == \
+        ["validate:pair-structure"] * code
+    if code:
+        assert "[x0, x1] and [x1, x0] disagree" \
+            in failed[0]["witness"]["input"]

@@ -8,9 +8,8 @@ import hashlib
 import os
 
 import pytest
-from click.testing import CliRunner
 
-from liepairs.cli import main
+from helpers import run_cli
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 
@@ -76,7 +75,7 @@ WIDE = {
 
 def report_digest(tmp_path, name, suite, trunc, arity):
     out = tmp_path / "report.json"
-    res = CliRunner().invoke(main, [
+    res = run_cli([
         "check", "--pair", os.path.join(PAIRS_DIR, name + ".json"),
         "--suite", suite, "--trunc", str(trunc), "--arity", str(arity),
         "--seed", "0", "--out", str(out)])

@@ -21,9 +21,7 @@ from .cohomology import (
     d_cohomology, d_complex_keys, induced_table, t_cohomology,
     t_complex_keys, t_cup,
 )
-from .contraction import (
-    d_contraction, d_perturbation, t_contraction, t_perturbation,
-)
+from .contraction import contraction, perturbed
 from .core import Vec, mi_unit, mi_weight, mi_zero
 from .dpoly import DPoly
 from .liepair import (
@@ -33,7 +31,7 @@ from .liepair import (
 from .matched import MatchedD, MatchedT, is_matched
 from .pbw import d_a_u
 from .tpoly import TPoly
-from .transfer import d_transfer, t_transfer
+from .transfer import Transfer, small_sdeg
 from .uniqueness import Uniqueness
 from .weyl import Weyl
 
@@ -113,19 +111,19 @@ class Pipeline:
 
     @cached_property
     def pt(self):
-        return t_contraction(self.T).perturb(t_perturbation(self.T))
+        return perturbed(self.T)
 
     @cached_property
     def pd(self):
-        return d_contraction(self.D).perturb(d_perturbation(self.D))
+        return perturbed(self.D)
 
     @cached_property
     def tr(self):
-        return t_transfer(self.T, self.pt)
+        return Transfer(self.pt, self.T.schouten)
 
     @cached_property
     def td(self):
-        return d_transfer(self.D, self.pd)
+        return Transfer(self.pd, self.D.gerst)
 
 
 def run_validate(run, pair, sp, conn):
@@ -159,7 +157,7 @@ def run_fedosov(run, p):
 
 def run_contraction(run, p):
     sp, trunc, T, D, pt, pd = p.sp, p.trunc, p.T, p.D, p.pt, p.pd
-    ct, cd = t_contraction(T), d_contraction(D)
+    ct, cd = contraction(T), contraction(D)
     zero = mi_zero(sp.r)
     # with A = L (r = 0) the only slot multi-index is the empty one
     e0 = mi_unit(sp.r, 0) if sp.r else zero
@@ -215,7 +213,7 @@ def run_contraction(run, p):
     run.all_zero(
         "contraction:d:small-differential-is-flat-one",
         ((k, pd.d_small(Vec({k: 1}))
-          - d_a_u(D.P, Vec({k: 1})) - D.dh_small(Vec({k: 1})))
+          - d_a_u(D.P, Vec({k: 1})) - D.d_h(Vec({k: 1})))
          for k in dkeys))
 
 
@@ -278,12 +276,12 @@ def run_matched(run, p, seed):
 
     run.all_zero(
         "matched:binary-bracket-equals-direct-schouten",
-        (((k1, k2), de_susp(tr.small_sdeg(k1), tr.lam_keys((k1, k2)))
+        (((k1, k2), de_susp(small_sdeg(k1), tr.lam_keys((k1, k2)))
           - mt.bracket(Vec({k1: 1}), Vec({k2: 1})))
          for k1 in tkeys for k2 in tkeys))
     run.all_zero(
         "matched:binary-bracket-equals-direct-gerstenhaber",
-        (((k1, k2), de_susp(td.small_sdeg(k1), td.lam_keys((k1, k2)))
+        (((k1, k2), de_susp(small_sdeg(k1), td.lam_keys((k1, k2)))
           - md.gerst(Vec({k1: 1}), Vec({k2: 1})))
          for k1 in dkeys[::2] for k2 in dkeys[::2]), stride=2)
     rng = random.Random(seed)
@@ -323,7 +321,7 @@ def run_uniqueness(run, p):
         return
     D2 = DPoly(Weyl(sp, second_choice(sp, p.conn), trunc))
     uni = Uniqueness(p.D, D2)
-    pd2 = d_contraction(D2).perturb(d_perturbation(D2))
+    pd2 = perturbed(D2)
     run.all_zero(
         "uniqueness:composition-is-identity",
         ((k, uni.composition(p.pd, pd2, Vec({k: 1}))

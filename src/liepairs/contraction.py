@@ -115,12 +115,10 @@ class Contraction:
         return self.d_big(self.tau(x)) - self.tau(self.d_small(x))
 
 
-def t_contraction(side):
+def contraction(side):
     """Unperturbed contraction of the polyvector (a TPoly) or the
     polydifferential (a DPoly) side.  The big differential is minus the
-    letter-lowering map, as in Q = -delta + rho; the perturbation is the
-    lifted flat part of the differential, plus the insertion coboundary
-    on the polydifferential side."""
+    letter-lowering map, as in Q = -delta + rho."""
     def d_small(x):
         return x * 0
 
@@ -128,14 +126,8 @@ def t_contraction(side):
                        lambda x: -side.delta(x), d_small, side.N + 2)
 
 
-d_contraction = t_contraction
-
-
-def t_perturbation(T):
-    return T.rho
-
-
-def d_perturbation(D):
-    def rho(x):
-        return D.rho(x) + D.d_h(x)
-    return rho
+def perturbed(side):
+    """The contraction of a side perturbed by its `perturbation`: the
+    lifted flat part of the differential, plus the insertion coboundary
+    on the polydifferential side."""
+    return contraction(side).perturb(side.perturbation)

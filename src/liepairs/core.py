@@ -307,13 +307,12 @@ class WordAlgebra:
     def form_deg(self, w):
         return sum(len(w[c]) for c in range(self.n_colours))
 
-    def words(self, max_weight=None, colour_caps=None):
+    def words(self, max_weight=None):
         """Enumerate all basis words with even weight <= max_weight."""
         mw = self.trunc if max_weight is None else max_weight
         ranges = []
-        for c, n in enumerate(self.odd_counts):
-            cap = n if colour_caps is None else min(n, colour_caps[c])
-            subs = [t for k in range(cap + 1)
+        for n in self.odd_counts:
+            subs = [t for k in range(n + 1)
                     for t in itertools.combinations(range(n), k)]
             ranges.append(subs)
         for parts in itertools.product(*ranges):

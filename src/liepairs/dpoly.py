@@ -130,7 +130,10 @@ class DPoly:
 
     def d_h(self, x):
         """Insertion coboundary on the slots, with the alternating sign
-        of the coefficient form degree in front."""
+        of the coefficient form degree in front.  It serves the small
+        complex too: there the coefficient is an A-form word and the
+        slots are classes, whose comultiplication is the same shuffle
+        count."""
         zero = mi_zero(self.r)
         out = Vec()
         for (w, slots), c in x.items():
@@ -146,6 +149,11 @@ class DPoly:
             s = -pref if (k + 1) % 2 else pref
             out.iadd_term((w, slots + (zero,)), c * s)
         return out
+
+    def perturbation(self, x):
+        """rho plus the insertion coboundary: what perturbs the
+        contraction of this side."""
+        return self.rho(x) + self.d_h(x)
 
     # -- insertion product and Gerstenhaber bracket ----------------------------------
 
@@ -192,35 +200,21 @@ class DPoly:
                                       c12 * (c * sign * sgn))
         return out
 
-    def gerst(self, x, y, suspended=False):
-        """star(x, y) - (-1)^(|x| |y|) star(y, x).  The sign depends only
-        on the degree parities, so with y = y_0 + y_1 split by parity the
-        reversed term is star(y_0, x) + star(y_1, x_0) - star(y_1, x_1):
-        at most four calls of star.
-
-        With `suspended`, the bracket pulled through the suspension, the
-        bracket of x' = (-1)^|x| x, which transfer.py takes.  As x'_0 =
-        x_0 and x'_1 = -x_1, it is star(x', y) - star(y_0, x') -
-        star(y_1, x): at most three calls."""
+    def gerst(self, x, y):
+        """The Gerstenhaber bracket pulled through the suspension, which
+        transfer.py takes: the bracket of x' = (-1)^|x| x and y, where
+        [x, y] = star(x, y) - (-1)^(|x| |y|) star(y, x).  The sign depends
+        only on the degree parities, so with y = y_0 + y_1 split by parity,
+        and as x'_0 = x_0 and x'_1 = -x_1, it is star(x', y) - star(y_0, x')
+        - star(y_1, x): at most three calls of star."""
         y0, y1 = self._by_parity(y)
-        if suspended:
-            xs = Vec((key, -c if self.deg(key) % 2 else c)
-                     for key, c in x.items())
-            out = self.star(xs, y)
-            if y0:
-                out -= self.star(y0, xs)
-            if y1:
-                out -= self.star(y1, x)
-            return out
-        x0, x1 = self._by_parity(x)
-        out = self.star(x, y)
+        xs = Vec((key, -c if self.deg(key) % 2 else c)
+                 for key, c in x.items())
+        out = self.star(xs, y)
         if y0:
-            out -= self.star(y0, x)
+            out -= self.star(y0, xs)
         if y1:
-            if x0:
-                out -= self.star(y1, x0)
-            if x1:
-                out += self.star(y1, x1)
+            out -= self.star(y1, x)
         return out
 
     def _by_parity(self, x):
@@ -252,7 +246,3 @@ class DPoly:
             for slots, cc in acc.items():
                 out.iadd_term(((fw[0], (), zero), slots), cc)
         return out
-
-    # on small keys the coefficient is an A-form word and the slots are
-    # classes, whose comultiplication is the same shuffle count
-    dh_small = d_h

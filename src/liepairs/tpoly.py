@@ -50,10 +50,11 @@ class TPoly:
 
     # rho and Q read the lifted tables; the homotopy, the projection and
     # the weight cut act on the form and symmetric letters only, so the
-    # scalar definitions serve unchanged
+    # scalar definitions serve unchanged; rho alone perturbs the
+    # contraction of this side
     delta = Weyl.delta
     set_tables = Weyl.set_tables
-    rho = Weyl.rho
+    rho = perturbation = Weyl.rho
     q_op = Weyl.q_op
     h = Weyl.h
     sigma = tau = Weyl.sigma
@@ -78,23 +79,20 @@ class TPoly:
     def deg(self, w):
         return self.alg.form_deg(w)
 
-    def schouten(self, u, v, suspended=False):
-        """Odd graded Lie bracket of vertical polyvectors; the pairing
-        contracts one xi against one chi, and the signs make the degree
-        shifted by one a Lie degree.  It is bilinear, so each contraction
-        is taken once per argument:
+    def schouten(self, u, v):
+        """Odd graded Lie bracket of vertical polyvectors, pulled through
+        the suspension: (-1)^(|u| - 1) [u, v], the bracket that transfer.py
+        takes.  The pairing contracts one xi against one chi, and the
+        signs make the degree shifted by one a Lie degree.  It is
+        bilinear, so each contraction is taken once per argument:
 
-            [u, v] = sum_k iota_k(u') d_k v - d_k u iota_k v,
+            (-1)^(|u| - 1) [u, v] = sum_k iota_k(u) d_k v - d_k u' iota_k v,
 
-        where u' is u with its even-degree terms negated.  With
-        `suspended`, the bracket pulled through the suspension,
-        (-1)^(|u| - 1) [u, v], which transfer.py takes: its iota term
-        reads u as it is, and its d term reads u'."""
+        where u' is u with its even-degree terms negated."""
         u_signed = Vec((w, -c if self.deg(w) % 2 == 0 else c)
                        for w, c in u.items())
-        a, b = (u, u_signed) if suspended else (u_signed, u)
         out = Vec()
         for k in range(self.r):
-            out += self.alg.mul(self.dxi(a, k), self.alg.dchi(k, v))
-            out -= self.alg.mul(self.alg.dchi(k, b), self.dxi(v, k))
+            out += self.alg.mul(self.dxi(u, k), self.alg.dchi(k, v))
+            out -= self.alg.mul(self.alg.dchi(k, u_signed), self.dxi(v, k))
         return out

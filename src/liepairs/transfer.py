@@ -24,47 +24,34 @@ import itertools
 from .core import Vec, linear, tensor_product
 
 
-def koszul_sign(degs, left, right):
-    """Sign for reordering positions 0..n-1 into left + right, with the
-    given degrees; a transposition of entries of degrees p, q costs
-    (-1)^(p q)."""
+def koszul_sign(degs, order):
+    """Sign for reordering positions 0..n-1 into `order`, with the given
+    degrees: each pair that the reordering swaps, of degrees p and q,
+    costs (-1)^(p q)."""
     e = 0
-    for a in right:
-        for b in left:
-            if a < b:
+    for j, b in enumerate(order):
+        for a in order[:j]:
+            if a > b:
                 e += degs[a] * degs[b]
-    return -1 if e % 2 else 1
-
-
-def sorting_sign(keys, degs):
-    """Koszul sign of the permutation sorting keys, whose entries have
-    the given degrees: each pair out of order costs (-1)^(p q)."""
-    e = 0
-    for j in range(len(keys)):
-        if degs[j] % 2:
-            for i in range(j):
-                if degs[i] % 2 and keys[i] > keys[j]:
-                    e += 1
     return -1 if e % 2 else 1
 
 
 class Transfer:
     """L-infinity brackets on a small complex.
 
-    sigma, tau, h, d_small come from a perturbed contraction; bracket is
-    the big-side binary bracket pulled through the suspension (an extra
-    sign from the shifted degree of its first argument makes it
-    symmetric for the once-more-shifted degrees); small_sdeg gives the
-    shifted degree of a small basis key.
+    sigma, tau, h and d_small come from the perturbed contraction pc;
+    bracket is the big-side binary bracket pulled through the suspension
+    (an extra sign from the shifted degree of its first argument makes
+    it symmetric for the once-more-shifted degrees).  The shifted degree
+    of a small basis key is small_sdeg's on either side.
     """
 
-    def __init__(self, sigma, tau, h, d_small, bracket, small_sdeg):
-        self.sigma = sigma
-        self.tau = tau
-        self.h = h
-        self.d_small = d_small
+    def __init__(self, pc, bracket):
+        self.sigma = pc.sigma
+        self.tau = pc.tau
+        self.h = pc.h
+        self.d_small = pc.d_small
         self.bracket = bracket
-        self.small_sdeg = small_sdeg
         self._f_cache = {}
         self._b_cache = {}
         self._lam_cache = {}
@@ -94,13 +81,13 @@ class Transfer:
         if keys in self._b_cache:
             return self._b_cache[keys]
         n = len(keys)
-        degs = [self.small_sdeg(k) + 1 for k in keys]
+        degs = [small_sdeg(k) + 1 for k in keys]
         out = Vec()
         for ssize in range(0, n - 1):
             for s_rest in itertools.combinations(range(1, n), ssize):
                 left = (0,) + s_rest
                 right = tuple(i for i in range(1, n) if i not in s_rest)
-                eps = koszul_sign(degs, left, right)
+                eps = koszul_sign(degs, left + right)
                 u = self._F(tuple(keys[i] for i in left))
                 v = self._F(tuple(keys[i] for i in right))
                 out += eps * self._bracket(u, v)
@@ -115,12 +102,12 @@ class Transfer:
         if len(keys) == 1:
             out = self.d_small(Vec({keys[0]: 1}))
         else:
-            srt = tuple(sorted(keys))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            srt = tuple(keys[i] for i in order)
             out = self._lam_cache.get(srt)
             if out is None:
                 out = self._lam_cache[srt] = self.sigma(self._B(srt))
-            if sorting_sign(keys,
-                            [self.small_sdeg(k) + 1 for k in keys]) < 0:
+            if koszul_sign([small_sdeg(k) + 1 for k in keys], order) < 0:
                 out = -out
         self._lam_cache[keys] = out
         return out
@@ -135,12 +122,12 @@ class Transfer:
         applied to a p-bracket, with unshuffle Koszul signs.  Zero for a
         genuine structure."""
         n = len(keys)
-        degs = [self.small_sdeg(k) + 1 for k in keys]
+        degs = [small_sdeg(k) + 1 for k in keys]
         out = Vec()
         for p in range(1, n + 1):
             for left in itertools.combinations(range(n), p):
                 right = tuple(i for i in range(n) if i not in left)
-                eps = koszul_sign(degs, left, right)
+                eps = koszul_sign(degs, left + right)
                 inner = self.lam_keys(tuple(keys[i] for i in left))
                 for k2, c2 in inner.items():
                     rest = tuple(keys[i] for i in right)
@@ -153,17 +140,3 @@ def small_sdeg(key):
     B-letters or of slot classes) on either side."""
     fw, letters = key
     return len(fw[0]) + len(letters) - 1
-
-
-def t_transfer(T, pt):
-    """Transfer record for the polyvector side."""
-    return Transfer(pt.sigma, pt.tau, pt.h, pt.d_small,
-                    lambda u, v: T.schouten(u, v, suspended=True),
-                    small_sdeg)
-
-
-def d_transfer(D, pd):
-    """Transfer record for the polydifferential side."""
-    return Transfer(pd.sigma, pd.tau, pd.h, pd.d_small,
-                    lambda u, v: D.gerst(u, v, suspended=True),
-                    small_sdeg)

@@ -165,10 +165,11 @@ class Weyl:
 
     # -- vertical derivations --------------------------------------------------
 
-    def vertical(self, coeffs, x, parity=1):
-        """Derivation sum_k coeffs[k] d_k acting through the even generators."""
+    def vertical(self, coeffs, x):
+        """Odd derivation sum_k coeffs[k] d_k, whose coefficients are
+        one-forms, acting through the even generators."""
         images = {(EVEN, k): c for k, c in coeffs.items() if c}
-        return self.alg.derive(images, parity, x)
+        return self.alg.derive(images, 1, x)
 
     def restrict_weight(self, x, wmax):
         return Vec((w, c) for w, c in x.items()

@@ -11,6 +11,7 @@ from liepairs.core import (
     EVEN, Vec, falling, linear, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
 )
 from liepairs.liepair import ce_differential
+from liepairs.tpoly import TPoly
 
 
 def mi_le(J, K):
@@ -132,6 +133,15 @@ def d_chain_defect(uni, x):
     img = uni.map_d(x)
     d2 = uni.D2.q_op(img) + uni.D2.d_h(img)
     return uni.map_d(d1) - d2
+
+
+def plain(side, u, v):
+    """The bracket of a TPoly or a DPoly before the suspension: the
+    suspended bracket of u with its terms of odd shifted degree negated
+    (a polyvector's shifted degree is its form degree less one)."""
+    t = isinstance(side, TPoly)
+    u = Vec((k, -c if (side.deg(k) - t) % 2 else c) for k, c in u.items())
+    return side.schouten(u, v) if t else side.gerst(u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,7 @@ from fractions import Fraction
 import pytest
 
 from liepairs.cohomology import compare_on_cohomology, t_cohomology, t_cup
-from liepairs.contraction import (
-    d_contraction, d_perturbation, t_contraction, t_perturbation,
-)
+from liepairs.contraction import contraction, perturbed
 from liepairs.core import Vec, mi_unit, mi_upto, mi_weight, mi_zero
 from liepairs.dpoly import DPoly
 from liepairs.liepair import (
@@ -51,11 +49,11 @@ from liepairs.liepair import (
 from liepairs.matched import MatchedD, MatchedT, is_matched
 from liepairs.pbw import d_a_u
 from liepairs.tpoly import TPoly
-from liepairs.transfer import Transfer, d_transfer, t_transfer
+from liepairs.transfer import Transfer, small_sdeg
 from liepairs.uniqueness import Uniqueness
 from liepairs.weyl import Weyl
 
-from helpers import defect_side_hh, defect_side_ht, mult_element
+from helpers import defect_side_hh, defect_side_ht, mult_element, plain
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
@@ -76,10 +74,9 @@ def pipelines():
         pair, sp, conn = load(name)
         W = Weyl(sp, conn, trunc=N)
         T, D = TPoly(W), DPoly(W)
-        pt = t_contraction(T).perturb(t_perturbation(T))
-        pd = d_contraction(D).perturb(d_perturbation(D))
+        pt, pd = perturbed(T), perturbed(D)
         out[name] = (pair, sp, conn, W, T, D, pt, pd,
-                     t_transfer(T, pt), d_transfer(D, pd))
+                     Transfer(pt, T.schouten), Transfer(pd, D.gerst))
     return out
 
 
@@ -135,7 +132,9 @@ def test_acc1_contraction_identities(pipelines):
                 lhs = x - W.tau(W.sigma(x))
                 rhs = W.h(W.delta(x)) + W.delta(W.h(x))
                 assert lhs == rhs, (name, w, "homotopy identity")
-        for w in W.alg.words(max_weight=0, colour_caps=(W.m, 0)):
+        for w in W.alg.words(max_weight=0):
+            if w[1]:
+                continue
             x = Vec({w: 1})
             assert W.sigma(W.tau(x)) == x, (name, w, "sigma tau")
             assert W.h(W.tau(x)).is_zero(), (name, w, "h tau")
@@ -158,7 +157,7 @@ def test_acc1_lifted_contraction_identities(pipelines):
                 lhs = x - T.tau(T.sigma(x))
                 rhs = T.h(T.delta(x)) + T.delta(T.h(x))
                 assert lhs == rhs, (name, w)
-        cd = d_contraction(D)
+        cd = contraction(D)
         for key in d_small_keys(sp):
             x = Vec({key: 1})
             assert cd.defect_projection(x).is_zero(), (name, key)
@@ -250,7 +249,7 @@ def test_acc3_transferred_differentials_are_flat_ce(pipelines):
             assert pt.d_small(x) == d_a_bott(sp, x), (name, key)
         for key in d_small_keys(sp):
             x = Vec({key: 1})
-            assert pd.d_small(x) == d_a_u(D.P, x) + D.dh_small(x), \
+            assert pd.d_small(x) == d_a_u(D.P, x) + D.d_h(x), \
                 (name, key)
 
 
@@ -281,7 +280,7 @@ def test_acc4_jacobi_d_arity_1_2(pipelines):
         keys = d_small_keys(sp)
         for key in keys:
             x = Vec({key: 1})
-            assert td.lam_keys((key,)) == d_a_u(D.P, x) + D.dh_small(x), \
+            assert td.lam_keys((key,)) == d_a_u(D.P, x) + D.d_h(x), \
                 (name, key)
         for tup in itertools.product(keys, repeat=2):
             assert td.jacobi_defect(tup).is_zero(), (name, tup)
@@ -336,13 +335,13 @@ def test_acc5_matched_tables(pipelines):
         mt = MatchedT(sp)
         md = MatchedD(D.P)
         for k1 in t_small_keys(sp):
-            sgn = -1 if tr.small_sdeg(k1) % 2 else 1
+            sgn = -1 if small_sdeg(k1) % 2 else 1
             for k2 in t_small_keys(sp):
                 direct = mt.bracket(Vec({k1: 1}), Vec({k2: 1}))
                 assert sgn * tr.lam_keys((k1, k2)) == direct, \
                     (name, k1, k2)
         for k1 in d_small_keys(sp):
-            sgn = -1 if td.small_sdeg(k1) % 2 else 1
+            sgn = -1 if small_sdeg(k1) % 2 else 1
             for k2 in d_small_keys(sp):
                 direct = md.gerst(Vec({k1: 1}), Vec({k2: 1}))
                 assert sgn * td.lam_keys((k1, k2)) == direct, \
@@ -386,8 +385,7 @@ def test_acc6_composition_is_identity(pipelines):
         assert ok, (name, witness)
         uni = Uniqueness(DPoly(Weyl(sp, conn, N)),
                          DPoly(Weyl(sp2, conn2, N)))
-        pd1 = d_contraction(uni.D1).perturb(d_perturbation(uni.D1))
-        pd2 = d_contraction(uni.D2).perturb(d_perturbation(uni.D2))
+        pd1, pd2 = perturbed(uni.D1), perturbed(uni.D2)
         for key in d_small_keys(sp):
             x = Vec({key: 1})
             got = uni.composition(pd1, pd2, x)
@@ -403,8 +401,8 @@ def test_acc6_induced_brackets_coincide(pipelines):
         pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines[name]
         conn2 = perturbed_connection(sp, conn)
         T2 = TPoly(Weyl(sp, conn2, trunc=N))
-        pt2 = t_contraction(T2).perturb(t_perturbation(T2))
-        tr2 = t_transfer(T2, pt2)
+        pt2 = perturbed(T2)
+        tr2 = Transfer(pt2, T2.schouten)
         coh = t_cohomology(sp)
         lam_a = lambda x, y: tr.lam((x, y))
         lam_b = lambda x, y: tr2.lam((x, y))
@@ -444,7 +442,7 @@ def test_acc7_weight_zero_projection_identities(pipelines):
             got = D.project_small(D.rho(D.include_small(x)))
             assert got == d_a_u(D.P, x), (name, key)
             got = D.project_small(D.d_h(D.include_small(x)))
-            assert got == D.dh_small(x), (name, key)
+            assert got == D.d_h(x), (name, key)
 
 
 def test_acc7_multiplication_element_is_flat(pipelines):
@@ -461,7 +459,7 @@ def test_acc7_multiplication_element_is_flat(pipelines):
         for w in list(D.W.alg.words(max_weight=1))[::2]:
             for slots in e0_slots(D):
                 x = Vec({(w, slots): 1})
-                assert D.d_h(x) == D.gerst(m_el, x), (name, w, slots)
+                assert D.d_h(x) == plain(D, m_el, x), (name, w, slots)
                 assert D.d_h(D.d_h(x)).is_zero(), (name, w, slots)
 
 
@@ -517,8 +515,8 @@ def test_acc7_section_formulas_on_matched_pairs(pipelines):
         scalars = [(fw, ()) for fw in fws]
         for k1 in sections:
             for k2 in sections + scalars:
-                lhs = T.schouten(pt.tau(Vec({k1: 1})),
-                                 pt.tau(Vec({k2: 1})))
+                lhs = plain(T, pt.tau(Vec({k1: 1})),
+                            pt.tau(Vec({k2: 1})))
                 rhs = pt.tau(mt.bracket(Vec({k1: 1}), Vec({k2: 1})))
                 assert lhs == rhs, (name, k1, k2)
 
@@ -589,12 +587,11 @@ def test_acc8_sign_flipped_binary_bracket_detected(pipelines):
     class SignFlipped(Transfer):
         def lam_keys(self, keys):
             val = Transfer.lam_keys(self, keys)
-            if len(keys) == 2 and self.small_sdeg(keys[0]) % 2:
+            if len(keys) == 2 and small_sdeg(keys[0]) % 2:
                 return -1 * val
             return val
 
-    bad = SignFlipped(pt.sigma, pt.tau, pt.h, pt.d_small, tr.bracket,
-                      tr.small_sdeg)
+    bad = SignFlipped(pt, tr.bracket)
     keys = t_small_keys(sp)
     # the corruption really is a sign flip of part of the binary table
     flipped = [
@@ -615,8 +612,7 @@ def test_acc8_suspension_sign_dropped_detected(pipelines):
     # the brackets coherently enough that arities 1-2 still close, but
     # the arity-3 identity fails with a witness
     pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines["sl2_h"]
-    bad = Transfer(pt.sigma, pt.tau, pt.h, pt.d_small, T.schouten,
-                   tr.small_sdeg)
+    bad = Transfer(pt, lambda u, v: plain(T, u, v))
     keys = t_small_keys(sp)
     witness = None
     for tup in itertools.product(keys, repeat=3):

@@ -131,11 +131,11 @@ def test_malformed_json_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("content", [
-    b'{"dimL": 1, "aIndices": [], "basis": ["\xff"]}',  # not UTF-8
-    b"[" * 100000,  # nested past the recursion limit
+    b'{"dimL": 1, "aIndices": [], "basis": ["\xff"]}',
+    b"[" * 100000,
     # a repeated key, which json.load would resolve to its last value
     b'{"dimL": 1, "dimL": 2, "aIndices": []}',
-])
+], ids=["not-utf-8", "nested-past-the-recursion-limit", "repeated-key"])
 def test_unreadable_pair_spec_is_config_error(tmp_path, content):
     # both used to end in a traceback with exit code 1, "a check failed"
     bad = tmp_path / "bad.json"
@@ -401,12 +401,14 @@ def check_all_suites_pass(tmp_path, spec):
 
 
 def test_subalgebra_equal_to_whole_algebra(tmp_path):
-    # A = L: no complement, so nothing to choose between in uniqueness
-    names = check_all_suites_pass(tmp_path, {
-        "name": "sl2_all", "dimL": 3, "aIndices": [0, 1, 2],
-        "brackets": SL2})
-    assert "contraction:d:perturbed-homotopy" in names
-    assert "uniqueness:not-applicable" in names
+    # A = L: no complement, so nothing to choose between in uniqueness;
+    # L = 0 is the case where A = L = 0
+    for spec in ({"name": "sl2_all", "dimL": 3, "aIndices": [0, 1, 2],
+                  "brackets": SL2},
+                 {"name": "zero", "dimL": 0, "aIndices": []}):
+        names = check_all_suites_pass(tmp_path, spec)
+        assert "contraction:d:perturbed-homotopy" in names
+        assert "uniqueness:not-applicable" in names
 
 
 def test_zero_subalgebra(tmp_path):

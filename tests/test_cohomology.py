@@ -14,16 +14,14 @@ from liepairs.cohomology import (
     Cohomology, compare_on_cohomology, d_cohomology, d_complex_keys,
     induced_table, t_cohomology, t_complex_keys, t_cup,
 )
-from liepairs.contraction import (
-    d_contraction, d_perturbation, t_contraction, t_perturbation,
-)
+from liepairs.contraction import perturbed
 from liepairs.core import Vec, mi_upto
 from liepairs.dpoly import DPoly
 from liepairs.liepair import (
     Connection, a_form_algebra, d_a_bott, parse_pair_spec,
 )
 from liepairs.tpoly import TPoly
-from liepairs.transfer import t_transfer
+from liepairs.transfer import Transfer
 from liepairs.weyl import Weyl
 
 from helpers import is_coboundary, oracle_rref
@@ -45,8 +43,8 @@ def t_pipelines():
     for name in FIXTURES:
         pair, sp, conn = load(name)
         T = TPoly(Weyl(sp, conn, trunc=N))
-        pt = t_contraction(T).perturb(t_perturbation(T))
-        out[name] = (sp, T, pt, t_transfer(T, pt), t_cohomology(sp))
+        pt = perturbed(T)
+        out[name] = (sp, T, pt, Transfer(pt, T.schouten), t_cohomology(sp))
     return out
 
 
@@ -220,7 +218,7 @@ def test_d_side_window(t_pipelines):
     for name in ("heisenberg_center", "abelian"):
         pair, sp, conn = load(name)
         D = DPoly(Weyl(sp, conn, trunc=N))
-        pd = d_contraction(D).perturb(d_perturbation(D))
+        pd = perturbed(D)
         coh = d_cohomology(sp, pd.d_small, max_weight=2)
         dims = coh.dims()
         for n in coh.degrees:
@@ -237,8 +235,8 @@ def test_compare_two_connections_equal(t_pipelines):
     gamma[sp.m + 0][0][0] += 1
     conn2 = Connection(sp, gamma)
     T2 = TPoly(Weyl(sp, conn2, trunc=N))
-    pt2 = t_contraction(T2).perturb(t_perturbation(T2))
-    tr2 = t_transfer(T2, pt2)
+    pt2 = perturbed(T2)
+    tr2 = Transfer(pt2, T2.schouten)
     sp1, T1, pt1, tr1, coh = t_pipelines["heisenberg_center"]
     coh2 = t_cohomology(sp)
     lam_a = lambda x, y: tr1.lam((x, y))
@@ -329,7 +327,7 @@ def d_windows():
     for name in ("heisenberg_x", "sl2_borel"):
         pair, sp, conn = load(name)
         D = DPoly(Weyl(sp, conn, trunc=4))
-        pd = d_contraction(D).perturb(d_perturbation(D))
+        pd = perturbed(D)
         out[name] = d_cohomology(sp, pd.d_small, max_weight=2)
     return out
 

@@ -7,10 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepairs.cohomology import d_complex_keys, t_complex_keys
-from liepairs.contraction import (
-    Contraction, d_contraction, d_perturbation, t_contraction,
-    t_perturbation,
-)
+from liepairs.contraction import Contraction, contraction, perturbed
 from liepairs.core import EVEN, Vec, mi_upto, mi_weight, mi_zero
 from liepairs.dpoly import DPoly
 from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
@@ -70,8 +67,8 @@ def d_small_keys(D, max_cls=2, max_slots=2):
 
 def test_unperturbed_identities(sides):
     for name, (T, D) in sides.items():
-        ct = t_contraction(T)
-        cd = d_contraction(D)
+        ct = contraction(T)
+        cd = contraction(D)
         for key in t_small_keys(T):
             x = Vec({key: 1})
             assert ct.defect_projection(x).is_zero(), (name, key)
@@ -91,15 +88,13 @@ def test_sigma_rho_h_vanishes(sides):
     # after applying the perturbation, so the projection is unchanged;
     # word by word, since rho h keeps the weight at least one
     for name, (T, D) in sides.items():
-        rho_t = t_perturbation(T)
         for w in T.alg.words(max_weight=2):
-            y = rho_t(T.h(Vec({w: 1})))
+            y = T.perturbation(T.h(Vec({w: 1})))
             assert all(mi_weight(w2[-1]) >= 1 for w2 in y), (name, w)
             assert T.project_small(y).is_zero(), (name, w)
-        rho_d = d_perturbation(D)
         for w in D.W.alg.words(max_weight=2):
             key = (w, (mi_zero(D.r), (1,) + (0,) * (D.r - 1)))
-            y = rho_d(D.h(Vec({key: 1})))
+            y = D.perturbation(D.h(Vec({key: 1})))
             assert all(mi_weight(w2[-1]) >= 1 for w2, _ in y), (name, w)
             assert D.project_small(y).is_zero(), (name, w)
 
@@ -126,17 +121,15 @@ def test_rho_table_lowering_the_weight_raises(sides):
 
 
 @pytest.fixture(scope="module")
-def perturbed(sides):
+def perturbed_sides(sides):
     out = {}
     for name, (T, D) in sides.items():
-        pt = t_contraction(T).perturb(t_perturbation(T))
-        pd = d_contraction(D).perturb(d_perturbation(D))
-        out[name] = (T, D, pt, pd)
+        out[name] = (T, D, perturbed(T), perturbed(D))
     return out
 
 
-def test_perturbed_projection_identity(perturbed):
-    for name, (T, D, pt, pd) in perturbed.items():
+def test_perturbed_projection_identity(perturbed_sides):
+    for name, (T, D, pt, pd) in perturbed_sides.items():
         for key in t_small_keys(T):
             assert pt.defect_projection(Vec({key: 1})).is_zero(), \
                 (name, key)
@@ -145,33 +138,33 @@ def test_perturbed_projection_identity(perturbed):
                 (name, key)
 
 
-def test_transferred_differential_t(perturbed):
-    for name, (T, D, pt, pd) in perturbed.items():
+def test_transferred_differential_t(perturbed_sides):
+    for name, (T, D, pt, pd) in perturbed_sides.items():
         for key in t_small_keys(T):
             x = Vec({key: 1})
             assert pt.d_small(x) == d_a_bott(T.sp, x), (name, key)
 
 
-def test_transferred_differential_d(perturbed):
-    for name, (T, D, pt, pd) in perturbed.items():
+def test_transferred_differential_d(perturbed_sides):
+    for name, (T, D, pt, pd) in perturbed_sides.items():
         for key in d_small_keys(D):
             x = Vec({key: 1})
-            exp = d_a_u(D.P, x) + D.dh_small(x)
+            exp = d_a_u(D.P, x) + D.d_h(x)
             assert pd.d_small(x) == exp, (name, key)
 
 
-def test_perturbed_homotopy_identity_t(perturbed):
+def test_perturbed_homotopy_identity_t(perturbed_sides):
     for name in ("sl2_h", "heisenberg_x"):
-        T, D, pt, pd = perturbed[name]
+        T, D, pt, pd = perturbed_sides[name]
         for w in list(T.alg.words(max_weight=1))[::5]:
             x = Vec({w: 1})
             defect = pt.defect_homotopy(x)
             assert T.restrict_weight(defect, N - 3).is_zero(), (name, w)
 
 
-def test_perturbed_homotopy_identity_d(perturbed):
+def test_perturbed_homotopy_identity_d(perturbed_sides):
     for name in ("sl2_h", "sl2_borel"):
-        T, D, pt, pd = perturbed[name]
+        T, D, pt, pd = perturbed_sides[name]
         e0 = (1,) + (0,) * (D.r - 1)
         for w in list(D.W.alg.words(max_weight=1))[::5]:
             for slots in [(mi_zero(D.r),), (e0, mi_zero(D.r))]:
@@ -181,9 +174,9 @@ def test_perturbed_homotopy_identity_d(perturbed):
                     (name, w, slots)
 
 
-def test_perturbed_chain_maps(perturbed):
+def test_perturbed_chain_maps(perturbed_sides):
     for name in ("sl2_h", "heisenberg_center"):
-        T, D, pt, pd = perturbed[name]
+        T, D, pt, pd = perturbed_sides[name]
         for key in t_small_keys(T):
             x = Vec({key: 1})
             defect = pt.defect_chain_tau(x)
@@ -237,11 +230,8 @@ def test_d_small_does_not_depend_on_the_cap(sides, lower_cap):
     for name, (T, D) in sides.items():
         T0, D0 = lower_cap[name]
         for low, high, keys in (
-                (t_contraction(T0).perturb(t_perturbation(T0)),
-                 t_contraction(T).perturb(t_perturbation(T)),
-                 t_complex_keys(T.sp)),
-                (d_contraction(D0).perturb(d_perturbation(D0)),
-                 d_contraction(D).perturb(d_perturbation(D)),
+                (perturbed(T0), perturbed(T), t_complex_keys(T.sp)),
+                (perturbed(D0), perturbed(D),
                  d_complex_keys(D.sp, max_weight=2,
                                 max_arity=D.m + 3))):
             for key in keys:
@@ -292,8 +282,8 @@ def against_old(sides):
     """name -> per side (small keys, new perturbed, old (tau, h, d_small))."""
     out = {}
     for name, (T, D) in sides.items():
-        ct, cd = t_contraction(T), d_contraction(D)
-        rt, rd = t_perturbation(T), d_perturbation(D)
+        ct, cd = contraction(T), contraction(D)
+        rt, rd = T.perturbation, D.perturbation
         out[name] = {
             "t": (t_complex_keys(T.sp), ct.perturb(rt), old_perturbed(ct, rt)),
             "d": (d_complex_keys(D.sp, max_weight=2), cd.perturb(rd),

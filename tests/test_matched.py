@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from liepairs.contraction import (
-    d_contraction, d_perturbation, t_contraction, t_perturbation,
-)
+from liepairs.contraction import perturbed
 from liepairs.core import Vec, mi_unit, mi_upto, mi_zero
 from liepairs.dpoly import DPoly
 from liepairs.liepair import a_form_algebra, parse_pair_spec
 from liepairs.matched import MatchedD, MatchedT, b_action_images, is_matched
-from liepairs.transfer import d_transfer, t_transfer
+from liepairs.transfer import Transfer, small_sdeg
 from liepairs.tpoly import TPoly
 from liepairs.weyl import Weyl
+
+from helpers import plain
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 MATCHED = ["heisenberg_x", "sl2_borel", "abelian"]
@@ -34,9 +34,9 @@ def pipelines():
         pair, sp, conn = load(name)
         W = Weyl(sp, conn, trunc=N)
         T, D = TPoly(W), DPoly(W)
-        pt = t_contraction(T).perturb(t_perturbation(T))
-        pd = d_contraction(D).perturb(d_perturbation(D))
-        out[name] = (sp, T, D, pt, t_transfer(T, pt), d_transfer(D, pd))
+        pt = perturbed(T)
+        out[name] = (sp, T, D, pt, Transfer(pt, T.schouten),
+                     Transfer(perturbed(D), D.gerst))
     return out
 
 
@@ -151,7 +151,7 @@ def test_transferred_equals_direct_t(pipelines):
         mt = MatchedT(sp)
         keys = t_keys(sp, sp.r)
         for k1 in keys:
-            s1 = tr.small_sdeg(k1)
+            s1 = small_sdeg(k1)
             sgn = -1 if s1 % 2 else 1
             for k2 in keys:
                 direct = mt.bracket(Vec({k1: 1}), Vec({k2: 1}))
@@ -164,7 +164,7 @@ def test_transferred_equals_direct_d(pipelines):
         md = MatchedD(D.P)
         keys = d_keys(sp, sp.r)
         for k1 in keys:
-            sgn = -1 if td.small_sdeg(k1) % 2 else 1
+            sgn = -1 if small_sdeg(k1) % 2 else 1
             for k2 in keys:
                 direct = md.gerst(Vec({k1: 1}), Vec({k2: 1}))
                 assert sgn * td.lam_keys((k1, k2)) == direct, \
@@ -209,13 +209,13 @@ def test_extended_inclusion_preserves_bracket(pipelines):
         keys1 = [(fw, (b,)) for fw in fws for b in range(sp.r)]
         for k1 in keys1:
             for k2 in keys1:
-                lhs = T.schouten(pt.tau(Vec({k1: 1})),
-                                 pt.tau(Vec({k2: 1})))
+                lhs = plain(T, pt.tau(Vec({k1: 1})),
+                            pt.tau(Vec({k2: 1})))
                 rhs = pt.tau(mt.bracket(Vec({k1: 1}), Vec({k2: 1})))
                 assert lhs == rhs, (name, k1, k2)
             for fw2 in fws:
                 k2 = (fw2, ())
-                lhs = T.schouten(pt.tau(Vec({k1: 1})),
-                                 pt.tau(Vec({k2: 1})))
+                lhs = plain(T, pt.tau(Vec({k1: 1})),
+                            pt.tau(Vec({k2: 1})))
                 rhs = pt.tau(mt.bracket(Vec({k1: 1}), Vec({k2: 1})))
                 assert lhs == rhs, (name, k1, fw2)

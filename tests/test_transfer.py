@@ -5,18 +5,16 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.contraction import (
-    d_contraction, d_perturbation, t_contraction, t_perturbation,
-)
+from liepairs.contraction import Contraction, perturbed
 from liepairs.cohomology import t_complex_keys
 from liepairs.core import Vec, mi_upto
 from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
-from liepairs.transfer import (
-    Transfer, d_transfer, koszul_sign, sorting_sign, t_transfer,
-)
+from liepairs.transfer import Transfer, koszul_sign, small_sdeg
 from liepairs.tpoly import TPoly
 from liepairs.dpoly import DPoly
 from liepairs.weyl import Weyl
+
+from helpers import plain
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
@@ -36,9 +34,8 @@ def transfers():
         pair, sp, conn = load(name)
         W = Weyl(sp, conn, trunc=N)
         T, D = TPoly(W), DPoly(W)
-        pt = t_contraction(T).perturb(t_perturbation(T))
-        pd = d_contraction(D).perturb(d_perturbation(D))
-        out[name] = (T, D, t_transfer(T, pt), d_transfer(D, pd))
+        out[name] = (T, D, Transfer(perturbed(T), T.schouten),
+                     Transfer(perturbed(D), D.gerst))
     return out
 
 
@@ -62,10 +59,10 @@ def d_keys(D, max_cls=1, with_pairs=True):
 
 
 def test_koszul_sign():
-    assert koszul_sign([1, 1], (0,), (1,)) == 1
-    assert koszul_sign([1, 1], (1,), (0,)) == -1
-    assert koszul_sign([1, 2], (1,), (0,)) == 1
-    assert koszul_sign([1, 1, 1], (0, 2), (1,)) == -1
+    assert koszul_sign([1, 1], (0, 1)) == 1
+    assert koszul_sign([1, 1], (1, 0)) == -1
+    assert koszul_sign([1, 2], (1, 0)) == 1
+    assert koszul_sign([1, 1, 1], (0, 2, 1)) == -1
 
 
 def test_unary_bracket_is_small_differential(transfers):
@@ -81,16 +78,16 @@ def test_lam2_graded_symmetric(transfers):
         keys = t_keys(T)
         for k1 in keys:
             for k2 in keys:
-                t1 = tr.small_sdeg(k1) + 1
-                t2 = tr.small_sdeg(k2) + 1
+                t1 = small_sdeg(k1) + 1
+                t2 = small_sdeg(k2) + 1
                 s = -1 if (t1 * t2) % 2 else 1
                 diff = tr.lam_keys((k1, k2)) - s * tr.lam_keys((k2, k1))
                 assert diff.is_zero(), (name, k1, k2)
         dkeys = d_keys(D)[::2]
         for k1 in dkeys:
             for k2 in dkeys:
-                t1 = td.small_sdeg(k1) + 1
-                t2 = td.small_sdeg(k2) + 1
+                t1 = small_sdeg(k1) + 1
+                t2 = small_sdeg(k2) + 1
                 s = -1 if (t1 * t2) % 2 else 1
                 diff = td.lam_keys((k1, k2)) - s * td.lam_keys((k2, k1))
                 assert diff.is_zero(), (name, k1, k2)
@@ -155,8 +152,7 @@ def test_corrupted_bracket_fails_jacobi(transfers):
     # bracket corrupts the transferred brackets, and the relation
     # checker reports a witness
     T, D, tr, td = transfers["sl2_h"]
-    bad = Transfer(tr.sigma, tr.tau, tr.h, tr.d_small, T.schouten,
-                   tr.small_sdeg)
+    bad = Transfer(perturbed(T), lambda u, v: plain(T, u, v))
     keys = t_keys(T)
     witness = None
     for tup in itertools.product(keys, repeat=3):
@@ -185,7 +181,7 @@ def test_zero_argument_makes_no_bracket_call():
         calls.append((u, v))
         return Vec({"out": 1})
 
-    tr = Transfer(None, None, None, None, bracket, None)
+    tr = Transfer(Contraction(None, None, None, None, None, 0), bracket)
     u = Vec({1: 2, 2: 3})
     for a, b in ((Vec(), u), (u, Vec()), (Vec(), Vec())):
         assert tr._bracket(a, b) == Vec()
@@ -195,11 +191,12 @@ def test_zero_argument_makes_no_bracket_call():
 
 
 def test_sorting_sign():
-    assert sorting_sign((1, 2), [1, 1]) == 1
-    assert sorting_sign((2, 1), [1, 1]) == -1
-    assert sorting_sign((2, 1), [1, 2]) == 1
-    assert sorting_sign((3, 2, 1), [1, 1, 1]) == -1
-    assert sorting_sign((1, 1), [1, 1]) == 1
+    # the Koszul sign of the stable permutation that sorts the keys
+    for keys, degs, sign in (
+            ((1, 2), [1, 1], 1), ((2, 1), [1, 1], -1), ((2, 1), [1, 2], 1),
+            ((3, 2, 1), [1, 1, 1], -1), ((1, 1), [1, 1], 1)):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        assert koszul_sign(degs, order) == sign, keys
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +235,14 @@ class PlainTree:
     def B(self, keys):
         if keys not in self.b:
             n = len(keys)
-            degs = [self.tr.small_sdeg(k) + 1 for k in keys]
+            degs = [small_sdeg(k) + 1 for k in keys]
             out = Vec()
             for ssize in range(0, n - 1):
                 for s_rest in itertools.combinations(range(1, n), ssize):
                     left = (0,) + s_rest
                     right = tuple(i for i in range(1, n)
                                   if i not in s_rest)
-                    eps = koszul_sign(degs, left, right)
+                    eps = koszul_sign(degs, left + right)
                     u = self.F(tuple(keys[i] for i in left))
                     v = self.F(tuple(keys[i] for i in right))
                     out += eps * self.bracket(u, v)
@@ -262,7 +259,7 @@ class PlainTree:
 
 
 @pytest.fixture(scope="module")
-def plain(transfers):
+def trees(transfers):
     return {name: (PlainTree(tr), PlainTree(td))
             for name, (T, D, tr, td) in transfers.items()}
 
@@ -274,9 +271,9 @@ def d_slot_keys(D):
             for J in mi_upto(D.r, 1) if sum(J) == 1]
 
 
-def test_symmetric_cache_matches_tree_formula(transfers, plain):
+def test_symmetric_cache_matches_tree_formula(transfers, trees):
     for name, (T, D, tr, td) in transfers.items():
-        ptr, ptd = plain[name]
+        ptr, ptd = trees[name]
         for side, keys, arity, cached, oracle in (
                 ("t", t_complex_keys(T.sp), 4, tr, ptr),
                 ("d", d_slot_keys(D), 3, td, ptd)):
@@ -289,10 +286,10 @@ def test_symmetric_cache_matches_tree_formula(transfers, plain):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_symmetric_cache_matches_tree_formula_on_samples(
-        transfers, plain, data):
+        transfers, trees, data):
     name = data.draw(st.sampled_from(FIXTURES))
     T, D, tr, td = transfers[name]
-    ptr, ptd = plain[name]
+    ptr, ptd = trees[name]
     side = data.draw(st.sampled_from(["t", "d"]))
     if side == "t":
         keys, n, cached, oracle = t_complex_keys(T.sp), 4, tr, ptr

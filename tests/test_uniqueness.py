@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.contraction import d_contraction, d_perturbation
+from liepairs.contraction import perturbed
 from liepairs.core import Vec, mi_upto, mi_weight, mi_zero
 from liepairs.liepair import (
     Connection, Splitting, a_form_algebra, default_connection,
@@ -54,8 +54,7 @@ def setups():
         sp2, conn2 = second_choice(name, pair, sp, conn)
         uni = Uniqueness(DPoly(Weyl(sp, conn, N)),
                          DPoly(Weyl(sp2, conn2, N)))
-        pd1 = d_contraction(uni.D1).perturb(d_perturbation(uni.D1))
-        pd2 = d_contraction(uni.D2).perturb(d_perturbation(uni.D2))
+        pd1, pd2 = perturbed(uni.D1), perturbed(uni.D2)
         out[name] = (sp, sp2, uni, pd1, pd2)
     return out
 

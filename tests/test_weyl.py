@@ -115,7 +115,9 @@ def test_contraction_identities_exhaustive(machines):
                 rhs = W.h(W.delta(x)) + W.delta(W.h(x))
                 assert lhs == rhs, (name, w, "homotopy identity")
         # sigma tau = id and h tau = 0 on the A-form part
-        for w in W.alg.words(max_weight=0, colour_caps=(W.m, 0)):
+        for w in W.alg.words(max_weight=0):
+            if w[1]:
+                continue
             x = Vec({w: 1})
             assert W.sigma(W.tau(x)) == x, (name, w)
             assert W.h(W.tau(x)).is_zero(), (name, w)

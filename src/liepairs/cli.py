@@ -53,10 +53,12 @@ class Runner:
         self.checks = []
         self.artifacts = {}
 
-    def add(self, name, ok, witness=None, count=0, exhaustive=True,
-            seed=None, stride=None):
+    def add(self, name, ok, witness=None, count=0, seed=None, stride=None):
+        """A check is exhaustive exactly when it has neither a sampling
+        seed nor a stride."""
         entry = {"name": name, "status": "pass" if ok else "fail",
-                 "count": count, "exhaustive": exhaustive}
+                 "count": count,
+                 "exhaustive": seed is None and stride is None}
         if seed is not None:
             entry["seed"] = seed
         if stride is not None:
@@ -65,12 +67,8 @@ class Runner:
             entry["witness"] = witness
         self.checks.append(entry)
 
-    def all_zero(self, name, pairs, exhaustive=True, seed=None,
-                 stride=None):
-        """pairs: iterable of (label, defect Vec); pass iff all zero.
-        A check that takes every stride-th input is not exhaustive."""
-        if stride is not None:
-            exhaustive = False
+    def all_zero(self, name, pairs, seed=None, stride=None):
+        """pairs: iterable of (label, defect Vec); pass iff all zero."""
         count = 0
         for label, defect in pairs:
             count += 1
@@ -78,11 +76,9 @@ class Runner:
                 self.add(name, False,
                          witness={"input": repr(label),
                                   "defect": vec_json(defect)},
-                         count=count, exhaustive=exhaustive, seed=seed,
-                         stride=stride)
+                         count=count, seed=seed, stride=stride)
                 return False
-        self.add(name, True, count=count, exhaustive=exhaustive,
-                 seed=seed, stride=stride)
+        self.add(name, True, count=count, seed=seed, stride=stride)
         return True
 
     def ok(self):
@@ -234,7 +230,7 @@ def run_transfer_t(run, p, arity, seed):
                   for _ in range(40)]
         run.all_zero("transfer-t:jacobi-arity-%d" % n,
                      ((tup, tr.jacobi_defect(tup)) for tup in sample),
-                     exhaustive=False, seed=seed)
+                     seed=seed)
     table = {}
     for k1 in keys:
         for k2 in keys:
@@ -255,7 +251,7 @@ def run_transfer_d(run, p, arity, seed):
                   for _ in range(20)]
         run.all_zero("transfer-d:jacobi-arity-%d" % n,
                      ((tup, td.jacobi_defect(tup)) for tup in sample),
-                     exhaustive=False, seed=seed)
+                     seed=seed)
 
 
 def run_matched(run, p, seed):
@@ -289,7 +285,7 @@ def run_matched(run, p, seed):
               for _ in range(40)]
     run.all_zero("matched:ternary-bracket-vanishes",
                  ((tup, tr.lam_keys(tup)) for tup in sample),
-                 exhaustive=False, seed=seed)
+                 seed=seed)
     fa = a_form_algebra(sp.pair)
     fws = list(fa.words(max_weight=0))
     defects = []

@@ -65,10 +65,8 @@ class DPoly:
             low = mi_sub(w2[-1], Ptup)
             if low is None:
                 continue
-            c = falling(w2[-1], Ptup)
-            if c == 0:
-                continue
-            out.append((w2[:-1] + (low,), mi_add(rest, K), cc * c))
+            out.append((w2[:-1] + (low,), mi_add(rest, K),
+                        cc * falling(w2[-1], Ptup)))
         return out
 
     # -- word-wise operators from the scalar resolution ---------------------------

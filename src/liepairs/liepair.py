@@ -189,10 +189,12 @@ class Splitting:
             return dict(self.struct.get((u, v), {}))
         return {w: -c for w, c in self.struct.get((v, u), {}).items()}
 
-    def bott(self, s, k):
-        """Canonical flat A-action on B: q[a_s, j(d_k)], as {B-index: coef}."""
-        br = self.pair.bracket(self.adapted[s], self.adapted[self.m + k])
-        return {t: c for t, c in enumerate(self.pair.q_coords(br)) if c != 0}
+    def bott(self, u, k):
+        """q[E_u, j(d_k)] as {B-index: coef}, the B-part of the adapted
+        structure constants; for u < m, the canonical flat A-action."""
+        return {w - self.m: c
+                for w, c in self.struct_const(u, self.m + k).items()
+                if w >= self.m}
 
     def q_of_adapted(self, u):
         """q(E_u) in the canonical B-frame: zero on A, d_{u-m} on the rest."""
@@ -252,15 +254,10 @@ def default_connection(splitting):
     sp = splitting
     d, m, r = sp.pair.dim, sp.m, sp.r
     gamma = [[[Fraction(0)] * r for _ in range(r)] for _ in range(d)]
-    for s in range(m):
+    for u in range(d):
         for b in range(r):
-            for k, c in sp.bott(s, b).items():
-                gamma[s][b][k] = c
-    for kk in range(r):
-        for b in range(r):
-            br = sp.pair.bracket(sp.adapted[m + kk], sp.adapted[m + b])
-            for k, c in enumerate(sp.pair.q_coords(br)):
-                gamma[m + kk][b][k] = Fraction(c, 2)
+            for k, c in sp.bott(u, b).items():
+                gamma[u][b][k] = c if u < m else Fraction(c, 2)
     return Connection(sp, gamma)
 
 

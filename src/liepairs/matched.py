@@ -17,6 +17,7 @@ import itertools
 from .core import Derivation, Vec, sort_sign
 from .dpoly import multi_splits
 from .liepair import a_form_algebra
+from .transfer import small_sdeg
 
 
 def is_matched(splitting):
@@ -160,10 +161,6 @@ class MatchedD:
                 out = self._acts[k](out)
         return out
 
-    def deg(self, key):
-        fw, cls = key
-        return len(fw[0]) + len(cls) - 1
-
     def star(self, x, y):
         out = Vec()
         for (fw1, cls1), c1 in x.items():
@@ -202,9 +199,9 @@ class MatchedD:
     def gerst(self, x, y):
         out = self.star(x, y)
         for k1, c1 in x.items():
-            n1 = self.deg(k1)
+            n1 = small_sdeg(k1)
             for k2, c2 in y.items():
-                n2 = self.deg(k2)
+                n2 = small_sdeg(k2)
                 s = -1 if (n1 * n2) % 2 else 1
                 out -= s * self.star(Vec({k2: c2}), Vec({k1: c1}))
         return out

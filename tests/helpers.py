@@ -1,17 +1,53 @@
-"""Operators that only the tests use.  Each states something about the
-pipeline's objects from outside them, so it lives beside the tests."""
+"""What the test modules share: the shipped pairs, a new cli.Pipeline
+per call, the polydifferential key window, and operators that only the
+tests use.  Each operator states something about the pipeline's objects
+from outside them, so it lives beside the tests."""
 
 import contextlib
 from fractions import Fraction
 import io
+import itertools
+import json
+import os
 from typing import NamedTuple
 
-from liepairs.cli import main
+from liepairs.cli import Pipeline, main
 from liepairs.core import (
     EVEN, Vec, falling, linear, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
 )
-from liepairs.liepair import ce_differential
+from liepairs.liepair import a_form_algebra, ce_differential, parse_pair_spec
 from liepairs.tpoly import TPoly
+
+PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
+# the shipped dim-3 pairs, and those whose complement is bracket-closed
+FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
+            "abelian"]
+MATCHED = ["heisenberg_x", "sl2_borel", "abelian"]
+N = 5
+
+
+def load(name):
+    """(pair, splitting, connection) of the shipped pair `name`."""
+    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
+        return parse_pair_spec(json.load(f))
+
+
+def pipeline(name, trunc=N):
+    """A new cli.Pipeline of the shipped pair `name` under its own
+    choice; nothing is shared with an earlier call."""
+    pair, sp, conn = load(name)
+    return Pipeline(sp, conn, trunc)
+
+
+def d_small_keys(sp, max_cls=2, with_pairs=True):
+    """Polydifferential small keys, A-form word by A-form word: every
+    one-slot class of weight at most max_cls, then (with_pairs) every
+    two-slot class of weight at most one in each slot."""
+    clsets = [(J,) for J in mi_upto(sp.r, max_cls)]
+    if with_pairs:
+        clsets += list(itertools.product(list(mi_upto(sp.r, 1)), repeat=2))
+    return [(fw, cls) for fw in a_form_algebra(sp.pair).words(max_weight=0)
+            for cls in clsets]
 
 
 def mi_le(J, K):

@@ -32,81 +32,39 @@ comparison is exact equality of Fraction coefficients.
 """
 
 import itertools
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
-from liepairs.cohomology import compare_on_cohomology, t_cohomology, t_cup
-from liepairs.contraction import contraction, perturbed
+from liepairs.cli import Pipeline, second_choice
+from liepairs.cohomology import (
+    compare_on_cohomology, t_cohomology, t_complex_keys, t_cup,
+)
+from liepairs.contraction import contraction
 from liepairs.core import Vec, mi_unit, mi_upto, mi_weight, mi_zero
-from liepairs.dpoly import DPoly
 from liepairs.liepair import (
     Connection, Splitting, a_form_algebra, d_a_bott, default_connection,
-    parse_pair_spec,
 )
-from liepairs.matched import MatchedD, MatchedT, is_matched
+from liepairs.matched import MatchedD, MatchedT
 from liepairs.pbw import d_a_u
-from liepairs.tpoly import TPoly
 from liepairs.transfer import Transfer, small_sdeg
 from liepairs.uniqueness import Uniqueness
 from liepairs.weyl import Weyl
 
-from helpers import defect_side_hh, defect_side_ht, mult_element, plain
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-MATCHED = ["heisenberg_x", "sl2_borel", "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import (
+    FIXTURES, MATCHED, N, d_small_keys, defect_side_hh, defect_side_ht,
+    load, mult_element, pipeline, plain,
+)
 
 
 @pytest.fixture(scope="module")
 def pipelines():
     out = {}
     for name in FIXTURES:
-        pair, sp, conn = load(name)
-        W = Weyl(sp, conn, trunc=N)
-        T, D = TPoly(W), DPoly(W)
-        pt, pd = perturbed(T), perturbed(D)
-        out[name] = (pair, sp, conn, W, T, D, pt, pd,
-                     Transfer(pt, T.schouten), Transfer(pd, D.gerst))
+        p = pipeline(name)
+        out[name] = (p.sp.pair, p.sp, p.conn, p.W, p.T, p.D, p.pt, p.pd,
+                     p.tr, p.td)
     return out
-
-
-def t_small_keys(sp):
-    fa = a_form_algebra(sp.pair)
-    out = []
-    for fw in fa.words(max_weight=0):
-        for q in range(sp.r + 1):
-            for xs in itertools.combinations(range(sp.r), q):
-                out.append((fw, xs))
-    return out
-
-
-def d_small_keys(sp, max_cls=2, with_pairs=True):
-    fa = a_form_algebra(sp.pair)
-    clsets = [(J,) for J in mi_upto(sp.r, max_cls)]
-    if with_pairs:
-        clsets += [t for t in itertools.product(list(mi_upto(sp.r, 1)),
-                                                repeat=2)]
-    return [(fw, cls) for fw in fa.words(max_weight=0) for cls in clsets]
-
-
-def perturbed_connection(sp, conn):
-    """A second torsion-free extension of the canonical flat action on
-    the same complement: bump one complement-direction coefficient.
-    The bump sits on a diagonal pair, so it never enters the torsion,
-    and it leaves the rows along the subalgebra untouched."""
-    gamma = [[list(row) for row in plane] for plane in conn.gamma]
-    gamma[sp.m + 0][0][0] += 1
-    return Connection(sp, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +173,7 @@ def test_acc3_perturbed_identities(pipelines):
     # exactly computed weight window N-3.
     for name, (pair, sp, conn, W, T, D, pt, pd, tr, td) in \
             pipelines.items():
-        for key in t_small_keys(sp):
+        for key in t_complex_keys(sp):
             x = Vec({key: 1})
             assert pt.defect_projection(x).is_zero(), (name, key)
             assert defect_side_ht(pt, x).is_zero(), (name, key)
@@ -244,7 +202,7 @@ def test_acc3_transferred_differentials_are_flat_ce(pipelines):
     # exact operator tables on the whole small bases
     for name, (pair, sp, conn, W, T, D, pt, pd, tr, td) in \
             pipelines.items():
-        for key in t_small_keys(sp):
+        for key in t_complex_keys(sp):
             x = Vec({key: 1})
             assert pt.d_small(x) == d_a_bott(sp, x), (name, key)
         for key in d_small_keys(sp):
@@ -263,7 +221,7 @@ def test_acc4_jacobi_t_up_to_arity_4(pipelines):
     # differential
     for name, (pair, sp, conn, W, T, D, pt, pd, tr, td) in \
             pipelines.items():
-        keys = t_small_keys(sp)
+        keys = t_complex_keys(sp)
         for key in keys:
             assert tr.lam_keys((key,)) == d_a_bott(sp, Vec({key: 1})), \
                 (name, key)
@@ -334,9 +292,9 @@ def test_acc5_matched_tables(pipelines):
         pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines[name]
         mt = MatchedT(sp)
         md = MatchedD(D.P)
-        for k1 in t_small_keys(sp):
+        for k1 in t_complex_keys(sp):
             sgn = -1 if small_sdeg(k1) % 2 else 1
-            for k2 in t_small_keys(sp):
+            for k2 in t_complex_keys(sp):
                 direct = mt.bracket(Vec({k1: 1}), Vec({k2: 1}))
                 assert sgn * tr.lam_keys((k1, k2)) == direct, \
                     (name, k1, k2)
@@ -351,7 +309,7 @@ def test_acc5_matched_tables(pipelines):
 def test_acc5_higher_brackets_vanish(pipelines):
     for name in MATCHED:
         pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines[name]
-        keys = t_small_keys(sp)
+        keys = t_complex_keys(sp)
         for n in (3, 4):
             for tup in itertools.product(keys, repeat=n):
                 assert tr.lam_keys(tup).is_zero(), (name, tup)
@@ -372,23 +330,22 @@ def test_acc6_composition_is_identity(pipelines):
     # Borel pair
     choices = []
     for name in FIXTURES:
-        pair, sp, conn = load(name)
-        choices.append((name, sp, conn, sp, perturbed_connection(sp, conn)))
-    pair, sp, conn = load("sl2_borel")
+        pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines[name]
+        choices.append((name, D, pd, sp, second_choice(sp, conn)))
+    pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines["sl2_borel"]
     sp2 = Splitting(pair, [[1], [0], [1]])
-    choices.append(("sl2_borel/complement", sp, conn, sp2,
+    choices.append(("sl2_borel/complement", D, pd, sp2,
                     default_connection(sp2)))
-    for name, sp, conn, sp2, conn2 in choices:
+    for name, D, pd, sp2, conn2 in choices:
         ok, witness = conn2.is_torsion_free()
         assert ok, (name, witness)
         ok, witness = conn2.extends_bott()
         assert ok, (name, witness)
-        uni = Uniqueness(DPoly(Weyl(sp, conn, N)),
-                         DPoly(Weyl(sp2, conn2, N)))
-        pd1, pd2 = perturbed(uni.D1), perturbed(uni.D2)
-        for key in d_small_keys(sp):
+        p2 = Pipeline(sp2, conn2, N)
+        uni = Uniqueness(D, p2.D)
+        for key in d_small_keys(D.sp):
             x = Vec({key: 1})
-            got = uni.composition(pd1, pd2, x)
+            got = uni.composition(pd, p2.pd, x)
             assert (got - uni.small_relabel(x)).is_zero(), (name, key)
 
 
@@ -399,15 +356,12 @@ def test_acc6_induced_brackets_coincide(pipelines):
     # depend on the connection)
     for name in FIXTURES:
         pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines[name]
-        conn2 = perturbed_connection(sp, conn)
-        T2 = TPoly(Weyl(sp, conn2, trunc=N))
-        pt2 = perturbed(T2)
-        tr2 = Transfer(pt2, T2.schouten)
+        p2 = Pipeline(sp, second_choice(sp, conn), N)
         coh = t_cohomology(sp)
         lam_a = lambda x, y: tr.lam((x, y))
-        lam_b = lambda x, y: tr2.lam((x, y))
+        lam_b = lambda x, y: p2.tr.lam((x, y))
         cup_a = t_cup(T, pt)
-        cup_b = t_cup(T2, pt2)
+        cup_b = t_cup(p2.T, p2.pt)
         ident = lambda x: x
         for n1 in coh.degrees:
             for n2 in coh.degrees:
@@ -431,7 +385,7 @@ def test_acc7_weight_zero_projection_identities(pipelines):
     # element is already the flat CE differential, on both sides
     for name, (pair, sp, conn, W, T, D, pt, pd, tr, td) in \
             pipelines.items():
-        for key in t_small_keys(sp):
+        for key in t_complex_keys(sp):
             x = Vec({key: 1})
             assert T.project_small(T.include_small(x)) == x, (name, key)
             got = T.project_small(T.q_op(T.include_small(x)))
@@ -475,14 +429,12 @@ def test_acc7_double_complex_anticommutation(pipelines):
             assert acom.is_zero(), (name, w)
 
 
-def test_acc7_conjugated_slot_leading_term():
+def test_acc7_conjugated_slot_leading_term(pipelines):
     # the dual of the normal-form transition conjugates each slot
     # operator to itself plus strictly weight-raising corrections
     for name in ("heisenberg_center", "sl2_borel"):
-        pair, sp, conn = load(name)
-        uni = Uniqueness(
-            DPoly(Weyl(sp, conn, N)),
-            DPoly(Weyl(sp, perturbed_connection(sp, conn), N)))
+        pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines[name]
+        uni = Uniqueness(D, Pipeline(sp, second_choice(sp, conn), N).D)
         for J in mi_upto(sp.r, 3):
             table = uni.conj_slot(J)
             lead = {(M, K): c for (M, K), c in table.items()
@@ -592,7 +544,7 @@ def test_acc8_sign_flipped_binary_bracket_detected(pipelines):
             return val
 
     bad = SignFlipped(pt, tr.bracket)
-    keys = t_small_keys(sp)
+    keys = t_complex_keys(sp)
     # the corruption really is a sign flip of part of the binary table
     flipped = [
         (k1, k2) for k1 in keys for k2 in keys
@@ -613,7 +565,7 @@ def test_acc8_suspension_sign_dropped_detected(pipelines):
     # the arity-3 identity fails with a witness
     pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines["sl2_h"]
     bad = Transfer(pt, lambda u, v: plain(T, u, v))
-    keys = t_small_keys(sp)
+    keys = t_complex_keys(sp)
     witness = None
     for tup in itertools.product(keys, repeat=3):
         if not bad.jacobi_defect(tup).is_zero():

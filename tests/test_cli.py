@@ -7,9 +7,8 @@ import pytest
 
 from liepairs.weyl import Weyl
 
-from helpers import run_cli
+from helpers import PAIRS_DIR, run_cli
 
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
 # a fresh interpreter that imports the sources under test
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [os.path.join(os.path.dirname(__file__), os.pardir, "src")]

@@ -1,7 +1,5 @@
 import itertools
-import json
 import math
-import os
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,42 +8,26 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from liepairs.cli import Pipeline, second_choice
 from liepairs.cohomology import (
     Cohomology, compare_on_cohomology, d_cohomology, d_complex_keys,
-    induced_table, t_cohomology, t_complex_keys, t_cup,
+    t_cohomology, t_complex_keys, t_cup,
 )
-from liepairs.contraction import perturbed
 from liepairs.core import Vec, mi_upto
-from liepairs.dpoly import DPoly
-from liepairs.liepair import (
-    Connection, a_form_algebra, d_a_bott, parse_pair_spec,
-)
-from liepairs.tpoly import TPoly
-from liepairs.transfer import Transfer
-from liepairs.weyl import Weyl
+from liepairs.liepair import a_form_algebra, d_a_bott
 
-from helpers import is_coboundary, oracle_rref
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import FIXTURES, N, is_coboundary, load, oracle_rref, pipeline
 
 
 @pytest.fixture(scope="module")
-def t_pipelines():
-    out = {}
-    for name in FIXTURES:
-        pair, sp, conn = load(name)
-        T = TPoly(Weyl(sp, conn, trunc=N))
-        pt = perturbed(T)
-        out[name] = (sp, T, pt, Transfer(pt, T.schouten), t_cohomology(sp))
-    return out
+def pipelines():
+    return {name: pipeline(name) for name in FIXTURES}
+
+
+@pytest.fixture(scope="module")
+def t_pipelines(pipelines):
+    return {name: (p.sp, p.T, p.pt, p.tr, t_cohomology(p.sp))
+            for name, p in pipelines.items()}
 
 
 def dense(row, ncols):
@@ -214,12 +196,10 @@ def test_jacobi_and_cup_laws_on_cohomology(t_pipelines):
                         (name, n1, i1, n2, i2, n3, i3)
 
 
-def test_d_side_window(t_pipelines):
+def test_d_side_window(pipelines):
     for name in ("heisenberg_center", "abelian"):
-        pair, sp, conn = load(name)
-        D = DPoly(Weyl(sp, conn, trunc=N))
-        pd = perturbed(D)
-        coh = d_cohomology(sp, pd.d_small, max_weight=2)
+        p = pipelines[name]
+        coh = d_cohomology(p.sp, p.pd.d_small, max_weight=2)
         dims = coh.dims()
         for n in coh.degrees:
             want = (len(coh.by_deg[n]) - rank_oracle(coh, n)
@@ -227,22 +207,17 @@ def test_d_side_window(t_pipelines):
             assert dims[n] == want, (name, n)
 
 
-def test_compare_two_connections_equal(t_pipelines):
+def test_compare_two_connections_equal(pipelines, t_pipelines):
     # two torsion-free extensions on the same pair induce the same
     # bracket and cup tables on cohomology, with identity transport
-    pair, sp, conn = load("heisenberg_center")
-    gamma = [[list(row) for row in bl] for bl in conn.gamma]
-    gamma[sp.m + 0][0][0] += 1
-    conn2 = Connection(sp, gamma)
-    T2 = TPoly(Weyl(sp, conn2, trunc=N))
-    pt2 = perturbed(T2)
-    tr2 = Transfer(pt2, T2.schouten)
-    sp1, T1, pt1, tr1, coh = t_pipelines["heisenberg_center"]
+    p = pipelines["heisenberg_center"]
+    p2 = Pipeline(p.sp, second_choice(p.sp, p.conn), N)
+    sp, T1, pt1, tr1, coh = t_pipelines["heisenberg_center"]
     coh2 = t_cohomology(sp)
     lam_a = lambda x, y: tr1.lam((x, y))
-    lam_b = lambda x, y: tr2.lam((x, y))
+    lam_b = lambda x, y: p2.tr.lam((x, y))
     cup_a = t_cup(T1, pt1)
-    cup_b = t_cup(T2, pt2)
+    cup_b = t_cup(p2.T, p2.pt)
     ident = lambda x: x
     for n1 in coh.degrees:
         for n2 in coh.degrees:
@@ -325,10 +300,8 @@ def projected(project, x, n):
 def d_windows():
     out = {}
     for name in ("heisenberg_x", "sl2_borel"):
-        pair, sp, conn = load(name)
-        D = DPoly(Weyl(sp, conn, trunc=4))
-        pd = perturbed(D)
-        out[name] = d_cohomology(sp, pd.d_small, max_weight=2)
+        p = pipeline(name, 4)
+        out[name] = d_cohomology(p.sp, p.pd.d_small, max_weight=2)
     return out
 
 

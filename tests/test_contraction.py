@@ -1,6 +1,3 @@
-import itertools
-import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -8,57 +5,22 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.cohomology import d_complex_keys, t_complex_keys
 from liepairs.contraction import Contraction, contraction, perturbed
-from liepairs.core import EVEN, Vec, mi_upto, mi_weight, mi_zero
-from liepairs.dpoly import DPoly
-from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
+from liepairs.core import EVEN, Vec, mi_weight, mi_zero
+from liepairs.liepair import d_a_bott
 from liepairs.pbw import d_a_u
-from liepairs.tpoly import TPoly
 from liepairs.weyl import Weyl
 
-from helpers import defect_side_ht
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import FIXTURES, N, d_small_keys, defect_side_ht, pipeline
 
 
 @pytest.fixture(scope="module")
-def sides():
-    out = {}
-    for name in FIXTURES:
-        pair, sp, conn = load(name)
-        W = Weyl(sp, conn, trunc=N)
-        out[name] = (TPoly(W), DPoly(W))
-    return out
+def pipelines():
+    return {name: pipeline(name) for name in FIXTURES}
 
 
-def t_small_keys(T, wmax=None):
-    fa = a_form_algebra(T.sp.pair)
-    out = []
-    for fw in fa.words(max_weight=0):
-        for q in range(T.r + 1):
-            for xs in itertools.combinations(range(T.r), q):
-                out.append((fw, xs))
-    return out
-
-
-def d_small_keys(D, max_cls=2, max_slots=2):
-    fa = a_form_algebra(D.sp.pair)
-    out = []
-    clsets = [(J,) for J in mi_upto(D.r, max_cls)]
-    if max_slots >= 2:
-        clsets += [t for t in itertools.product(list(mi_upto(D.r, 1)),
-                                                repeat=2)]
-    for fw in fa.words(max_weight=0):
-        for cls in clsets:
-            out.append((fw, cls))
-    return out
+@pytest.fixture(scope="module")
+def sides(pipelines):
+    return {name: (p.T, p.D) for name, p in pipelines.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +31,11 @@ def test_unperturbed_identities(sides):
     for name, (T, D) in sides.items():
         ct = contraction(T)
         cd = contraction(D)
-        for key in t_small_keys(T):
+        for key in t_complex_keys(T.sp):
             x = Vec({key: 1})
             assert ct.defect_projection(x).is_zero(), (name, key)
             assert defect_side_ht(ct, x).is_zero(), (name, key)
-        for key in d_small_keys(D):
+        for key in d_small_keys(D.sp):
             x = Vec({key: 1})
             assert cd.defect_projection(x).is_zero(), (name, key)
             assert defect_side_ht(cd, x).is_zero(), (name, key)
@@ -121,33 +83,30 @@ def test_rho_table_lowering_the_weight_raises(sides):
 
 
 @pytest.fixture(scope="module")
-def perturbed_sides(sides):
-    out = {}
-    for name, (T, D) in sides.items():
-        out[name] = (T, D, perturbed(T), perturbed(D))
-    return out
+def perturbed_sides(pipelines):
+    return {name: (p.T, p.D, p.pt, p.pd) for name, p in pipelines.items()}
 
 
 def test_perturbed_projection_identity(perturbed_sides):
     for name, (T, D, pt, pd) in perturbed_sides.items():
-        for key in t_small_keys(T):
+        for key in t_complex_keys(T.sp):
             assert pt.defect_projection(Vec({key: 1})).is_zero(), \
                 (name, key)
-        for key in d_small_keys(D):
+        for key in d_small_keys(D.sp):
             assert pd.defect_projection(Vec({key: 1})).is_zero(), \
                 (name, key)
 
 
 def test_transferred_differential_t(perturbed_sides):
     for name, (T, D, pt, pd) in perturbed_sides.items():
-        for key in t_small_keys(T):
+        for key in t_complex_keys(T.sp):
             x = Vec({key: 1})
             assert pt.d_small(x) == d_a_bott(T.sp, x), (name, key)
 
 
 def test_transferred_differential_d(perturbed_sides):
     for name, (T, D, pt, pd) in perturbed_sides.items():
-        for key in d_small_keys(D):
+        for key in d_small_keys(D.sp):
             x = Vec({key: 1})
             exp = d_a_u(D.P, x) + D.d_h(x)
             assert pd.d_small(x) == exp, (name, key)
@@ -177,11 +136,11 @@ def test_perturbed_homotopy_identity_d(perturbed_sides):
 def test_perturbed_chain_maps(perturbed_sides):
     for name in ("sl2_h", "heisenberg_center"):
         T, D, pt, pd = perturbed_sides[name]
-        for key in t_small_keys(T):
+        for key in t_complex_keys(T.sp):
             x = Vec({key: 1})
             defect = pt.defect_chain_tau(x)
             assert T.restrict_weight(defect, N - 2).is_zero(), (name, key)
-        for key in d_small_keys(D, max_cls=1, max_slots=1):
+        for key in d_small_keys(D.sp, max_cls=1, with_pairs=False):
             x = Vec({key: 1})
             defect = pd.defect_chain_tau(x)
             assert D.restrict_weight(defect, N - 2).is_zero(), (name, key)
@@ -220,9 +179,8 @@ def lower_cap():
     """name -> (TPoly, DPoly) one weight below the cap of `sides`."""
     out = {}
     for name in FIXTURES:
-        pair, sp, conn = load(name)
-        W = Weyl(sp, conn, trunc=N - 1)
-        out[name] = (TPoly(W), DPoly(W))
+        p = pipeline(name, N - 1)
+        out[name] = (p.T, p.D)
     return out
 
 

@@ -1,5 +1,3 @@
-import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -9,33 +7,18 @@ from liepairs.cohomology import d_complex_keys
 from liepairs.core import (
     Vec, mi_add, mi_unit, mi_upto, mi_weight, mi_zero, tensor_product,
 )
-from liepairs.dpoly import DPoly, multi_splits
-from liepairs.liepair import parse_pair_spec
+from liepairs.dpoly import multi_splits
 from liepairs.pbw import d_a_u
-from liepairs.weyl import Weyl
 
 from helpers import (
-    dual_nabla_chi, evaluate, mult_element, nabla_flash, pbw, plain,
+    FIXTURES, N, dual_nabla_chi, evaluate, mult_element, nabla_flash, pbw,
+    pipeline, plain,
 )
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
 
 
 @pytest.fixture(scope="module")
 def machines():
-    out = {}
-    for name in FIXTURES:
-        pair, sp, conn = load(name)
-        out[name] = DPoly(Weyl(sp, conn, trunc=N))
-    return out
+    return {name: pipeline(name).D for name in FIXTURES}
 
 
 def sample_keys(D):
@@ -51,10 +34,6 @@ def sample_keys(D):
                 (mi_zero(r), e1), (e0, e1),
                 (mi_zero(r), mi_zero(r), e0)]
     return [(w, S) for w in words for S in slotsets]
-
-
-def restrict(D, x, wmax):
-    return D.restrict_weight(x, wmax)
 
 
 def slot_weight(key):
@@ -83,8 +62,8 @@ def test_q_squares_to_zero(machines):
                 continue
             x = Vec({key: 1})
             qq = D.q_op(D.q_op(x))
-            assert restrict(D, qq, N - 1 - slot_weight(key)).is_zero(), \
-                (name, key)
+            assert D.restrict_weight(
+                qq, N - 1 - slot_weight(key)).is_zero(), (name, key)
 
 
 def test_d_h_squares_to_zero(machines):
@@ -109,8 +88,8 @@ def test_q_anticommutes_with_d_h(machines):
                 continue
             x = Vec({key: 1})
             ac = D.q_op(D.d_h(x)) + D.d_h(D.q_op(x))
-            assert restrict(D, ac, N - 1 - slot_weight(key)).is_zero(), \
-                (name, key)
+            assert D.restrict_weight(
+                ac, N - 1 - slot_weight(key)).is_zero(), (name, key)
 
 
 def test_rho_annihilates_multiplication_element(machines):
@@ -290,7 +269,7 @@ def test_q_is_derivation_of_gerst(machines):
                 wmax = N - 1 - slot_weight(k1) - slot_weight(k2)
                 lhs = D.q_op(plain(D, x, y))
                 rhs = plain(D, D.q_op(x), y) + s * plain(D, x, D.q_op(y))
-                assert restrict(D, lhs - rhs, wmax).is_zero(), \
+                assert D.restrict_weight(lhs - rhs, wmax).is_zero(), \
                     (name, k1, k2)
 
 

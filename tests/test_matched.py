@@ -1,60 +1,26 @@
 import itertools
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
-from liepairs.contraction import perturbed
-from liepairs.core import Vec, mi_unit, mi_upto, mi_zero
-from liepairs.dpoly import DPoly
-from liepairs.liepair import a_form_algebra, parse_pair_spec
+from liepairs.cohomology import t_complex_keys
+from liepairs.core import Vec, mi_upto
+from liepairs.liepair import a_form_algebra
 from liepairs.matched import MatchedD, MatchedT, b_action_images, is_matched
-from liepairs.transfer import Transfer, small_sdeg
-from liepairs.tpoly import TPoly
-from liepairs.weyl import Weyl
+from liepairs.transfer import small_sdeg
 
-from helpers import plain
+from helpers import MATCHED, d_small_keys, load, pipeline, plain
 
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-MATCHED = ["heisenberg_x", "sl2_borel", "abelian"]
 NOT_MATCHED = ["heisenberg_center", "sl2_h"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
 
 
 @pytest.fixture(scope="module")
 def pipelines():
     out = {}
     for name in MATCHED:
-        pair, sp, conn = load(name)
-        W = Weyl(sp, conn, trunc=N)
-        T, D = TPoly(W), DPoly(W)
-        pt = perturbed(T)
-        out[name] = (sp, T, D, pt, Transfer(pt, T.schouten),
-                     Transfer(perturbed(D), D.gerst))
+        p = pipeline(name)
+        out[name] = (p.sp, p.T, p.D, p.pt, p.tr, p.td)
     return out
-
-
-def t_keys(sp, r):
-    fa = a_form_algebra(sp.pair)
-    out = []
-    for fw in fa.words(max_weight=0):
-        for q in range(r + 1):
-            for xs in itertools.combinations(range(r), q):
-                out.append((fw, xs))
-    return out
-
-
-def d_keys(sp, r, max_cls=2):
-    fa = a_form_algebra(sp.pair)
-    clsets = [(J,) for J in mi_upto(r, max_cls)]
-    clsets += [t for t in itertools.product(list(mi_upto(r, 1)), repeat=2)]
-    return [(fw, cls) for fw in fa.words(max_weight=0) for cls in clsets]
 
 
 def test_detection():
@@ -149,7 +115,7 @@ def test_enveloping_shuffle_product(pipelines):
 def test_transferred_equals_direct_t(pipelines):
     for name, (sp, T, D, pt, tr, td) in pipelines.items():
         mt = MatchedT(sp)
-        keys = t_keys(sp, sp.r)
+        keys = t_complex_keys(sp)
         for k1 in keys:
             s1 = small_sdeg(k1)
             sgn = -1 if s1 % 2 else 1
@@ -162,7 +128,7 @@ def test_transferred_equals_direct_t(pipelines):
 def test_transferred_equals_direct_d(pipelines):
     for name, (sp, T, D, pt, tr, td) in pipelines.items():
         md = MatchedD(D.P)
-        keys = d_keys(sp, sp.r)
+        keys = d_small_keys(sp)
         for k1 in keys:
             sgn = -1 if small_sdeg(k1) % 2 else 1
             for k2 in keys:
@@ -173,10 +139,10 @@ def test_transferred_equals_direct_d(pipelines):
 
 def test_higher_brackets_vanish(pipelines):
     for name, (sp, T, D, pt, tr, td) in pipelines.items():
-        keys = t_keys(sp, sp.r)
+        keys = t_complex_keys(sp)
         for tup in itertools.product(keys[::2], repeat=3):
             assert tr.lam_keys(tup).is_zero(), (name, tup)
-        dkeys = d_keys(sp, sp.r, max_cls=1)
+        dkeys = d_small_keys(sp, max_cls=1)
         for tup in itertools.product(dkeys[::4], repeat=3):
             assert td.lam_keys(tup).is_zero(), (name, tup)
 

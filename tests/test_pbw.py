@@ -1,46 +1,26 @@
-import itertools
-import json
-import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liepairs.cli import Pipeline
 from liepairs.core import (
     Vec, mat_inv, mi_unit, mi_upto, mi_weight, mi_zero, sym_comul,
 )
-from liepairs.liepair import Connection, parse_pair_spec
-from liepairs.pbw import Pbw, d_a_u, dual_map, transition
-from liepairs.weyl import Weyl
+from liepairs.liepair import Connection
+from liepairs.pbw import d_a_u, dual_map, transition
 
-from helpers import dual_nabla_chi, nabla_flash, pbw
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import FIXTURES, N, dual_nabla_chi, nabla_flash, pbw, pipeline
 
 
 @pytest.fixture(scope="module")
-def built():
-    out = {}
-    for name in FIXTURES:
-        pair, sp, conn = load(name)
-        out[name] = (sp, conn, Pbw(sp, conn, trunc=N))
-    return out
+def pipelines():
+    return {name: pipeline(name) for name in FIXTURES}
 
 
-def perturbed_connection(sp, conn, entries):
-    """Copy of conn with gamma[l][b][k] += v for (l, b, k, v) in entries."""
-    gamma = [[list(row) for row in plane] for plane in conn.gamma]
-    for l, b, k, v in entries:
-        gamma[l][b][k] += v
-    return Connection(sp, gamma)
+@pytest.fixture(scope="module")
+def built(pipelines):
+    return {name: (p.sp, p.conn, p.D.P) for name, p in pipelines.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +135,12 @@ def test_dual_vertical_field_leading_term(built):
                 assert got == sp.bott(s, jj), (name, s, jj)
 
 
-def test_q_equals_flat_covariant_differential(built):
+def test_q_equals_flat_covariant_differential(pipelines, built):
     # independent construction of the total differential: the dual of the
     # flat connection, turned into a covariant CE differential, must agree
     # with -delta + d + X on every generator
-    from liepairs.core import EVEN
     for name, (sp, conn, P) in built.items():
-        W = Weyl(sp, conn, trunc=N)
-        W.solve()
+        W = pipelines[name].W
         r, dim = sp.r, sp.pair.dim
         for k in range(r):
             gen = Vec({W.alg.even_word(mi_unit(r, k)): 1})
@@ -180,14 +158,14 @@ def test_q_equals_flat_covariant_differential(built):
 # transition between two choices
 
 
-def second_choice(name, sp, conn):
+def second_choice(sp, conn):
     """A different torsion-free extension (and the same splitting)."""
-    r, m = sp.r, sp.m
-    entries = [(m + 0, 0, 0, Fraction(1))]
-    if r > 1:
-        entries.append((m + 0, 1, 1, Fraction(1)))
-        entries.append((m + 1, 0, 1, Fraction(1)))
-    return perturbed_connection(sp, conn, entries)
+    gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    gamma[sp.m + 0][0][0] += 1
+    if sp.r > 1:
+        gamma[sp.m + 0][1][1] += 1
+        gamma[sp.m + 1][0][1] += 1
+    return Connection(sp, gamma)
 
 
 def test_transition_identity(built):
@@ -199,10 +177,10 @@ def test_transition_identity(built):
 
 def test_transition_two_connections(built):
     sp, conn, P = built["heisenberg_center"]
-    conn2 = second_choice("heisenberg_center", sp, conn)
+    conn2 = second_choice(sp, conn)
     assert conn2.is_torsion_free()[0]
     assert conn2.extends_bott()[0]
-    P2 = Pbw(sp, conn2, trunc=N)
+    P2 = Pipeline(sp, conn2, N).D.P
     psi = transition(P, P2)
     # filtered automorphism with identity leading term
     for J in mi_upto(sp.r, N):
@@ -226,7 +204,7 @@ def test_transition_two_connections(built):
 
 def test_dual_map_is_algebra_morphism(built):
     sp, conn, P = built["heisenberg_center"]
-    P2 = Pbw(sp, second_choice("heisenberg_center", sp, conn), trunc=N)
+    P2 = Pipeline(sp, second_choice(sp, conn), N).D.P
     dual = dual_map(transition(P, P2), sp.r, N)
     for K1 in mi_upto(sp.r, 2):
         for K2 in mi_upto(sp.r, 2):

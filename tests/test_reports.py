@@ -9,9 +9,7 @@ import os
 
 import pytest
 
-from helpers import run_cli
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
+from helpers import PAIRS_DIR, run_cli
 
 # sha256 of the report file at --trunc 4 --arity 2 --seed 0.  Re-recorded
 # when the six strided checks began to report `exhaustive: false` and

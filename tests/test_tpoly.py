@@ -1,35 +1,17 @@
-import json
-import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepairs.core import EVEN, Vec, mi_unit, mi_weight, mi_zero
-from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
-from liepairs.tpoly import TPoly
-from liepairs.weyl import Weyl
+from liepairs.liepair import a_form_algebra, d_a_bott
 
-from helpers import plain
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import FIXTURES, N, pipeline, plain
 
 
 @pytest.fixture(scope="module")
 def machines():
-    out = {}
-    for name in FIXTURES:
-        pair, sp, conn = load(name)
-        out[name] = TPoly(Weyl(sp, conn, trunc=N))
-    return out
+    return {name: pipeline(name).T for name in FIXTURES}
 
 
 def all_words(T, wmax=N):
@@ -249,8 +231,7 @@ def assert_same_schouten(T, u, v):
 def test_schouten_matches_per_term_oracle_exhaustive():
     # every pair of words at a cap of 2, where pairs of weight 4 and up
     # overflow
-    pair, sp, conn = load("sl2_h")
-    T = TPoly(Weyl(sp, conn, trunc=2))
+    T = pipeline("sl2_h", 2).T
     xs = [Vec({w: Fraction(-3, 2)}) for w in all_words(T, 2)]
     for u in xs:
         for v in xs:
@@ -308,9 +289,8 @@ def old_rho_images(T):
 
 
 def test_lifted_tables_match_first_construction(machines):
-    pair, sp, conn = load("sl3_borel")
     cases = list(machines.items()) + [("sl3_borel",
-                                       TPoly(Weyl(sp, conn, 3)))]
+                                       pipeline("sl3_borel", 3).T)]
     for name, T in cases:
         assert T._rho_images == old_rho_images(T), name
         for g, img in T._rho_images.items():

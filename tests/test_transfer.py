@@ -1,6 +1,4 @@
 import itertools
-import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,54 +6,19 @@ from hypothesis import given, settings, strategies as st
 from liepairs.contraction import Contraction, perturbed
 from liepairs.cohomology import t_complex_keys
 from liepairs.core import Vec, mi_upto
-from liepairs.liepair import a_form_algebra, d_a_bott, parse_pair_spec
+from liepairs.liepair import a_form_algebra, d_a_bott
 from liepairs.transfer import Transfer, koszul_sign, small_sdeg
-from liepairs.tpoly import TPoly
-from liepairs.dpoly import DPoly
-from liepairs.weyl import Weyl
 
-from helpers import plain
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import FIXTURES, d_small_keys, pipeline, plain
 
 
 @pytest.fixture(scope="module")
 def transfers():
     out = {}
     for name in FIXTURES:
-        pair, sp, conn = load(name)
-        W = Weyl(sp, conn, trunc=N)
-        T, D = TPoly(W), DPoly(W)
-        out[name] = (T, D, Transfer(perturbed(T), T.schouten),
-                     Transfer(perturbed(D), D.gerst))
+        p = pipeline(name)
+        out[name] = (p.T, p.D, p.tr, p.td)
     return out
-
-
-def t_keys(T):
-    fa = a_form_algebra(T.sp.pair)
-    out = []
-    for fw in fa.words(max_weight=0):
-        for q in range(T.r + 1):
-            for xs in itertools.combinations(range(T.r), q):
-                out.append((fw, xs))
-    return out
-
-
-def d_keys(D, max_cls=1, with_pairs=True):
-    fa = a_form_algebra(D.sp.pair)
-    clsets = [(J,) for J in mi_upto(D.r, max_cls)]
-    if with_pairs:
-        clsets += [t for t in itertools.product(list(mi_upto(D.r, 1)),
-                                                repeat=2)]
-    return [(fw, cls) for fw in fa.words(max_weight=0) for cls in clsets]
 
 
 def test_koszul_sign():
@@ -67,7 +30,7 @@ def test_koszul_sign():
 
 def test_unary_bracket_is_small_differential(transfers):
     for name, (T, D, tr, td) in transfers.items():
-        for key in t_keys(T):
+        for key in t_complex_keys(T.sp):
             x = Vec({key: 1})
             assert tr.lam_keys((key,)) == d_a_bott(T.sp, x), (name, key)
 
@@ -75,7 +38,7 @@ def test_unary_bracket_is_small_differential(transfers):
 def test_lam2_graded_symmetric(transfers):
     for name in ("sl2_h", "heisenberg_center"):
         T, D, tr, td = transfers[name]
-        keys = t_keys(T)
+        keys = t_complex_keys(T.sp)
         for k1 in keys:
             for k2 in keys:
                 t1 = small_sdeg(k1) + 1
@@ -83,7 +46,7 @@ def test_lam2_graded_symmetric(transfers):
                 s = -1 if (t1 * t2) % 2 else 1
                 diff = tr.lam_keys((k1, k2)) - s * tr.lam_keys((k2, k1))
                 assert diff.is_zero(), (name, k1, k2)
-        dkeys = d_keys(D)[::2]
+        dkeys = d_small_keys(D.sp, max_cls=1)[::2]
         for k1 in dkeys:
             for k2 in dkeys:
                 t1 = small_sdeg(k1) + 1
@@ -97,7 +60,7 @@ def test_generalized_jacobi_t(transfers):
     # all five pairs, arities 1-3 exhaustively on a sampled key set,
     # exact equality: weight-zero output of the transfer is untruncated
     for name, (T, D, tr, td) in transfers.items():
-        keys = t_keys(T)
+        keys = t_complex_keys(T.sp)
         for n in (1, 2, 3):
             for tup in itertools.product(keys[::2], repeat=n):
                 assert tr.jacobi_defect(tup).is_zero(), (name, tup)
@@ -106,14 +69,14 @@ def test_generalized_jacobi_t(transfers):
 def test_generalized_jacobi_t_arity4(transfers):
     for name in ("sl2_h", "sl2_borel"):
         T, D, tr, td = transfers[name]
-        keys = t_keys(T)
+        keys = t_complex_keys(T.sp)
         for tup in itertools.product(keys[::3], repeat=4):
             assert tr.jacobi_defect(tup).is_zero(), (name, tup)
 
 
 def test_generalized_jacobi_d(transfers):
     for name, (T, D, tr, td) in transfers.items():
-        keys = d_keys(D)
+        keys = d_small_keys(D.sp, max_cls=1)
         for n in (1, 2):
             for tup in itertools.product(keys[::3], repeat=n):
                 assert td.jacobi_defect(tup).is_zero(), (name, tup)
@@ -122,7 +85,7 @@ def test_generalized_jacobi_d(transfers):
 def test_generalized_jacobi_d_arity3(transfers):
     for name in ("sl2_h", "heisenberg_center"):
         T, D, tr, td = transfers[name]
-        keys = d_keys(D)
+        keys = d_small_keys(D.sp, max_cls=1)
         for tup in itertools.product(keys[::9], repeat=3):
             assert td.jacobi_defect(tup).is_zero(), (name, tup)
 
@@ -153,7 +116,7 @@ def test_corrupted_bracket_fails_jacobi(transfers):
     # checker reports a witness
     T, D, tr, td = transfers["sl2_h"]
     bad = Transfer(perturbed(T), lambda u, v: plain(T, u, v))
-    keys = t_keys(T)
+    keys = t_complex_keys(T.sp)
     witness = None
     for tup in itertools.product(keys, repeat=3):
         if not bad.jacobi_defect(tup).is_zero():
@@ -164,7 +127,7 @@ def test_corrupted_bracket_fails_jacobi(transfers):
 
 def test_lam_multilinear(transfers):
     T, D, tr, td = transfers["sl2_h"]
-    keys = t_keys(T)
+    keys = t_complex_keys(T.sp)
     x = Vec({keys[1]: 2, keys[3]: -3})
     y = Vec({keys[2]: 1})
     expect = (2 * tr.lam_keys((keys[1], keys[2]))
@@ -294,7 +257,7 @@ def test_symmetric_cache_matches_tree_formula_on_samples(
     if side == "t":
         keys, n, cached, oracle = t_complex_keys(T.sp), 4, tr, ptr
     else:
-        keys, n, cached, oracle = d_keys(D), 3, td, ptd
+        keys, n, cached, oracle = d_small_keys(D.sp, max_cls=1), 3, td, ptd
     drawn = data.draw(st.lists(st.sampled_from(keys), min_size=2,
                                max_size=n))
     # every ordering of the drawn keys, so that some are read through a

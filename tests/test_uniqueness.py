@@ -1,61 +1,34 @@
-import itertools
-import json
-import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.contraction import perturbed
+from liepairs.cli import Pipeline, second_choice
 from liepairs.core import Vec, mi_upto, mi_weight, mi_zero
-from liepairs.liepair import (
-    Connection, Splitting, a_form_algebra, default_connection,
-    parse_pair_spec,
-)
-from liepairs.dpoly import DPoly
+from liepairs.liepair import Splitting, default_connection
 from liepairs.uniqueness import Uniqueness
-from liepairs.weyl import Weyl
 
-from helpers import d_chain_defect
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-N = 5
+from helpers import N, d_chain_defect, d_small_keys, pipeline
 
 
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
-
-
-def second_choice(name, pair, sp, conn):
-    """A second admissible (complement, connection) choice: a perturbed
-    torsion-free connection on the same complement for the Heisenberg
-    pair, and a genuinely different complement for the Borel pair."""
+def second_pipeline(name, p):
+    """The pipeline of a second admissible (complement, connection)
+    choice: the second connection of the report on the same complement
+    for the Heisenberg pair, and a genuinely different complement for
+    the Borel pair."""
     if name == "heisenberg_center":
-        gamma = [[list(row) for row in bl] for bl in conn.gamma]
-        gamma[sp.m + 0][0][0] += 1
-        return sp, Connection(sp, gamma)
-    sp2 = Splitting(pair, [[1], [0], [1]])
-    return sp2, default_connection(sp2)
-
-
-def small_d_keys(sp, max_cls=2):
-    fa = a_form_algebra(sp.pair)
-    clsets = [(J,) for J in mi_upto(sp.r, max_cls)]
-    clsets += list(itertools.product(list(mi_upto(sp.r, 1)), repeat=2))
-    return [(fw, cls) for fw in fa.words(max_weight=0) for cls in clsets]
+        return Pipeline(p.sp, second_choice(p.sp, p.conn), N)
+    sp2 = Splitting(p.sp.pair, [[1], [0], [1]])
+    return Pipeline(sp2, default_connection(sp2), N)
 
 
 @pytest.fixture(scope="module")
 def setups():
     out = {}
     for name in ("heisenberg_center", "sl2_borel"):
-        pair, sp, conn = load(name)
-        sp2, conn2 = second_choice(name, pair, sp, conn)
-        uni = Uniqueness(DPoly(Weyl(sp, conn, N)),
-                         DPoly(Weyl(sp2, conn2, N)))
-        pd1, pd2 = perturbed(uni.D1), perturbed(uni.D2)
-        out[name] = (sp, sp2, uni, pd1, pd2)
+        p = pipeline(name)
+        p2 = second_pipeline(name, p)
+        out[name] = (p.sp, p2.sp, Uniqueness(p.D, p2.D), p.pd, p2.pd)
     return out
 
 
@@ -69,13 +42,12 @@ def test_second_choices_admissible(setups):
 
 
 def test_identical_choices_trivial():
-    pair, sp, conn = load("heisenberg_center")
-    D = DPoly(Weyl(sp, conn, N))
-    uni = Uniqueness(D, D)
+    p = pipeline("heisenberg_center")
+    uni = Uniqueness(p.D, p.D)
     for w in uni.W1.alg.words(max_weight=2):
         x = Vec({w: 1})
         assert (uni.map_scalar(x) - x).is_zero()
-    for J in mi_upto(sp.r, 2):
+    for J in mi_upto(p.sp.r, 2):
         x = Vec({(uni.D1.alg.unit_word(), (J,)): 1})
         assert (uni.map_d(x) - x).is_zero()
 
@@ -140,7 +112,7 @@ def test_composition_is_identity(setups):
     # inclusion: the identity once both label systems name the classes
     # in the same normal form
     for name, (sp, sp2, uni, pd1, pd2) in setups.items():
-        for key in small_d_keys(sp):
+        for key in d_small_keys(sp):
             x = Vec({key: 1})
             got = uni.composition(pd1, pd2, x)
             assert (got - uni.small_relabel(x)).is_zero(), (name, key)
@@ -148,7 +120,7 @@ def test_composition_is_identity(setups):
 
 def test_relabel_trivial_for_shared_complement(setups):
     sp, sp2, uni, pd1, pd2 = setups["heisenberg_center"]
-    for key in small_d_keys(sp):
+    for key in d_small_keys(sp):
         x = Vec({key: 1})
         assert (uni.small_relabel(x) - x).is_zero(), key
 

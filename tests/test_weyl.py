@@ -1,6 +1,3 @@
-import itertools
-import json
-import os
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,30 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepairs.core import Vec, WordAlgebra, mi_unit, mi_weight
-from liepairs.liepair import Connection, parse_pair_spec
-from liepairs.tpoly import TPoly
+from liepairs.liepair import Connection
 from liepairs.weyl import Weyl
 
-from helpers import apply_x, include_a, oracle_derive, project_a
-
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
-FIXTURES = ["heisenberg_center", "heisenberg_x", "sl2_borel", "sl2_h",
-            "abelian"]
-N = 5
-
-
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))
+from helpers import (
+    FIXTURES, N, apply_x, include_a, load, oracle_derive, pipeline,
+    project_a,
+)
 
 
 @pytest.fixture(scope="module")
 def machines():
-    out = {}
-    for name in FIXTURES:
-        pair, sp, conn = load(name)
-        out[name] = Weyl(sp, conn, trunc=N)
-    return out
+    return {name: pipeline(name).W for name in FIXTURES}
 
 
 def all_words(W, wmax=N):
@@ -312,8 +297,7 @@ def assert_same_delta(X, x):
 
 def test_delta_matches_derivation_oracle_exhaustive():
     for name, trunc in DELTA_PAIRS.items():
-        pair, sp, conn = load(name)
-        T = TPoly(Weyl(sp, conn, trunc=trunc))
+        T = pipeline(name, trunc).T
         for X in (T.W, T):
             words = list(X.alg.words())
             for w in words:
@@ -327,8 +311,7 @@ def test_delta_matches_derivation_oracle_exhaustive():
 
 
 def merged_cases(machines):
-    pair, sp, conn = load("sl3_borel")
-    rank3 = Weyl(sp, conn, trunc=3)
+    rank3 = pipeline("sl3_borel", 3).W
     return [(name, W) for name, W in machines.items()] + [
         ("sl3_borel", rank3)]
 
@@ -358,8 +341,7 @@ COMPILED_PAIRS.update(heis5_lag=(4, 1), sl3_borel=(3, 1))
 
 def test_compiled_tables_match_leibniz_oracle():
     for name, (trunc, wmax) in COMPILED_PAIRS.items():
-        pair, sp, conn = load(name)
-        T = TPoly(Weyl(sp, conn, trunc=trunc))
+        T = pipeline(name, trunc).T
         W = T.W
         cases = [(W, W._d, W._d_images), (W, W._rho, W._rho_images),
                  (W, W._q, W._q_images), (T, T._rho, T._rho_images),

@@ -10,20 +10,15 @@ N + 1 leaves it unchanged.  The defects themselves are zero at both
 caps, so the compositions are compared, not the defects.
 """
 
-import json
-import os
-
 import pytest
 
 from liepairs.cli import Pipeline, second_choice
 from liepairs.cohomology import d_complex_keys, t_complex_keys
 from liepairs.core import Vec, mi_unit, mi_zero
-from liepairs.dpoly import DPoly
-from liepairs.liepair import parse_pair_spec
 from liepairs.uniqueness import Uniqueness
-from liepairs.weyl import Weyl
 
-PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
+from helpers import pipeline
+
 PAIRS = ["abelian", "heisenberg_center", "heisenberg_x", "sl2_borel",
          "sl2_h"]
 CAPS = [4, 5]
@@ -39,14 +34,9 @@ WINDOWS = {
 }
 
 
-def load(name):
-    with open(os.path.join(PAIRS_DIR, name + ".json")) as f:
-        return parse_pair_spec(json.load(f))[1:]
-
-
-def fedosov(sp, conn, trunc, window):
+def fedosov(p, window):
     """Q(w) and Q(Q(w)) on the words of the check."""
-    W = Weyl(sp, conn, trunc)
+    W = p.W
     for w in W.alg.words(max_weight=window):
         q = W.q_op(Vec({w: 1}))
         yield w, [W.restrict_weight(v, window)
@@ -57,15 +47,14 @@ def perturbed_homotopy(side):
     """tau'(sigma(x)), h'(d'(x)) and d'(h'(x)) on the inputs of the
     check: every word of weight <= 1 on the t-side, the same words with
     one or two slots on the d-side."""
-    def compositions(sp, conn, trunc, window):
-        p = Pipeline(sp, conn, trunc)
+    def compositions(p, window):
         if side == "t":
             big, c = p.T, p.pt
             inputs = list(big.alg.words(max_weight=1))
         else:
             big, c = p.D, p.pd
-            zero = mi_zero(sp.r)
-            e0 = mi_unit(sp.r, 0) if sp.r else zero
+            zero = mi_zero(p.sp.r)
+            e0 = mi_unit(p.sp.r, 0) if p.sp.r else zero
             inputs = [(w, slots) for w in big.W.alg.words(max_weight=1)
                       for slots in ((zero,), (e0, zero))]
         for key in inputs:
@@ -78,12 +67,11 @@ def perturbed_homotopy(side):
 def perturbed_inclusion(side):
     """d'(tau'(k)) and tau'(d_small'(k)) on every small key of the
     check."""
-    def compositions(sp, conn, trunc, window):
-        p = Pipeline(sp, conn, trunc)
+    def compositions(p, window):
         if side == "t":
-            big, c, keys = p.T, p.pt, t_complex_keys(sp)
+            big, c, keys = p.T, p.pt, t_complex_keys(p.sp)
         else:
-            big, c, keys = p.D, p.pd, d_complex_keys(sp, max_arity=1)
+            big, c, keys = p.D, p.pd, d_complex_keys(p.sp, max_arity=1)
         for k in keys:
             x = Vec({k: 1})
             yield k, [big.restrict_weight(v, window) for v in (
@@ -91,10 +79,10 @@ def perturbed_inclusion(side):
     return compositions
 
 
-def transport(sp, conn, trunc, window):
+def transport(p, window):
     """map(Q1(w)) and Q2(map(w)) on the words of the check."""
-    uni = Uniqueness(DPoly(Weyl(sp, conn, trunc)),
-                     DPoly(Weyl(sp, second_choice(sp, conn), trunc)))
+    uni = Uniqueness(
+        p.D, Pipeline(p.sp, second_choice(p.sp, p.conn), p.trunc).D)
     for w in uni.W1.alg.words(max_weight=2):
         x = Vec({w: 1})
         yield w, [uni.W2.restrict_weight(v, window) for v in (
@@ -116,10 +104,9 @@ def cap_raising_differences(check, name, trunc, window):
     """The inputs whose windowed compositions change when the cap rises
     from trunc to trunc + 1, and the number of nonzero windowed values
     at trunc."""
-    sp, conn = load(name)
     compositions = COMPOSITIONS[check]
-    low = dict(compositions(sp, conn, trunc, window))
-    high = dict(compositions(sp, conn, trunc + 1, window))
+    low = dict(compositions(pipeline(name, trunc), window))
+    high = dict(compositions(pipeline(name, trunc + 1), window))
     assert low.keys() == high.keys()
     nonzero = sum(1 for vals in low.values() for v in vals if v)
     return [key for key in low if low[key] != high[key]], nonzero

@@ -145,8 +145,7 @@ def run_fedosov(run, p):
     words = list(W.alg.words(max_weight=trunc - 1))
     run.all_zero(
         "fedosov:differential-squares-to-zero",
-        ((w, W.restrict_weight(W.q_op(W.q_op(Vec({w: 1}))), trunc - 1))
-         for w in words))
+        ((w, W.q_op(W.q_op(Vec({w: 1})), trunc - 1)) for w in words))
     run.artifacts["fedosov"] = {
         "correction": [vec_json(X[k]) for k in range(sp.r)]}
 

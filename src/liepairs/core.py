@@ -426,32 +426,47 @@ class Derivation:
     (colour, index) order.  With rest the mask of pre * suf, an image
     term with odd-letter mask m, tested as mul_words tests:
 
-    - overflows when the even weights of pre * suf and of the term add
-      up past the cap;
-    - otherwise vanishes when rest & m, a repeated odd letter;
+    - vanishes when rest & m, a repeated odd letter;
     - otherwise contributes with the sign of the pairs (a in pre * suf,
       b in the term) with a > b, the parity of the sum over the term's
-      bits b of popcount(rest >> (b + 1)), times (-1)^(|img| |suf|).
+      bits b of popcount(rest >> (b + 1)), times (-1)^(|img| |suf|);
+    - and overflows when the even weights of pre * suf and of the term
+      add up past the cap.
 
-    A term that overflows or vanishes is dropped, as mul_words drops it.
+    A term that vanishes or overflows is dropped, as mul_words drops it.
 
-    Every one of these decisions depends on the word only through its
-    odd part and its slack, the cap minus its even weight.  So the
-    derivation is compiled a second time, lazily, once per input shape:
-    the plan of (odd part, slack) lists the surviving terms in Leibniz
+    All but the last decision depend on the word only through its odd
+    part.  So the derivation is compiled a second time, lazily, once per
+    odd part: its plan lists the terms that do not vanish in Leibniz
     order (odd letters in (colour, index) order, then the even letters
-    by index, each letter's image terms in order), as four columns:
+    by index, each letter's image terms in order), the odd letters'
+    entries first and the even letters' after, each entry as
 
-    - the odd part of the product, interned;
-    - the multi-index the term adds to J (the image term's, minus e_k
-      for an even letter k), or None when it adds nothing;
+    - the shift: the multi-index the term adds to J (the image term's,
+      minus e_k for an even letter k), as an id into the shifts, which
+      are all known from the images;
+    - the odd-letter mask of the product;
     - the int factor: the image coefficient times D (below) with every
       sign folded in;
-    - k for an even letter, whose term is also multiplied by J_k and
-      skipped when J_k = 0; -1 for an odd letter.
+    - for an even letter only, k: the term is also multiplied by J_k,
+      and skipped when J_k = 0.
 
-    A call then makes one dict lookup per word and, per plan entry, one
-    multi-index sum, one tuple concatenation and one int multiply-add.
+    The overflow is left to a table, one per output cap and filled
+    lazily, one row per input multi-index J: entry s of J's row is
+    J + shift s, named by a small int id given on first sight, or -1
+    when J + shift s has weight over the cap (or a negative entry).  A
+    product word is then the int (id of its J) << n + (its odd mask),
+    with n the number of odd letters, and the call sums its terms under
+    that int key.  A call makes two dict lookups per input word (its
+    plan and its row) and, per plan entry, one table read and one int
+    multiply-add; the word tuples are rebuilt only for the keys that
+    survive, in the order they were first inserted.
+
+    max_weight caps the output's even weight below the algebra's own
+    cap: the row then marks more shifts -1.  A key's place and value in
+    the output depend only on the terms that reach that key, so
+    D(x, max_weight=c) holds exactly the words of D(x) of weight at
+    most c, with the same coefficients and in the same order.
 
     The arithmetic is on integers.  D, the lcm of the denominators of
     every image coefficient, is taken once, and each image coefficient
@@ -476,6 +491,7 @@ class Derivation:
         self.odd = parity % 2
         self.offsets = tuple(itertools.accumulate((0,) + alg.odd_counts[:-1]))
         self.cap = alg.trunc
+        self.nbits = sum(alg.odd_counts)
         exact = {}
         for g, img in images.items():
             img = [(w, e) for w, c in img.items() if (e := _exact(c))]
@@ -483,36 +499,44 @@ class Derivation:
                 exact[g] = img
         self.den = lcm(*(c.denominator for img in exact.values()
                          for _, c in img))
+        self._shifts = {}  # shift -> shift id, in id order
         # letter bit / even index -> the image's terms
         self._odd = {}
         even = {}
         for g, img in exact.items():
-            terms = tuple(self._term(w, c) for w, c in img)
-            if g[0] == EVEN:
-                even[g[1]] = terms
+            k = g[1] if g[0] == EVEN else -1
+            terms = tuple(self._term(w, c, k) for w, c in img)
+            if k >= 0:
+                even[k] = terms
             else:
                 self._odd[self.offsets[g[0]] + g[1]] = terms
         self._even = sorted(even.items())
-        self._plans = {}
-        self._interned = {}  # one object per odd part, multi-index, plan
+        self._plans = {}  # odd part -> plan
+        self._parts = {}  # odd mask -> odd part
+        self._ids = {}  # multi-index -> J id
+        self._js = []  # J id -> multi-index
+        self._rows = {}  # output cap -> {J: row}
 
-    def _term(self, w, coef):
-        """An image term: (word, coefficient times D as an int,
-        chi-weight, parity of its odd letters, odd-letter mask, the
-        mask's bits, nonempty colours)."""
+    def _term(self, w, coef, k):
+        """An image term of generator k (-1 for an odd one): (word,
+        coefficient times D as an int, shift id, parity of its odd
+        letters, odd-letter mask, the mask's bits, nonempty colours)."""
         bits = tuple(o + i for o, part in zip(self.offsets, w) for i in part)
         mask = 0
         for b in bits:
             mask |= 1 << b
-        return (w, coef.numerator * (self.den // coef.denominator),
-                mi_weight(w[-1]), len(bits) % 2, mask, bits,
+        dJ = w[-1]
+        if k >= 0:
+            dJ = dJ[:k] + (dJ[k] - 1,) + dJ[k + 1:]
+        shift = self._shifts.setdefault(dJ, len(self._shifts))
+        return (w, coef.numerator * (self.den // coef.denominator), shift,
+                len(bits) % 2, mask, bits,
                 tuple(c for c in range(self.alg.n_colours) if w[c]))
 
-    def _plan(self, parts, slack):
-        """The plan of every word with this odd part and slack; see the
-        class docstring."""
-        odd, offsets = self.odd, self.offsets
-        intern = self._interned.setdefault
+    def _plan(self, parts):
+        """The plan of every word with this odd part: (odd letters'
+        entries, even letters' entries); see the class docstring."""
+        odd, offsets, named = self.odd, self.offsets, self._parts
         mask = 0
         for o, part in zip(offsets, parts):
             for i in part:
@@ -520,7 +544,7 @@ class Derivation:
         n = mask.bit_count()
         # one entry per letter with an image: its terms, the odd part of
         # pre * suf and its mask, the parity of suf's odd letters, the
-        # sign of the letter, the largest image weight that fits, and k
+        # sign of the letter, and k
         jobs = []
         t = 0  # odd letters before the one being replaced
         for c, part in enumerate(parts):
@@ -532,43 +556,68 @@ class Derivation:
                                  parts[:c] + (part[:p] + part[p + 1:],)
                                  + parts[c + 1:],
                                  mask ^ (1 << (o + i)), (n - t - 1) % 2,
-                                 -1 if odd and t % 2 else 1, slack, -1))
+                                 -1 if odd and t % 2 else 1, -1))
                 t += 1
         base = -1 if odd and n % 2 else 1
         for k, terms in self._even:
-            jobs.append((terms, parts, mask, 0, base, slack + 1, k))
-        entries = []
-        for terms, rest, rest_mask, swap, sign, room, k in jobs:
-            for iw, ic, iweight, ipar, imask, ibits, icolours in terms:
-                if iweight > room or rest_mask & imask:
+            jobs.append((terms, parts, mask, 0, base, k))
+        odd_entries, even_entries = [], []
+        for terms, rest, rest_mask, swap, sign, k in jobs:
+            for iw, ic, shift, ipar, imask, ibits, icolours in terms:
+                if rest_mask & imask:
                     continue
                 s = swap & ipar
                 for b in ibits:
                     s += (rest_mask >> (b + 1)).bit_count()
-                merged = rest
-                if icolours:
-                    merged = list(rest)
+                merged = rest_mask | imask
+                if merged not in named:
+                    part = list(rest)
                     for col in icolours:
-                        merged[col] = (tuple(sorted(rest[col] + iw[col]))
-                                       if rest[col] else iw[col])
-                    merged = tuple(merged)
-                dJ = iw[-1]
+                        part[col] = (tuple(sorted(rest[col] + iw[col]))
+                                     if rest[col] else iw[col])
+                    named[merged] = tuple(part)
+                f = -sign * ic if s % 2 else sign * ic
                 if k >= 0:
-                    dJ = dJ[:k] + (dJ[k] - 1,) + dJ[k + 1:]
-                entries.append((intern(merged, merged),
-                                intern(dJ, dJ) if any(dJ) else None,
-                                -sign * ic if s % 2 else sign * ic, k))
-        plan = tuple(zip(*entries))
-        return intern(plan, plan)
+                    even_entries.append((shift, merged, f, k))
+                else:
+                    odd_entries.append((shift, merged, f))
+        return tuple(odd_entries), tuple(even_entries)
 
-    def __call__(self, x):
-        """The derivation applied to x, on int numerators; see the class
-        docstring."""
+    def _row(self, J, cap):
+        """Entry s: the J id of J + shift s, shifted past the odd mask,
+        or -1 when that multi-index is over the cap or negative."""
+        ids, js = self._ids, self._js
+        row = []
+        for dJ in self._shifts:
+            T = tuple(map(add, J, dJ))
+            if sum(T) > cap or (T and min(T) < 0):
+                row.append(-1)
+                continue
+            t = ids.get(T)
+            if t is None:
+                t = ids[T] = len(js)
+                js.append(T)
+            row.append(t << self.nbits)
+        return row
+
+    def __call__(self, x, max_weight=None):
+        """The derivation applied to x, on int numerators, keeping the
+        words of even weight at most max_weight (default: the algebra's
+        cap); see the class docstring."""
+        if max_weight is None:
+            max_weight = self.cap
+        elif max_weight > self.cap:
+            raise ValueError("max_weight %r is over the algebra's cap %r"
+                             % (max_weight, self.cap))
         out = Vec()
         if not (self._odd or self._even):
             return out
-        cap, plans = self.cap, self._plans
-        out_get = out.get
+        rows = self._rows.get(max_weight)
+        if rows is None:
+            rows = self._rows[max_weight] = {}
+        plans = self._plans
+        acc = {}
+        acc_get = acc.get
         dx = 1
         for coef in x.values():
             if type(coef) is not int:
@@ -584,28 +633,46 @@ class Derivation:
                 coef *= dx
             if not coef:
                 continue
-            J = w[-1]
-            shape = (w[:-1], cap - sum(J))
-            plan = plans.get(shape)
+            parts, J = w[:-1], w[-1]
+            plan = plans.get(parts)
             if plan is None:
-                plan = plans[shape] = self._plan(*shape)
-            for parts, dJ, f, k in zip(*plan):
-                if k >= 0:
-                    jk = J[k]
-                    if not jk:
-                        continue
-                    f *= jk
-                word = parts + ((tuple(map(add, J, dJ)) if dJ else J),)
-                new = out_get(word, 0) + coef * f
+                plan = plans[parts] = self._plan(parts)
+            row = rows.get(J)
+            if row is None:
+                row = rows[J] = self._row(J, max_weight)
+            odd_entries, even_entries = plan
+            for s, m, f in odd_entries:
+                t = row[s]
+                if t < 0:
+                    continue
+                key = t | m
+                new = acc_get(key, 0) + coef * f
                 if new:
-                    out[word] = new
+                    acc[key] = new
                 else:
-                    del out[word]
+                    del acc[key]
+            for s, m, f, k in even_entries:
+                t = row[s]
+                if t < 0:
+                    continue
+                jk = J[k]
+                if not jk:
+                    continue
+                key = t | m
+                new = acc_get(key, 0) + coef * f * jk
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
         den = self.den * dx
-        if den != 1:
-            for word, num in out.items():
+        named, js, nbits = self._parts, self._js, self.nbits
+        low = (1 << nbits) - 1
+        for key, num in acc.items():
+            word = named[key & low] + (js[key >> nbits],)
+            if den != 1:
                 q, r = divmod(num, den)
-                out[word] = Fraction(num, den) if r else q
+                num = Fraction(num, den) if r else q
+            out[word] = num
         return out
 
 

@@ -233,11 +233,14 @@ class Weyl:
             self.solve()
         return self._rho(x)
 
-    def q_op(self, x):
-        """The total differential Q = -delta + rho."""
+    def q_op(self, x, max_weight=None):
+        """The total differential Q = -delta + rho, keeping the words of
+        even weight at most max_weight (default: the cap): the same
+        words, coefficients and order as restrict_weight(q_op(x),
+        max_weight), without forming the terms over it."""
         if self._q is None:
             self.solve()
-        return self._q(x)
+        return self._q(x, max_weight)
 
     def vertical_commutator(self):
         """The matrix c of the commutator of the flat differential with

@@ -624,25 +624,31 @@ def test_closed_forms_match_derivation_exhaustive():
         A, Vec({w: t % 5 - 2 for t, w in enumerate(words)}))
 
 
-def test_plans_are_reused_across_weights_and_calls():
-    # one compiled derivation per image set, driven over the words of
-    # each odd part at every weight up to two over the cap, rising, then
-    # falling, then all together: every shape's plan is built from one
-    # word and read by the others, and the cap cuts image terms of
-    # weight 0, 1 and 2 at different slacks
-    A = WordAlgebra((2, 2), 2, 2)
+def mixed_images(A, n):
+    """Images of every generator of WordAlgebra((2, 2), 2, 2): three
+    terms each, of weight 0, 1 and 2 and mixed odd parts, varied by n."""
     low = list(A.words(max_weight=0))
     chi = [A.even_word(J) for J in mi_upto(2, 2)]
     gens = [(c, i) for c in range(2) for i in range(2)]
     gens += [(EVEN, k) for k in range(2)]
+    return {g: Vec({A.mul_words(low[(3 * t + 5 * n) % len(low)],
+                                chi[(t + 2 * n + j) % len(chi)])[1]:
+                    Fraction(t + 1, 1 + j % 2)
+                    for j in range(3)})
+            for t, g in enumerate(gens)}
+
+
+def test_plans_are_reused_across_weights_and_calls():
+    # one compiled derivation per image set, driven over the words of
+    # each odd part at every weight up to two over the cap, rising, then
+    # falling, then all together: each odd part's plan is built from one
+    # word and read at every other weight, and the row table cuts image
+    # terms of weight 0, 1 and 2 at different input weights
+    A = WordAlgebra((2, 2), 2, 2)
+    low = list(A.words(max_weight=0))
     for parity in (0, 1):
         for n in range(3):
-            images = {
-                g: Vec({A.mul_words(low[(3 * t + 5 * n) % len(low)],
-                                    chi[(t + 2 * n + j) % len(chi)])[1]:
-                        Fraction(t + 1, 1 + j % 2)
-                        for j in range(3)})
-                for t, g in enumerate(gens)}
+            images = mixed_images(A, n)
             D = Derivation(A, images, parity)
             parts = {w[:-1] for w in low}
             Js = list(mi_upto(2, 4))
@@ -657,6 +663,75 @@ def test_plans_are_reused_across_weights_and_calls():
                      for t, (p, J) in enumerate(itertools.product(parts, Js))})
             got, want = D(x), oracle_derive(A, images, parity, x)
             assert got == want and list(got) == list(want)
+
+
+def test_one_plan_per_odd_part():
+    # one odd part driven over every weight up to two over the cap, then
+    # again at every output cap: the weight and the cap only pick rows
+    # of the table
+    A = WordAlgebra((2, 2), 2, 2)
+    parts = A.make_word([(0, 1), (1,)], (0, 0))[:-1]
+    xs = [Vec({parts + (J,): 1}) for J in mi_upto(2, 4)]
+    for parity in (0, 1):
+        D = Derivation(A, mixed_images(A, 1), parity)
+        for x in xs:
+            D(x)
+        assert len(D._plans) == 1
+        for x in xs:
+            for cap in range(A.trunc + 1):
+                D(x, max_weight=cap)
+        assert len(D._plans) == 1
+
+
+# ---------------------------------------------------------------------------
+# the output cap of Derivation
+
+
+def restricted(v, cap):
+    """The words of v of even weight at most cap, in v's order."""
+    return Vec((w, c) for w, c in v.items() if mi_weight(w[-1]) <= cap)
+
+
+def assert_window_is_restriction(A, D, x):
+    """D(x, max_weight=c) against D(x) restricted to weight c, for every
+    cap c from 0 to the algebra's: the same entries in the same order."""
+    full = D(x)
+    for cap in range(A.trunc + 1):
+        got, want = D(x, max_weight=cap), restricted(full, cap)
+        assert got == want and list(got) == list(want), (cap, x)
+        assert _exact_invariant(got)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_window_is_restriction_exhaustive(parity):
+    # every word up to two over the cap, one at a time and all together
+    A = WordAlgebra((2, 2), 2, 2)
+    words = list(A.words(max_weight=4))
+    for n in range(3):
+        D = Derivation(A, mixed_images(A, n), parity)
+        for w in words:
+            assert_window_is_restriction(A, D, Vec({w: Fraction(3, 2)}))
+        assert_window_is_restriction(
+            A, D, Vec({w: t % 5 - 2 for t, w in enumerate(words)}))
+
+
+@given(st.data(), st.integers(0, 1))
+def test_window_is_restriction(data, parity):
+    A = data.draw(algebras())
+    gens = [(c, i) for c, n in enumerate(A.odd_counts) for i in range(n)]
+    gens += [(EVEN, k) for k in range(A.n_even)]
+    images = data.draw(st.dictionaries(
+        st.sampled_from(gens), vecs(A, 3, coefs=IMAGE_COEFS),
+        min_size=1, max_size=len(gens)))
+    x = data.draw(vecs(A, 5, max_exp=2, coefs=INPUT_COEFS))
+    assert_window_is_restriction(A, Derivation(A, images, parity), x)
+
+
+def test_window_over_the_cap_is_refused():
+    A = WordAlgebra((1,), 1, 2)
+    D = Derivation(A, {(0, 0): A.one()}, 1)
+    with pytest.raises(ValueError, match="over the algebra's cap"):
+        D(Vec({A.odd_word(0, 0): 1}), max_weight=3)
 
 
 def sparse(rows):

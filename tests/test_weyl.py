@@ -196,6 +196,18 @@ def test_q_squares_to_zero(machines):
             assert W.restrict_weight(qq, N - 1).is_zero(), (name, w)
 
 
+def test_q_window_is_restriction(machines):
+    # q_op(x, c) keeps the words of q_op(x) of weight at most c, in order
+    for name, W in machines.items():
+        for w in all_words(W):
+            q = W.q_op(Vec({w: 1}))
+            for cap in range(N + 1):
+                got = W.q_op(Vec({w: 1}), cap)
+                want = W.restrict_weight(q, cap)
+                assert got == want and list(got) == list(want), \
+                    (name, w, cap)
+
+
 def test_filtration_behaviour(machines):
     # delta lowers symmetric weight by one, h raises it by one, the
     # covariant part preserves it, the correction raises it by at least one

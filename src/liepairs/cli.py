@@ -173,13 +173,13 @@ def run_contraction(run, p):
                      ((k, c.defect_projection(Vec({k: 1}))) for k in keys))
     run.all_zero(
         "contraction:t:perturbed-homotopy",
-        ((w, T.restrict_weight(pt.defect_homotopy(Vec({w: 1})),
+        ((w, T.restrict_weight(pt.defect_homotopy(Vec({w: 1}), trunc - 3),
                                trunc - 3))
          for w in list(T.alg.words(max_weight=1))[::3]), stride=3)
     run.all_zero(
         "contraction:d:perturbed-homotopy",
         (((w, slots), D.restrict_weight(
-            pd.defect_homotopy(Vec({(w, slots): 1})), trunc - 3))
+            pd.defect_homotopy(Vec({(w, slots): 1}), trunc - 3), trunc - 3))
          for w in list(D.W.alg.words(max_weight=1))[::3]
          for slots in ((zero,), (e0, zero))), stride=3)
     run.all_zero(

@@ -135,6 +135,19 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def common_denominator(x):
+    """The lcm of the denominators of the coefficients of x: an operator
+    that works on integer numerators scales each coefficient c of x to
+    the int c * common_denominator(x)."""
+    d = 1
+    for c in x.values():
+        if type(c) is not int:
+            e = (c if type(c) is Fraction else _exact(c)).denominator
+            if d % e:
+                d = lcm(d, e)
+    return d
+
+
 class Vec(dict):
     """Dictionary key -> exact scalar with zero values automatically removed.
 
@@ -273,6 +286,12 @@ class WordAlgebra:
     odd_counts -- number of odd generators in each colour, in colour order
     n_even     -- number of even generators (multi-index exponents)
     trunc      -- cap on the even weight; a product term over it is dropped
+
+    The operators that take max_weight (mul, contract_odd, dchi and
+    Derivation) keep only the output words of even weight at most
+    max_weight, and never form the others: the same words, coefficients
+    and order as restricting their full output.  max_weight=None means
+    the cap itself; a value over the cap raises ValueError.
     """
 
     def __init__(self, odd_counts, n_even, trunc):
@@ -280,6 +299,15 @@ class WordAlgebra:
         self.n_colours = len(self.odd_counts)
         self.n_even = n_even
         self.trunc = trunc
+
+    def out_cap(self, max_weight):
+        """The output cap of an operator called with max_weight."""
+        if max_weight is None:
+            return self.trunc
+        if max_weight > self.trunc:
+            raise ValueError("max_weight %r is over the algebra's cap %r"
+                             % (max_weight, self.trunc))
+        return max_weight
 
     # -- words ------------------------------------------------------------
 
@@ -315,8 +343,9 @@ class WordAlgebra:
             subs = [t for k in range(n + 1)
                     for t in itertools.combinations(range(n), k)]
             ranges.append(subs)
+        Js = list(mi_upto(self.n_even, mw))
         for parts in itertools.product(*ranges):
-            for J in mi_upto(self.n_even, mw):
+            for J in Js:
                 yield parts + (J,)
 
     # -- multiplication ----------------------------------------------------
@@ -352,10 +381,18 @@ class WordAlgebra:
         parts.append(J)
         return (-1 if jumps % 2 else 1), tuple(parts)
 
-    def mul(self, x, y):
+    def mul(self, x, y, max_weight=None):
+        """x y, keeping the words of even weight at most max_weight: a
+        pair of words whose weights add up past it is skipped before
+        their product is formed."""
+        cap = self.out_cap(max_weight)
+        ys = [(w2, c2, sum(w2[-1])) for w2, c2 in y.items()]
         out = Vec()
         for w1, c1 in x.items():
-            for w2, c2 in y.items():
+            room = cap - sum(w1[-1])
+            for w2, c2, wt in ys:
+                if wt > room:
+                    continue
                 r = self.mul_words(w1, w2)
                 if r is None:
                     continue
@@ -370,15 +407,15 @@ class WordAlgebra:
         and apply it to x; see Derivation for the rules."""
         return Derivation(self, images, parity)(x)
 
-    def contract_odd(self, colour, idx, x):
+    def contract_odd(self, colour, idx, x, max_weight=None):
         """Interior product with the dual of one odd generator, the odd
         derivation sending it to 1, in closed form: a word holding the
         letter loses it, with sign (-1)^(odd letters before it, in every
-        colour up to its own); a word without it maps to zero.  Words
-        are dropped, as the Leibniz rule drops them, when their even
-        weight is over the cap."""
+        colour up to its own); a word without it maps to zero.  It keeps
+        the even weight, so a word over max_weight (default: the cap) is
+        dropped, as the Leibniz rule drops it."""
         out = Vec()
-        cap = self.trunc
+        cap = self.out_cap(max_weight)
         for w, c in x.items():
             part = w[colour]
             if idx not in part or sum(w[-1]) > cap:
@@ -389,14 +426,14 @@ class WordAlgebra:
                 -c if before % 2 else c
         return out
 
-    def dchi(self, k, x):
+    def dchi(self, k, x, max_weight=None):
         """d/dchi_k, the even derivation sending chi_k to 1, in closed
         form: a word with J_k > 0 is multiplied by J_k, and J_k is
         lowered by one; a word with J_k = 0 maps to zero.  Words are
         dropped, as the Leibniz rule drops them, when their lowered even
-        weight is over the cap."""
+        weight is over max_weight (default: the cap)."""
         out = Vec()
-        cap = self.trunc
+        cap = self.out_cap(max_weight)
         for w, c in x.items():
             J = w[-1]
             jk = J[k]
@@ -490,7 +527,6 @@ class Derivation:
         self.alg = alg
         self.odd = parity % 2
         self.offsets = tuple(itertools.accumulate((0,) + alg.odd_counts[:-1]))
-        self.cap = alg.trunc
         self.nbits = sum(alg.odd_counts)
         exact = {}
         for g, img in images.items():
@@ -604,11 +640,7 @@ class Derivation:
         """The derivation applied to x, on int numerators, keeping the
         words of even weight at most max_weight (default: the algebra's
         cap); see the class docstring."""
-        if max_weight is None:
-            max_weight = self.cap
-        elif max_weight > self.cap:
-            raise ValueError("max_weight %r is over the algebra's cap %r"
-                             % (max_weight, self.cap))
+        max_weight = self.alg.out_cap(max_weight)
         out = Vec()
         if not (self._odd or self._even):
             return out
@@ -618,13 +650,7 @@ class Derivation:
         plans = self._plans
         acc = {}
         acc_get = acc.get
-        dx = 1
-        for coef in x.values():
-            if type(coef) is not int:
-                d = (coef if type(coef) is Fraction
-                     else _exact(coef)).denominator
-                if dx % d:
-                    dx = lcm(dx, d)
+        dx = common_denominator(x)
         for w, coef in x.items():
             if type(coef) is not int:
                 coef = coef if type(coef) is Fraction else _exact(coef)

@@ -71,11 +71,16 @@ class DPoly:
 
     # -- word-wise operators from the scalar resolution ---------------------------
 
-    def delta(self, x):
-        return on_first(self.W.delta, x)
+    def d_big(self, x, max_weight=None):
+        cap = self.alg.out_cap(max_weight)
+        return on_first(lambda y: self.W.d_big(y, cap), x)
 
-    def h(self, x):
-        return on_first(self.W.h, x)
+    def delta(self, x):
+        return -self.d_big(x)
+
+    def h(self, x, max_weight=None):
+        cap = self.alg.out_cap(max_weight)
+        return on_first(lambda y: self.W.h(y, cap), x)
 
     def restrict_weight(self, x, wmax):
         return on_first(lambda y: self.W.restrict_weight(y, wmax), x)
@@ -105,12 +110,21 @@ class DPoly:
         self._q_slot_cache[J] = out
         return out
 
-    def rho(self, x):
-        out = on_first(self.W.rho, x)
+    def rho(self, x, max_weight=None):
+        """The flat differential on the coefficient word, and through the
+        commutator on each slot, keeping the words of weight at most
+        max_weight (default: the cap)."""
+        cap = self.alg.out_cap(max_weight)
+        out = on_first(lambda y: self.W.rho(y, cap), x)
         for (w, slots), c in x.items():
+            room = cap - mi_weight(w[-1])
+            if room < 0:
+                continue
             base = -1 if self.alg.form_deg(w) % 2 else 1
             for t, J in enumerate(slots):
                 for (cw, newJ), c2 in self._q_slot(J).items():
+                    if mi_weight(cw[-1]) > room:
+                        continue
                     prod = self.alg.mul_words(w, cw)
                     if prod is None:
                         continue
@@ -122,19 +136,23 @@ class DPoly:
     def q_op(self, x):
         """-delta + rho: rho also acts on the slots, so Q is not one
         derivation of the word algebra here."""
-        return -self.delta(x) + self.rho(x)
+        return self.d_big(x) + self.rho(x)
 
     # -- the Hochschild-type operator ----------------------------------------------
 
-    def d_h(self, x):
+    def d_h(self, x, max_weight=None):
         """Insertion coboundary on the slots, with the alternating sign
         of the coefficient form degree in front.  It serves the small
         complex too: there the coefficient is an A-form word and the
         slots are classes, whose comultiplication is the same shuffle
-        count."""
+        count.  It leaves the coefficient word alone, so a word over
+        max_weight (default: the cap) is skipped."""
+        cap = self.alg.out_cap(max_weight)
         zero = mi_zero(self.r)
         out = Vec()
         for (w, slots), c in x.items():
+            if mi_weight(w[-1]) > cap:
+                continue
             pref = -1 if self.alg.form_deg(w) % 2 else 1
             k = len(slots)
             out.iadd_term((w, (zero,) + slots), c * pref)
@@ -148,10 +166,10 @@ class DPoly:
             out.iadd_term((w, slots + (zero,)), c * s)
         return out
 
-    def perturbation(self, x):
+    def perturbation(self, x, max_weight=None):
         """rho plus the insertion coboundary: what perturbs the
         contraction of this side."""
-        return self.rho(x) + self.d_h(x)
+        return self.rho(x, max_weight) + self.d_h(x, max_weight)
 
     # -- insertion product and Gerstenhaber bracket ----------------------------------
 
@@ -161,8 +179,9 @@ class DPoly:
         argument, and its first part slides past the coefficient w2.  An
         argument with no slot is a coefficient: the whole of d^J acts on
         w2 and no middle slot is left.  A list of (coefficient word,
-        middle slots, int coefficient), built once per (J, w2, S2) and
-        shared: callers must not mutate it."""
+        middle slots, int coefficient, weight of the coefficient word),
+        built once per (J, w2, S2) and shared: callers must not mutate
+        it."""
         key = (J, w2, S2)
         out = self._slide_cache.get(key)
         if out is None:
@@ -175,13 +194,20 @@ class DPoly:
                      c0 * mult)
                     for parts, mult in multi_splits(J, len(S2))
                     for w2b, J0, c0 in self._slot_into(parts[0], w2, S2[0])]
+            out = [(w2b, mid, c, mi_weight(w2b[-1])) for w2b, mid, c in out]
             self._slide_cache[key] = out
         return out
 
-    def star(self, x, y):
+    def star(self, x, y, max_weight=None):
+        """The insertion product, keeping the words of weight at most
+        max_weight (default: the cap): a slid coefficient word whose
+        weight and that of x's word add up past it is skipped before the
+        product is formed."""
+        cap = self.alg.out_cap(max_weight)
         out = Vec()
         for (w1, S1), c1 in x.items():
             u = len(S1) - 1
+            room = cap - mi_weight(w1[-1])
             for (w2, S2), c2 in y.items():
                 v = len(S2) - 1
                 g2 = self.alg.form_deg(w2)
@@ -189,7 +215,9 @@ class DPoly:
                 for k in range(u + 1):
                     sgn = -1 if (k * v + g2 * u + u * v) % 2 else 1
                     head, tail = S1[:k], S1[k + 1:]
-                    for w2b, mid, c in self._slides(S1[k], w2, S2):
+                    for w2b, mid, c, wt in self._slides(S1[k], w2, S2):
+                        if wt > room:
+                            continue
                         prod = self.alg.mul_words(w1, w2b)
                         if prod is None:
                             continue
@@ -198,21 +226,22 @@ class DPoly:
                                       c12 * (c * sign * sgn))
         return out
 
-    def gerst(self, x, y):
+    def gerst(self, x, y, max_weight=None):
         """The Gerstenhaber bracket pulled through the suspension, which
         transfer.py takes: the bracket of x' = (-1)^|x| x and y, where
         [x, y] = star(x, y) - (-1)^(|x| |y|) star(y, x).  The sign depends
         only on the degree parities, so with y = y_0 + y_1 split by parity,
         and as x'_0 = x_0 and x'_1 = -x_1, it is star(x', y) - star(y_0, x')
-        - star(y_1, x): at most three calls of star."""
+        - star(y_1, x): at most three calls of star, each keeping the
+        words of weight at most max_weight (default: the cap)."""
         y0, y1 = self._by_parity(y)
         xs = Vec((key, -c if self.deg(key) % 2 else c)
                  for key, c in x.items())
-        out = self.star(xs, y)
+        out = self.star(xs, y, max_weight)
         if y0:
-            out -= self.star(y0, xs)
+            out -= self.star(y0, xs, max_weight)
         if y1:
-            out -= self.star(y1, x)
+            out -= self.star(y1, x, max_weight)
         return out
 
     def _by_parity(self, x):

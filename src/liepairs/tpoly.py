@@ -52,6 +52,7 @@ class TPoly:
     # the weight cut act on the form and symmetric letters only, so the
     # scalar definitions serve unchanged; rho alone perturbs the
     # contraction of this side
+    d_big = Weyl.d_big
     delta = Weyl.delta
     set_tables = Weyl.set_tables
     rho = perturbation = Weyl.rho
@@ -64,22 +65,27 @@ class TPoly:
 
     def project_small(self, x):
         """Words with no chi content, rekeyed (A-form word, B-index tuple)."""
-        return Vec((((w[0], ()), w[2]), c)
-                   for w, c in self.sigma(x).items())
+        out = Vec()
+        for w, c in self.sigma(x).items():
+            out[(w[0], ()), w[2]] = c
+        return out
 
     def include_small(self, x):
         zero = mi_zero(self.r)
-        return Vec({(w[0], (), xs, zero): c for (w, xs), c in x.items()})
+        out = Vec()
+        for (w, xs), c in x.items():
+            out[w[0], (), xs, zero] = c
+        return out
 
     # -- the fibrewise Schouten bracket ------------------------------------------
 
-    def dxi(self, x, k):
-        return self.alg.contract_odd(2, k, x)
+    def dxi(self, x, k, max_weight=None):
+        return self.alg.contract_odd(2, k, x, max_weight)
 
     def deg(self, w):
         return self.alg.form_deg(w)
 
-    def schouten(self, u, v):
+    def schouten(self, u, v, max_weight=None):
         """Odd graded Lie bracket of vertical polyvectors, pulled through
         the suspension: (-1)^(|u| - 1) [u, v], the bracket that transfer.py
         takes.  The pairing contracts one xi against one chi, and the
@@ -88,11 +94,16 @@ class TPoly:
 
             (-1)^(|u| - 1) [u, v] = sum_k iota_k(u) d_k v - d_k u' iota_k v,
 
-        where u' is u with its even-degree terms negated."""
+        where u' is u with its even-degree terms negated.  It keeps the
+        words of weight at most max_weight (default: the cap): weights
+        add in a product and are never negative, so each factor is
+        capped there too."""
+        alg, mw = self.alg, max_weight
         u_signed = Vec((w, -c if self.deg(w) % 2 == 0 else c)
                        for w, c in u.items())
         out = Vec()
         for k in range(self.r):
-            out += self.alg.mul(self.dxi(u, k), self.alg.dchi(k, v))
-            out -= self.alg.mul(self.alg.dchi(k, u_signed), self.dxi(v, k))
+            out += alg.mul(self.dxi(u, k, mw), alg.dchi(k, v, mw), mw)
+            out -= alg.mul(alg.dchi(k, u_signed, mw), self.dxi(v, k, mw),
+                           mw)
         return out

@@ -56,12 +56,13 @@ class Transfer:
         self._b_cache = {}
         self._lam_cache = {}
 
-    def _bracket(self, u, v):
-        """The suspended bracket; a zero argument gives zero without a
-        bracket call."""
+    def _bracket(self, u, v, max_weight=None):
+        """The suspended bracket, keeping the words of weight at most
+        max_weight (default: the cap); a zero argument gives zero without
+        a bracket call."""
         if not u or not v:
             return Vec()
-        return self.bracket(u, v)
+        return self.bracket(u, v, max_weight)
 
     def _F(self, keys):
         """The tree sum with the homotopy at the root edge, on a sorted
@@ -75,10 +76,12 @@ class Transfer:
         self._f_cache[keys] = out
         return out
 
-    def _B(self, keys):
+    def _B(self, keys, max_weight=None):
         """The sum over trees of the bracket at the top node, on a sorted
-        tuple."""
-        if keys in self._b_cache:
+        tuple.  With max_weight the top brackets keep only the words of
+        weight at most max_weight, and the sum is not kept: the cache
+        holds uncapped sums only, as the trees above need them."""
+        if max_weight is None and keys in self._b_cache:
             return self._b_cache[keys]
         n = len(keys)
         degs = [small_sdeg(k) + 1 for k in keys]
@@ -90,13 +93,16 @@ class Transfer:
                 eps = koszul_sign(degs, left + right)
                 u = self._F(tuple(keys[i] for i in left))
                 v = self._F(tuple(keys[i] for i in right))
-                out += eps * self._bracket(u, v)
-        self._b_cache[keys] = out
+                out += eps * self._bracket(u, v, max_weight)
+        if max_weight is None:
+            self._b_cache[keys] = out
         return out
 
     def lam_keys(self, keys):
         """Bracket value on a tuple of small basis keys: the sorted
-        tuple's value times the Koszul sign of the sorting."""
+        tuple's value times the Koszul sign of the sorting.  sigma reads
+        weight 0 only, so the brackets at the top node are capped
+        there."""
         if keys in self._lam_cache:
             return self._lam_cache[keys]
         if len(keys) == 1:
@@ -106,7 +112,7 @@ class Transfer:
             srt = tuple(keys[i] for i in order)
             out = self._lam_cache.get(srt)
             if out is None:
-                out = self._lam_cache[srt] = self.sigma(self._B(srt))
+                out = self._lam_cache[srt] = self.sigma(self._B(srt, 0))
             if koszul_sign([small_sdeg(k) + 1 for k in keys], order) < 0:
                 out = -out
         self._lam_cache[keys] = out

@@ -18,15 +18,34 @@ the form letter k, so
     delta(c w) = sum_(k not in T, J_k > 0) (-1)^(|S| + #{t in T: t < k})
                      J_k c alpha_S dchi_(T plus k) chi^(J - e_k).
 
-It only lowers the weight, so it never truncates.  The homotopy h
-contracts one chi_k-form letter and raises chi_k by one, normalised by
-the total weight: for v = |T| > 0,
+The code computes d_big = -delta, the big differential of the
+contraction (contraction.py) and the -delta part of Q, and delta is its
+negation.  The homotopy h contracts one chi_k-form letter and raises
+chi_k by one, normalised by the total weight: for v = |T| > 0,
 
     h(c w) = sum_p (-1)^(|S| + p) c / (v + |J|)
                    alpha_S dchi_(T minus k_p) chi^(J + e_(k_p)),
 
 so that h delta + delta h = id - tau sigma.  A word with v = 0 maps to
-zero, and a word with |J| + 1 above the truncation weight is dropped.
+zero.  h raises the weight by exactly one and d_big lowers it by exactly
+one, so each takes an output cap max_weight (default: the truncation
+weight) by skipping the input words whose image is over it: h a word
+of weight max_weight or more, d_big one over max_weight + 1.  A capped
+call gives the words of the uncapped one up to the cap, with the same
+coefficients in the same order.
+
+Both run on integer numerators, as core.Derivation does.  Everything
+but the coefficient and the sign (-1)^|S| depends on a word only through
+(T, J), so a table per (T, J), built once, lists the T and J of each
+output word with its int factor: (-1)^p for h, -(-1)^p J_k for d_big;
+alpha_S and the further colours are carried along.  A call
+scales each input coefficient to an int by d_x, the lcm of the input's
+denominators, folds the sign (-1)^|S| into it once per input word, and
+sums the int products per output word, deleting a sum that cancels as
+Vec.iadd_term does, so the output keeps its order.  Each sum is divided
+once at the end, by d_x for d_big and by d_x (v + |J|) for h: every
+input word that reaches an output word of h has the same v + |J|, the
+output's number of chi_k-form letters plus its weight.
 
 Once X is solved, the flat part rho = d + X and the total differential
 Q = -delta + rho are each one derivation: solve() merges the generator
@@ -38,9 +57,11 @@ compiled Leibniz pass.
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache, lru_cache
 
 from .core import (
-    EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight,
+    EVEN, Derivation, Vec, WordAlgebra, common_denominator, mi_unit,
+    mi_weight,
 )
 
 
@@ -106,51 +127,64 @@ class Weyl:
 
     # -- basic operators -----------------------------------------------------
 
-    def delta(self, x):
-        """The Koszul differential in closed form, see the module docstring."""
-        out = Vec()
+    def d_big(self, x, max_weight=None):
+        """-delta, the big differential of the contraction, in closed form
+        on integer numerators (see the module docstring).  It lowers the
+        weight by exactly one, so an input word of weight over
+        max_weight + 1 (default: the cap) is skipped."""
+        cap = self.alg.out_cap(max_weight)
+        dx = common_denominator(x)
+        acc = {}
+        get = acc.get
         for w, c in x.items():
-            J, chis = w[-1], w[1]
+            if sum(w[-1]) > cap + 1:
+                continue
+            c = (c * dx if type(c) is int
+                 else c.numerator * (dx // c.denominator))
             if len(w[0]) % 2:
                 c = -c
-            head, mid = w[:1], w[2:-1]
-            for k, jk in enumerate(J):
-                if not jk or k in chis:
-                    continue
-                p = bisect_left(chis, k)
-                out.iadd_term(
-                    head + (chis[:p] + (k,) + chis[p:],) + mid
-                    + (J[:k] + (jk - 1,) + J[k + 1:],),
-                    -jk * c if p % 2 else jk * c)
-        return out
+            S, mid = w[0], w[2:-1]
+            for T, J, f in _d_big_core(w[1], w[-1]):
+                key = (S, T, *mid, J)
+                new = get(key, 0) + f * c
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
+        return _divided(acc, dx, False)
+
+    def delta(self, x):
+        """The Koszul differential, -d_big."""
+        return -self.d_big(x)
 
     def d_l_nabla(self, x):
         return self._d(x)
 
-    def h(self, x):
-        """The Koszul homotopy in closed form, see the module docstring."""
-        out = Vec()
+    def h(self, x, max_weight=None):
+        """The Koszul homotopy in closed form on integer numerators (see
+        the module docstring).  It raises the weight by exactly one, so
+        an input word of weight max_weight (default: the cap) or more is
+        skipped."""
+        cap = self.alg.out_cap(max_weight)
+        dx = common_denominator(x)
+        acc = {}
+        get = acc.get
         for w, c in x.items():
-            v = len(w[1])
-            if v == 0:
+            if not w[1] or sum(w[-1]) >= cap:
                 continue
-            J = w[-1]
-            wJ = mi_weight(J)
-            if wJ + 1 > self.N:
-                continue
-            f = Fraction(c, v + wJ)
-            if f.denominator == 1:
-                f = f.numerator
+            c = (c * dx if type(c) is int
+                 else c.numerator * (dx // c.denominator))
             if len(w[0]) % 2:
-                f = -f
-            nf = -f
-            head, chis, mid = w[:1], w[1], w[2:-1]
-            for p, k in enumerate(chis):
-                out.iadd_term(
-                    head + (chis[:p] + chis[p + 1:],) + mid
-                    + (J[:k] + (J[k] + 1,) + J[k + 1:],),
-                    nf if p % 2 else f)
-        return out
+                c = -c
+            S, mid = w[0], w[2:-1]
+            for T, J, f in _h_core(w[1], w[-1]):
+                key = (S, T, *mid, J)
+                new = get(key, 0) + f * c
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
+        return _divided(acc, dx, True)
 
     def sigma(self, x):
         out = Vec()
@@ -227,11 +261,13 @@ class Weyl:
         self._rho = Derivation(self.alg, self._rho_images, 1)
         self._q = Derivation(self.alg, self._q_images, 1)
 
-    def rho(self, x):
-        """The filtration-raising part of the total differential: d + X."""
+    def rho(self, x, max_weight=None):
+        """The filtration-raising part of the total differential: d + X,
+        keeping the words of weight at most max_weight (default: the
+        cap)."""
         if self._rho is None:
             self.solve()
-        return self._rho(x)
+        return self._rho(x, max_weight)
 
     def q_op(self, x, max_weight=None):
         """The total differential Q = -delta + rho, keeping the words of
@@ -250,3 +286,52 @@ class Weyl:
                                  Fraction(1)})) for l in range(r)]
         return [[-self.alg.dchi(k, rho_chi[l]) for l in range(r)]
                 for k in range(r)]
+
+
+@cache
+def _d_big_core(T, J):
+    """-delta on the words alpha_S dchi_T ... chi^J: for each k not in T
+    with J_k > 0, the chi_k-form letters and the multi-index of the
+    output word (k put into T at position p, J - e_k), with its factor
+    -(-1)^p J_k."""
+    entries = []
+    for k, jk in enumerate(J):
+        if jk and k not in T:
+            p = bisect_left(T, k)
+            entries.append((T[:p] + (k,) + T[p:],
+                            J[:k] + (jk - 1,) + J[k + 1:],
+                            jk if p % 2 else -jk))
+    return tuple(entries)
+
+
+@cache
+def _h_core(T, J):
+    """h on the words alpha_S dchi_T ... chi^J: for each letter k_p of T,
+    the chi_k-form letters and the multi-index of the output word (k_p
+    taken out of T, J + e_(k_p)), with its sign (-1)^p."""
+    return tuple((T[:p] + T[p + 1:], J[:k] + (J[k] + 1,) + J[k + 1:],
+                  -1 if p % 2 else 1)
+                 for p, k in enumerate(T))
+
+
+def _divided(acc, dx, by_weight):
+    """The Vec of the int sums acc, each divided by dx and, with
+    by_weight, by the total weight of its word: its number of chi_k-form
+    letters plus the weight of J, which is h's v + |J| for every input
+    word that reaches it."""
+    out = Vec()
+    if dx == 1 and not by_weight:
+        out.update(acc)
+        return out
+    for w, num in acc.items():
+        out[w] = _quotient(num, dx * (len(w[1]) + sum(w[-1]))
+                           if by_weight else dx)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _quotient(num, den):
+    """num / den as an int when exact, else as a Fraction; the few
+    quotients the Koszul operators meet are built once each."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q

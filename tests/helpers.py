@@ -171,13 +171,37 @@ def d_chain_defect(uni, x):
     return uni.map_d(d1) - d2
 
 
-def plain(side, u, v):
+def restricted(v, cap):
+    """The words of v of even weight at most cap, in v's order."""
+    return Vec((w, c) for w, c in v.items() if sum(w[-1]) <= cap)
+
+
+def is_normalised(v):
+    """Every coefficient of v is an int or a Fraction with denominator
+    greater than 1, as a Vec keeps them."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in v.values())
+
+
+def assert_window_is_restriction(op, x, cap, restrict=restricted):
+    """op(x, c) against restrict(op(x), c), for every output cap c from 0
+    to cap: the same entries, in the same order, each normalised."""
+    full = op(x)
+    for c in range(cap + 1):
+        got, want = op(x, c), restrict(full, c)
+        assert got == want and list(got) == list(want), (c, x)
+        assert is_normalised(got)
+
+
+def plain(side, u, v, max_weight=None):
     """The bracket of a TPoly or a DPoly before the suspension: the
     suspended bracket of u with its terms of odd shifted degree negated
-    (a polyvector's shifted degree is its form degree less one)."""
+    (a polyvector's shifted degree is its form degree less one), keeping
+    the words of weight at most max_weight, as the bracket does."""
     t = isinstance(side, TPoly)
     u = Vec((k, -c if (side.deg(k) - t) % 2 else c) for k, c in u.items())
-    return side.schouten(u, v) if t else side.gerst(u, v)
+    bracket = side.schouten if t else side.gerst
+    return bracket(u, v, max_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -564,7 +564,8 @@ def test_acc8_suspension_sign_dropped_detected(pipelines):
     # the brackets coherently enough that arities 1-2 still close, but
     # the arity-3 identity fails with a witness
     pair, sp, conn, W, T, D, pt, pd, tr, td = pipelines["sl2_h"]
-    bad = Transfer(pt, lambda u, v: plain(T, u, v))
+    bad = Transfer(pt,
+                   lambda u, v, max_weight=None: plain(T, u, v, max_weight))
     keys = t_complex_keys(sp)
     witness = None
     for tup in itertools.product(keys, repeat=3):

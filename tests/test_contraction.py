@@ -10,7 +10,10 @@ from liepairs.liepair import d_a_bott
 from liepairs.pbw import d_a_u
 from liepairs.weyl import Weyl
 
-from helpers import FIXTURES, N, d_small_keys, defect_side_ht, pipeline
+from helpers import (
+    FIXTURES, N, assert_window_is_restriction, d_small_keys, defect_side_ht,
+    pipeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +159,50 @@ def test_perturbed_chain_maps(perturbed_sides):
             assert defect.is_zero(), (name, w)
 
 
+def perturbed_inputs(T, D):
+    """Every t-side word up to weight 1, and every d-side word up to
+    weight 1 with one slot or two."""
+    zero = mi_zero(D.r)
+    e0 = (1,) + (0,) * (D.r - 1) if D.r else zero
+    return (list(T.alg.words(max_weight=1)),
+            [(w, slots) for w in D.W.alg.words(max_weight=1)
+             for slots in ((zero,), (e0,), (e0, zero))])
+
+
+def test_perturbed_windows_are_restrictions(perturbed_sides):
+    # h' and d' of both perturbed sides keep exactly the words of the
+    # uncapped value up to the cap, on each input and on all at once
+    for name, (T, D, pt, pd) in perturbed_sides.items():
+        for side, c, keys in zip((T, D), (pt, pd), perturbed_inputs(T, D)):
+            xs = [Vec({k: Fraction(-3, 2)}) for k in keys]
+            xs.append(Vec({k: t % 5 - 2 for t, k in enumerate(keys)}))
+            for op in (c.h, c.d_big):
+                for x in xs:
+                    assert_window_is_restriction(op, x, side.N,
+                                                 side.restrict_weight)
+
+
+def test_capped_defect_homotopy_agrees_below_its_cap(perturbed_sides):
+    # the capped defect agrees with the uncapped one at every weight up
+    # to its cap; both are zero there, so a capped h'd' or d'h' that
+    # missed a word of its window would leave a nonzero defect
+    for name in ("sl2_h", "sl2_borel"):
+        T, D, pt, pd = perturbed_sides[name]
+        for side, c, keys in zip((T, D), (pt, pd), perturbed_inputs(T, D)):
+            for k in keys[::3]:
+                x = Vec({k: 1})
+                full = c.defect_homotopy(x)
+                for cap in range(side.N):
+                    want = side.restrict_weight(full, cap)
+                    assert side.restrict_weight(
+                        c.defect_homotopy(x, cap), cap) == want, \
+                        (name, k, cap)
+
+
 def test_perturbation_series_must_terminate():
     # a homotopy that does not raise the weight never kills the series
     # terms; the perturbed maps raise instead of returning a partial sum
-    ident = lambda x: x
+    ident = lambda x, max_weight=None: x
     c = Contraction(ident, ident, ident, ident, ident, kmax=4)
     p = c.perturb(ident)
     x = Vec({"k": 1})

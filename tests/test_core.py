@@ -11,8 +11,8 @@ from liepairs.core import (
 )
 
 from helpers import (
-    mi_le, odd_letters, oracle_derive, oracle_kernel_basis, oracle_rref,
-    pair_dual, word_of_letters,
+    assert_window_is_restriction, mi_le, odd_letters, oracle_derive,
+    oracle_kernel_basis, oracle_rref, pair_dual, word_of_letters,
 )
 
 
@@ -687,21 +687,6 @@ def test_one_plan_per_odd_part():
 # the output cap of Derivation
 
 
-def restricted(v, cap):
-    """The words of v of even weight at most cap, in v's order."""
-    return Vec((w, c) for w, c in v.items() if mi_weight(w[-1]) <= cap)
-
-
-def assert_window_is_restriction(A, D, x):
-    """D(x, max_weight=c) against D(x) restricted to weight c, for every
-    cap c from 0 to the algebra's: the same entries in the same order."""
-    full = D(x)
-    for cap in range(A.trunc + 1):
-        got, want = D(x, max_weight=cap), restricted(full, cap)
-        assert got == want and list(got) == list(want), (cap, x)
-        assert _exact_invariant(got)
-
-
 @pytest.mark.parametrize("parity", [0, 1])
 def test_window_is_restriction_exhaustive(parity):
     # every word up to two over the cap, one at a time and all together
@@ -710,9 +695,9 @@ def test_window_is_restriction_exhaustive(parity):
     for n in range(3):
         D = Derivation(A, mixed_images(A, n), parity)
         for w in words:
-            assert_window_is_restriction(A, D, Vec({w: Fraction(3, 2)}))
+            assert_window_is_restriction(D, Vec({w: Fraction(3, 2)}), 2)
         assert_window_is_restriction(
-            A, D, Vec({w: t % 5 - 2 for t, w in enumerate(words)}))
+            D, Vec({w: t % 5 - 2 for t, w in enumerate(words)}), 2)
 
 
 @given(st.data(), st.integers(0, 1))
@@ -724,14 +709,60 @@ def test_window_is_restriction(data, parity):
         st.sampled_from(gens), vecs(A, 3, coefs=IMAGE_COEFS),
         min_size=1, max_size=len(gens)))
     x = data.draw(vecs(A, 5, max_exp=2, coefs=INPUT_COEFS))
-    assert_window_is_restriction(A, Derivation(A, images, parity), x)
+    assert_window_is_restriction(Derivation(A, images, parity), x, A.trunc)
 
 
 def test_window_over_the_cap_is_refused():
     A = WordAlgebra((1,), 1, 2)
     D = Derivation(A, {(0, 0): A.one()}, 1)
-    with pytest.raises(ValueError, match="over the algebra's cap"):
-        D(Vec({A.odd_word(0, 0): 1}), max_weight=3)
+    x = Vec({A.odd_word(0, 0): 1})
+    for op in (lambda mw: D(x, max_weight=mw),
+               lambda mw: A.mul(x, x, max_weight=mw),
+               lambda mw: A.contract_odd(0, 0, x, max_weight=mw),
+               lambda mw: A.dchi(0, x, max_weight=mw)):
+        with pytest.raises(ValueError, match="over the algebra's cap"):
+            op(3)
+
+
+# ---------------------------------------------------------------------------
+# the output caps of the product and the closed forms: each window is the
+# restriction of the uncapped value
+
+
+def closed_form_ops(A):
+    """Every contraction and every d/dchi_k of A, as op(x, max_weight)."""
+    ops = [lambda x, mw=None, c=c, i=i: A.contract_odd(c, i, x, mw)
+           for c, n in enumerate(A.odd_counts) for i in range(n)]
+    return ops + [lambda x, mw=None, k=k: A.dchi(k, x, mw)
+                  for k in range(A.n_even)]
+
+
+def test_product_and_closed_form_windows_exhaustive():
+    # every word up to two over the cap alone, every pair of words up to
+    # the cap, and all of them at once
+    A = WordAlgebra((2, 2), 2, 2)
+    words = list(A.words(max_weight=4))
+    xs = [Vec({w: Fraction(3, 2)}) for w in words]
+    xs.append(Vec({w: t % 5 - 2 for t, w in enumerate(words)}))
+    for op in closed_form_ops(A):
+        for x in xs:
+            assert_window_is_restriction(op, x, A.trunc)
+    low = [Vec({w: t % 3 + 1}) for t, w in enumerate(A.words())]
+    for x in low + xs[-1:]:
+        for y in low + xs[-1:]:
+            assert_window_is_restriction(
+                lambda v, mw=None: A.mul(v, y, mw), x, A.trunc)
+
+
+@given(st.data())
+def test_product_and_closed_form_windows(data):
+    A = data.draw(algebras())
+    x = data.draw(vecs(A, 5, max_exp=2, coefs=INPUT_COEFS))
+    y = data.draw(vecs(A, 5, max_exp=2, coefs=INPUT_COEFS))
+    assert_window_is_restriction(lambda v, mw=None: A.mul(v, y, mw), x,
+                                 A.trunc)
+    for op in closed_form_ops(A):
+        assert_window_is_restriction(op, x, A.trunc)
 
 
 def sparse(rows):

@@ -11,8 +11,8 @@ from liepairs.dpoly import multi_splits
 from liepairs.pbw import d_a_u
 
 from helpers import (
-    FIXTURES, N, dual_nabla_chi, evaluate, mult_element, nabla_flash, pbw,
-    pipeline, plain,
+    FIXTURES, N, assert_window_is_restriction, dual_nabla_chi, evaluate,
+    mult_element, nabla_flash, pbw, pipeline, plain,
 )
 
 
@@ -213,6 +213,33 @@ def test_star_matches_per_term_oracle(machines, data):
         return Vec(data.draw(st.dictionaries(keys, coefs, max_size=4)))
 
     assert_same_star(D, element(), element())
+
+
+def d_keys(D, wmax=1):
+    """Big d-side keys: every coefficient word up to weight wmax with each
+    slot set of sample_keys."""
+    slotsets = {S for _, S in sample_keys(D)}
+    return [(w, S) for w in D.W.alg.words(max_weight=wmax)
+            for S in sorted(slotsets)]
+
+
+def test_windows_are_restrictions(machines):
+    # every capped operator of the polydifferential side, on each of
+    # sl2_h's d-keys up to weight 1 and on all of them at once; the
+    # products with all of them as the other argument
+    D = machines["sl2_h"]
+    keys = d_keys(D)
+    xs = [Vec({k: Fraction(-3, 2)}) for k in keys]
+    every = Vec({k: t % 5 - 2 for t, k in enumerate(keys)})
+    ops = [D.h, D.d_big, D.rho, D.d_h, D.perturbation]
+    for op in ("star", "gerst"):
+        ops += [lambda x, mw=None, op=getattr(D, op): op(x, every, mw),
+                lambda x, mw=None, op=getattr(D, op): op(every, x, mw)]
+    for op in ops:
+        for x in xs + [every]:
+            assert_window_is_restriction(op, x, D.N, D.restrict_weight)
+    with pytest.raises(ValueError, match="over the algebra's cap"):
+        D.star(every, every, D.N + 1)
 
 
 def d_along(D, J, x):

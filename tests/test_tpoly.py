@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 from liepairs.core import EVEN, Vec, mi_unit, mi_weight, mi_zero
 from liepairs.liepair import a_form_algebra, d_a_bott
 
-from helpers import FIXTURES, N, pipeline, plain
+from liepairs.cohomology import t_complex_keys
+
+from helpers import (
+    FIXTURES, N, assert_window_is_restriction, pipeline, plain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +254,21 @@ def test_schouten_matches_per_term_oracle(machines, data):
                                              max_size=4)))
 
     assert_same_schouten(T, element(), element())
+
+
+def test_schouten_windows_are_restrictions(machines):
+    # the inputs the transfer brackets: the perturbed inclusion of each
+    # small key, against each other and against every word up to weight
+    # 1 at once
+    for name in ("sl2_h", "sl2_borel"):
+        p = pipeline(name)
+        T, pt = p.T, p.pt
+        taus = [pt.tau(Vec({k: 1})) for k in t_complex_keys(T.sp)]
+        every = Vec({w: t % 5 - 2 for t, w in enumerate(all_words(T, 1))})
+        for v in taus + [every]:
+            for u in taus + [every]:
+                assert_window_is_restriction(
+                    lambda x, mw=None: T.schouten(x, v, mw), u, T.N)
 
 
 def test_schouten_drops_a_term_pair_that_overflows(machines):

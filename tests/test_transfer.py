@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepairs.contraction import Contraction, perturbed
-from liepairs.cohomology import t_complex_keys
+from liepairs.cohomology import d_complex_keys, t_complex_keys
 from liepairs.core import Vec, mi_upto
 from liepairs.liepair import a_form_algebra, d_a_bott
 from liepairs.transfer import Transfer, koszul_sign, small_sdeg
@@ -115,7 +115,8 @@ def test_corrupted_bracket_fails_jacobi(transfers):
     # bracket corrupts the transferred brackets, and the relation
     # checker reports a witness
     T, D, tr, td = transfers["sl2_h"]
-    bad = Transfer(perturbed(T), lambda u, v: plain(T, u, v))
+    bad = Transfer(perturbed(T),
+                   lambda u, v, max_weight=None: plain(T, u, v, max_weight))
     keys = t_complex_keys(T.sp)
     witness = None
     for tup in itertools.product(keys, repeat=3):
@@ -123,6 +124,22 @@ def test_corrupted_bracket_fails_jacobi(transfers):
             witness = tup
             break
     assert witness is not None
+
+
+def test_capped_root_matches_uncapped_top_sum():
+    # lam_keys caps the top brackets at weight 0 and keeps no capped sum;
+    # sigma of the uncapped top sum, built afterwards, is the same value
+    # (new transfers, so that no earlier test has filled their caches)
+    for name in FIXTURES:
+        p = pipeline(name)
+        for t, keys in ((p.tr, t_complex_keys(p.sp)),
+                        (p.td, d_complex_keys(p.sp))):
+            for pair in itertools.combinations_with_replacement(
+                    sorted(keys), 2):
+                lam = t.lam_keys(pair)
+                assert pair not in t._b_cache, (name, pair)
+                assert lam == t.sigma(t._B(pair)), (name, pair)
+                assert pair in t._b_cache, (name, pair)
 
 
 def test_lam_multilinear(transfers):
@@ -140,7 +157,7 @@ def test_zero_argument_makes_no_bracket_call():
     # nonzero pair calls it once, on u and v as they are
     calls = []
 
-    def bracket(u, v):
+    def bracket(u, v, max_weight=None):
         calls.append((u, v))
         return Vec({"out": 1})
 

@@ -4,13 +4,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.core import Vec, WordAlgebra, mi_unit, mi_weight
+from liepairs.core import EVEN, Vec, WordAlgebra, mi_unit, mi_weight
 from liepairs.liepair import Connection
 from liepairs.weyl import Weyl
 
 from helpers import (
-    FIXTURES, N, apply_x, include_a, load, oracle_derive, pipeline,
-    project_a,
+    FIXTURES, N, apply_x, assert_window_is_restriction, include_a,
+    is_normalised, load, oracle_derive, pipeline, project_a,
 )
 
 
@@ -292,6 +292,56 @@ def layouts_and_vecs(draw):
 @given(layouts_and_vecs())
 def test_h_matches_contraction_oracle(case):
     assert_same_h(*case)
+
+
+# ---------------------------------------------------------------------------
+# the output caps of h and -delta: each window is the restriction of the
+# uncapped value, and -delta is minus the derivation chi_k -> dchi_k with
+# its coefficients normalised
+
+
+def koszul_ops(X):
+    return [lambda x, mw=None: Weyl.h(X, x, mw),
+            lambda x, mw=None: Weyl.d_big(X, x, mw)]
+
+
+def oracle_d_big(X, x):
+    images = {(EVEN, k): Vec({X.alg.odd_word(1, k): 1}) for k in range(X.r)}
+    return -X.alg.derive(images, 1, x)
+
+
+def test_koszul_windows_exhaustive():
+    # every word of WordAlgebra((2, 2), 2, 2) and up to two over its cap,
+    # alone and all at once, on the scalar and the polyvector layout
+    for polyvector in (False, True):
+        X = layout(2, 2, 2, polyvector)
+        words = list(X.alg.words(max_weight=4))
+        xs = [Vec({w: Fraction(3, 2)}) for w in words]
+        xs.append(Vec({w: t % 5 - 2 for t, w in enumerate(words)}))
+        for x in xs:
+            assert Weyl.d_big(X, x) == oracle_d_big(X, x)
+            for op in koszul_ops(X):
+                assert_window_is_restriction(op, x, X.N)
+        for op in koszul_ops(X):
+            with pytest.raises(ValueError, match="over the algebra's cap"):
+                op(xs[-1], X.N + 1)
+
+
+@settings(deadline=None)
+@given(layouts_and_vecs())
+def test_koszul_windows_and_normal_form(case):
+    X, x = case
+    got = Weyl.d_big(X, x)
+    assert got == oracle_d_big(X, x) and is_normalised(got)
+    for op in koszul_ops(X):
+        assert_window_is_restriction(op, x, X.N)
+
+
+def test_rho_windows(machines):
+    for name, W in machines.items():
+        for w in all_words(W, W.N + 1):
+            assert_window_is_restriction(W.rho, Vec({w: Fraction(3, 2)}),
+                                         W.N)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ class Vec(dict):
     """
 
     def __init__(self, data=()):
-        super().__init__()
+        # dict.__new__ has made the empty dict; only data is added here
         if type(data) is Vec:
             self.update(data)  # already normalised
         elif data:

@@ -12,7 +12,7 @@ from liepairs.weyl import Weyl
 
 from helpers import (
     FIXTURES, N, assert_window_is_restriction, d_small_keys, defect_side_ht,
-    pipeline,
+    is_normalised, pipeline,
 )
 
 
@@ -268,14 +268,9 @@ def old_perturbed(c, rho):
     return tau, series(c.h), d_small
 
 
-def exact(v):
-    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for c in v.values())
-
-
 def assert_same(got, want, label):
     assert got == want, label
-    assert exact(got), label
+    assert is_normalised(got), label
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,9 @@ from liepairs.core import (
 )
 
 from helpers import (
-    assert_window_is_restriction, mi_le, odd_letters, oracle_derive,
-    oracle_kernel_basis, oracle_rref, pair_dual, word_of_letters,
+    assert_window_is_restriction, is_normalised, mi_le, odd_letters,
+    oracle_derive, oracle_kernel_basis, oracle_rref, pair_dual,
+    word_of_letters,
 )
 
 
@@ -328,11 +329,6 @@ def test_vec_rejects_floats(make):
         make()
 
 
-def _exact_invariant(v):
-    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for c in v.values())
-
-
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -342,11 +338,11 @@ def test_vec_invariant_under_arithmetic(terms, scale):
     v = Vec()
     for k, c in terms:
         v.iadd_term(k, c)
-        assert _exact_invariant(v)
+        assert is_normalised(v)
     w = Vec(terms)
     for out in (v, w, v + w, v - w, scale * v, -v,
                 Vec(v).iadd_scaled(scale, w)):
-        assert _exact_invariant(out)
+        assert is_normalised(out)
     assert v == w
 
 
@@ -361,7 +357,7 @@ def test_vec_signs_match_the_scaled_form(terms, more):
                    (Fraction(1), v * Fraction(1))):
         want = Vec((k, c * n) for k, c in v.items())
         assert got == want and list(got) == list(want)
-        assert _exact_invariant(got)
+        assert is_normalised(got)
         assert got is not v
     for n in (1, -1, Fraction(1), Fraction(-1)):
         got = Vec(w).iadd_scaled(n, v)
@@ -369,7 +365,7 @@ def test_vec_signs_match_the_scaled_form(terms, more):
         for k, c in v.items():
             want.iadd_term(k, c * n)
         assert got == want and list(got) == list(want)
-        assert _exact_invariant(got)
+        assert is_normalised(got)
     assert v == Vec(terms)  # untouched
 
 
@@ -393,7 +389,7 @@ def test_linear_matches_the_per_term_loop(images, terms):
         for k2, c2 in (images.get(key) or {}).items():
             want.iadd_term(k2, c2 * c)
     assert got == want and list(got) == list(want)
-    assert _exact_invariant(got)
+    assert is_normalised(got)
     assert images == before
 
 
@@ -410,7 +406,7 @@ def test_on_first_matches_the_per_term_loop(images, terms):
         for w2, c2 in (images.get(w) or {}).items():
             want.iadd_term((w2, rest), c2 * c)
     assert got == want and list(got) == list(want)
-    assert _exact_invariant(got)
+    assert is_normalised(got)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +493,7 @@ def test_derive_matches_leibniz_oracle(data, parity):
     want = oracle_derive(A, images, parity, x)
     # the same entries, inserted in the same order
     assert got == want and list(got) == list(want)
-    assert _exact_invariant(got)
+    assert is_normalised(got)
 
 
 @given(st.data(), st.integers(0, 1))
@@ -529,11 +525,11 @@ def test_integer_kernel_cancels_to_an_int():
     for parity in (0, 1):
         got = Derivation(A, images, parity)(x)
         assert got == Vec({chi: 1}) == oracle_derive(A, images, parity, x)
-        assert type(got[chi]) is int and _exact_invariant(got)
+        assert type(got[chi]) is int and is_normalised(got)
     x = Vec({A.make_word([(0, 1)], (1,)): Fraction(1, 6), a0: 2})
     got = A.dchi(0, x)
     assert got == Vec({A.make_word([(0, 1)], (0,)): Fraction(1, 6)})
-    assert _exact_invariant(got)
+    assert is_normalised(got)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -596,12 +592,12 @@ def assert_closed_forms_match_derivation(A, x):
             got = A.contract_odd(c, i, x)
             want = Derivation(A, {(c, i): A.one()}, 1)(x)
             assert got == want and list(got) == list(want), (c, i, x)
-            assert _exact_invariant(got)
+            assert is_normalised(got)
     for k in range(A.n_even):
         got = A.dchi(k, x)
         want = Derivation(A, {(EVEN, k): A.one()}, 0)(x)
         assert got == want and list(got) == list(want), (k, x)
-        assert _exact_invariant(got)
+        assert is_normalised(got)
 
 
 @given(st.data())
@@ -695,9 +691,10 @@ def test_window_is_restriction_exhaustive(parity):
     for n in range(3):
         D = Derivation(A, mixed_images(A, n), parity)
         for w in words:
-            assert_window_is_restriction(D, Vec({w: Fraction(3, 2)}), 2)
+            assert_window_is_restriction(D, Vec({w: Fraction(3, 2)}),
+                                         A.trunc)
         assert_window_is_restriction(
-            D, Vec({w: t % 5 - 2 for t, w in enumerate(words)}), 2)
+            D, Vec({w: t % 5 - 2 for t, w in enumerate(words)}), A.trunc)
 
 
 @given(st.data(), st.integers(0, 1))

@@ -10,7 +10,9 @@ from liepairs.core import (
 from liepairs.liepair import Connection
 from liepairs.pbw import d_a_u, dual_map, transition
 
-from helpers import FIXTURES, N, dual_nabla_chi, nabla_flash, pbw, pipeline
+from helpers import (
+    FIXTURES, N, dual_nabla_chi, is_normalised, nabla_flash, pbw, pipeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -274,9 +276,7 @@ def dense_inverses(built):
 
 def assert_same_inv(P, inv, cls):
     got, want = P.pbw_inv(cls), dense_pbw_inv(P, inv, cls)
-    assert got == want
-    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for c in got.values())
+    assert got == want and is_normalised(got)
 
 
 def test_sparse_pbw_inv_matches_dense_exhaustive(built, dense_inverses):

@@ -259,9 +259,7 @@ def layout(m, r, trunc, polyvector):
 
 def assert_same_h(W, x):
     got = Weyl.h(W, x)
-    assert got == oracle_h(W, x)
-    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for c in got.values())
+    assert got == oracle_h(W, x) and is_normalised(got)
 
 
 def test_h_matches_contraction_oracle_exhaustive(machines):

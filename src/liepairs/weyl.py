@@ -34,25 +34,30 @@ of weight max_weight or more, d_big one over max_weight + 1.  A capped
 call gives the words of the uncapped one up to the cap, with the same
 coefficients in the same order.
 
-Both run on integer numerators, as core.Derivation does.  Everything
-but the coefficient and the sign (-1)^|S| depends on a word only through
-(T, J), so a table per (T, J), built once, lists the T and J of each
-output word with its int factor: (-1)^p for h, -(-1)^p J_k for d_big;
-alpha_S and the further colours are carried along.  A call
-scales each input coefficient to an int by d_x, the lcm of the input's
-denominators, folds the sign (-1)^|S| into it once per input word, and
-sums the int products per output word, deleting a sum that cancels as
-Vec.iadd_term does, so the output keeps its order.  Each sum is divided
-once at the end, by d_x for d_big and by d_x (v + |J|) for h: every
-input word that reaches an output word of h has the same v + |J|, the
-output's number of chi_k-form letters plus its weight.
+Both are one integer loop, _koszul.  Everything but the coefficient
+and the sign (-1)^|S| depends on a word only through (T, J), so a table
+per (T, J), built once, lists the T and J of each output word with its
+int factor: (-1)^p for h, -(-1)^p J_k for d_big; alpha_S and the further
+colours are carried along.  A call scales each input coefficient to an
+int by d_x, the lcm of the input's denominators, folds the sign (-1)^|S|
+into it once per input word, and sums the int products per output word,
+deleting a sum that cancels as Vec.iadd_term does, so the output keeps
+its order.  Each sum is divided once at the end, by d_x for d_big and by
+d_x (v + |J|) for h: every input word that reaches an output word of h
+has the same v + |J|, the output's number of chi_k-form letters plus its
+weight.
 
-Once X is solved, the flat part rho = d + X and the total differential
-Q = -delta + rho are each one derivation: solve() merges the generator
-images of d and of X into one rho table, and adds those of -delta to it
-for a Q table.  The tables of d, rho and Q are each compiled once into
-a core.Derivation, so that d_l_nabla, rho and q_op each apply a
-compiled Leibniz pass.
+The correction X = sum_k X_k d_k is the fixed point of the Fedosov step
+
+    X_k = h(rho_X(rho_X(chi_k))),   rho_X = d + X,
+
+iterated from X = 0.  rho_X is one derivation: its table holds the
+images of d, with X_k added to the image of chi_k, and each pass
+compiles it once into a core.Derivation.  The table of the fixed point
+is the flat part rho = d + X, and Q = -delta + rho adds the images of
+-delta to it (set_tables).  The tables of d, rho and Q are each compiled
+once, so that d_l_nabla, rho and q_op each apply a compiled Leibniz
+pass.
 """
 
 from bisect import bisect_left
@@ -132,26 +137,8 @@ class Weyl:
         on integer numerators (see the module docstring).  It lowers the
         weight by exactly one, so an input word of weight over
         max_weight + 1 (default: the cap) is skipped."""
-        cap = self.alg.out_cap(max_weight)
-        dx = common_denominator(x)
-        acc = {}
-        get = acc.get
-        for w, c in x.items():
-            if sum(w[-1]) > cap + 1:
-                continue
-            c = (c * dx if type(c) is int
-                 else c.numerator * (dx // c.denominator))
-            if len(w[0]) % 2:
-                c = -c
-            S, mid = w[0], w[2:-1]
-            for T, J, f in _d_big_core(w[1], w[-1]):
-                key = (S, T, *mid, J)
-                new = get(key, 0) + f * c
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-        return _divided(acc, dx, False)
+        return _koszul(x, self.alg.out_cap(max_weight) + 1, _d_big_core,
+                       False)
 
     def delta(self, x):
         """The Koszul differential, -d_big."""
@@ -165,26 +152,7 @@ class Weyl:
         the module docstring).  It raises the weight by exactly one, so
         an input word of weight max_weight (default: the cap) or more is
         skipped."""
-        cap = self.alg.out_cap(max_weight)
-        dx = common_denominator(x)
-        acc = {}
-        get = acc.get
-        for w, c in x.items():
-            if not w[1] or sum(w[-1]) >= cap:
-                continue
-            c = (c * dx if type(c) is int
-                 else c.numerator * (dx // c.denominator))
-            if len(w[0]) % 2:
-                c = -c
-            S, mid = w[0], w[2:-1]
-            for T, J, f in _h_core(w[1], w[-1]):
-                key = (S, T, *mid, J)
-                new = get(key, 0) + f * c
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-        return _divided(acc, dx, True)
+        return _koszul(x, self.alg.out_cap(max_weight) - 1, _h_core, True)
 
     def sigma(self, x):
         out = Vec()
@@ -197,14 +165,6 @@ class Weyl:
     # A-dual generator is the corresponding form generator
     tau = sigma
 
-    # -- vertical derivations --------------------------------------------------
-
-    def vertical(self, coeffs, x):
-        """Odd derivation sum_k coeffs[k] d_k, whose coefficients are
-        one-forms, acting through the even generators."""
-        images = {(EVEN, k): c for k, c in coeffs.items() if c}
-        return self.alg.derive(images, 1, x)
-
     def restrict_weight(self, x, wmax):
         return Vec((w, c) for w, c in x.items()
                    if mi_weight(w[-1]) <= wmax)
@@ -212,32 +172,28 @@ class Weyl:
     # -- the correction term and the total differential -------------------------
 
     def solve(self):
-        """Weight-graded fixed point for the vertical one-form X with
-        h(X) = 0 making (-delta + d + X)^2 = 0; converges because each
-        pass determines one more symmetric weight.  Solved once: a later
-        call returns the stored X."""
+        """The vertical one-form X with h(X) = 0 making (-delta + d + X)^2
+        = 0: the fixed point of X_k = h(rho_X(rho_X(chi_k))) with rho_X =
+        d + X, iterated from X = 0.  It converges because each pass
+        determines one more symmetric weight.  Solved once: a later call
+        returns the stored X."""
         if self.x_vert is not None:
             return self.x_vert
         r = self.r
+        chis = [Vec({self.alg.even_word(mi_unit(r, k)): Fraction(1)})
+                for k in range(r)]
         X = {k: Vec() for k in range(r)}
         for _ in range(self.N + 2):
-            newX = {}
-            for k in range(r):
-                gen = Vec({self.alg.even_word(mi_unit(r, k)): Fraction(1)})
-                dgen = self.d_l_nabla(gen)
-                rhs = self.d_l_nabla(dgen)
-                rhs += self.d_l_nabla(X[k])
-                rhs += self.vertical(X, dgen)
-                rhs += self.vertical(X, X[k])
-                newX[k] = self.h(rhs)
-            if all(newX[k] == X[k] for k in range(r)):
-                self.x_vert = newX
-                rho = dict(self._d_images)
-                for k, xk in newX.items():
-                    if xk:
-                        rho[(EVEN, k)] = rho.get((EVEN, k), Vec()) + xk
+            rho = dict(self._d_images)
+            for k, xk in X.items():
+                if xk:
+                    rho[(EVEN, k)] = rho.get((EVEN, k), Vec()) + xk
+            step = Derivation(self.alg, rho, 1)
+            newX = {k: self.h(step(step(chi))) for k, chi in enumerate(chis)}
+            if newX == X:
+                self.x_vert = X
                 self.set_tables(rho)
-                return newX
+                return X
             X = newX
         raise RuntimeError("correction-term iteration failed to stabilize; "
                            "weight grading should force convergence")
@@ -288,6 +244,41 @@ class Weyl:
                 for k in range(r)]
 
 
+def _koszul(x, top, table, by_weight):
+    """The Koszul operator of table (_d_big_core or _h_core) on x, on
+    integer numerators, skipping the input words of weight over top (see
+    the module docstring).  Each int sum is divided by d_x and, with
+    by_weight, by the total weight of its word: its number of chi_k-form
+    letters plus the weight of J, which is h's v + |J| for every input
+    word that reaches it."""
+    dx = common_denominator(x)
+    acc = {}
+    get = acc.get
+    for w, c in x.items():
+        if sum(w[-1]) > top:
+            continue
+        c = (c * dx if type(c) is int
+             else c.numerator * (dx // c.denominator))
+        if len(w[0]) % 2:
+            c = -c
+        S, mid = w[0], w[2:-1]
+        for T, J, f in table(w[1], w[-1]):
+            key = (S, T, *mid, J)
+            new = get(key, 0) + f * c
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+    out = Vec()
+    if dx == 1 and not by_weight:
+        out.update(acc)
+        return out
+    for w, num in acc.items():
+        out[w] = _quotient(num, dx * (len(w[1]) + sum(w[-1]))
+                           if by_weight else dx)
+    return out
+
+
 @cache
 def _d_big_core(T, J):
     """-delta on the words alpha_S dchi_T ... chi^J: for each k not in T
@@ -312,21 +303,6 @@ def _h_core(T, J):
     return tuple((T[:p] + T[p + 1:], J[:k] + (J[k] + 1,) + J[k + 1:],
                   -1 if p % 2 else 1)
                  for p, k in enumerate(T))
-
-
-def _divided(acc, dx, by_weight):
-    """The Vec of the int sums acc, each divided by dx and, with
-    by_weight, by the total weight of its word: its number of chi_k-form
-    letters plus the weight of J, which is h's v + |J| for every input
-    word that reaches it."""
-    out = Vec()
-    if dx == 1 and not by_weight:
-        out.update(acc)
-        return out
-    for w, num in acc.items():
-        out[w] = _quotient(num, dx * (len(w[1]) + sum(w[-1]))
-                           if by_weight else dx)
-    return out
 
 
 @lru_cache(maxsize=4096)

@@ -135,9 +135,10 @@ def dual_nabla_chi(P, l, k):
 
 
 def apply_x(W, x):
-    """The correction X of a solved Weyl, acting as a vertical
-    derivation."""
-    return W.vertical(W.x_vert, x)
+    """The correction X of a solved Weyl, acting as the odd vertical
+    derivation sum_k X_k d_k."""
+    images = {(EVEN, k): c for k, c in W.x_vert.items() if c}
+    return W.alg.derive(images, 1, x)
 
 
 def curvature(conn, u, v, b):

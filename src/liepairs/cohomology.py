@@ -181,17 +181,3 @@ def induced_table(coh, op, n1, n2, n_out):
             out[(i, j)] = coh.project(val, n_out)
     return out
 
-
-def compare_on_cohomology(coh1, op1, coh2, op2, transport, n1, n2, n_out):
-    """Transport the first representatives, project both operation
-    values in the second cohomology, and collect disagreements."""
-    witnesses = []
-    for i in range(len(coh1.reps[n1][0])):
-        for j in range(len(coh1.reps[n2][0])):
-            r1 = coh1.rep(n1, i)
-            r2 = coh1.rep(n2, j)
-            lhs = coh2.project(transport(op1(r1, r2)), n_out)
-            rhs = coh2.project(op2(transport(r1), transport(r2)), n_out)
-            if lhs != rhs:
-                witnesses.append(((n1, i), (n2, j), lhs, rhs))
-    return witnesses

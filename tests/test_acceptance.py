@@ -37,9 +37,7 @@ from fractions import Fraction
 import pytest
 
 from liepairs.cli import Pipeline, second_choice
-from liepairs.cohomology import (
-    compare_on_cohomology, t_cohomology, t_complex_keys, t_cup,
-)
+from liepairs.cohomology import t_cohomology, t_complex_keys, t_cup
 from liepairs.contraction import contraction
 from liepairs.core import Vec, mi_unit, mi_upto, mi_weight, mi_zero
 from liepairs.liepair import (
@@ -52,8 +50,8 @@ from liepairs.uniqueness import Uniqueness
 from liepairs.weyl import Weyl
 
 from helpers import (
-    FIXTURES, MATCHED, N, d_small_keys, defect_side_hh, defect_side_ht,
-    load, mult_element, pipeline, plain,
+    FIXTURES, MATCHED, N, compare_on_cohomology, d_small_keys,
+    defect_side_hh, defect_side_ht, load, mult_element, pipeline, plain,
 )
 
 

@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.cli import Pipeline, second_choice
 from liepairs.cohomology import (
-    Cohomology, compare_on_cohomology, d_cohomology, d_complex_keys,
-    t_cohomology, t_complex_keys, t_cup,
+    Cohomology, d_cohomology, d_complex_keys, t_cohomology, t_complex_keys,
+    t_cup,
 )
 from liepairs.core import Vec, mi_upto
 from liepairs.liepair import a_form_algebra, d_a_bott
 
-from helpers import FIXTURES, N, is_coboundary, load, oracle_rref, pipeline
+from helpers import (
+    FIXTURES, N, compare_on_cohomology, is_coboundary, load, oracle_rref,
+    pipeline,
+)
 
 
 @pytest.fixture(scope="module")

@@ -111,17 +111,27 @@ def falling(K, J):
     return out
 
 
+def koszul_sign(degs, order):
+    """Sign for reordering positions 0..n-1 into `order`, with the given
+    degrees: each pair that the reordering swaps, of degrees p and q,
+    costs (-1)^(p q)."""
+    e = 0
+    for j, b in enumerate(order):
+        for a in order[:j]:
+            if a > b:
+                e += degs[a] * degs[b]
+    return -1 if e % 2 else 1
+
+
 def sort_sign(seq):
-    """Parity of the permutation sorting seq; (0, None) on repeated entries."""
-    lst = list(seq)
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] == lst[j]:
-                return 0, None
-            if lst[i] > lst[j]:
-                sign = -sign
-    return sign, tuple(sorted(lst))
+    """(parity of the permutation sorting seq, the sorted tuple): the
+    Koszul sign of the sorting with every degree 1; (0, None) on
+    repeated entries."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    out = tuple(seq[i] for i in order)
+    if any(a == b for a, b in zip(out, out[1:])):
+        return 0, None
+    return koszul_sign((1,) * len(out), order), out
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,7 @@ the recursion below the top only ever meets sorted tuples.
 
 import itertools
 
-from .core import Vec, linear, tensor_product
-
-
-def koszul_sign(degs, order):
-    """Sign for reordering positions 0..n-1 into `order`, with the given
-    degrees: each pair that the reordering swaps, of degrees p and q,
-    costs (-1)^(p q)."""
-    e = 0
-    for j, b in enumerate(order):
-        for a in order[:j]:
-            if a > b:
-                e += degs[a] * degs[b]
-    return -1 if e % 2 else 1
+from .core import Vec, koszul_sign, linear, tensor_product
 
 
 class Transfer:

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.contraction import Contraction, perturbed
 from liepairs.cohomology import d_complex_keys, t_complex_keys
-from liepairs.core import Vec, mi_upto
+from liepairs.core import Vec, koszul_sign, mi_upto
 from liepairs.liepair import a_form_algebra, d_a_bott
-from liepairs.transfer import Transfer, koszul_sign, small_sdeg
+from liepairs.transfer import Transfer, small_sdeg
 
 from helpers import FIXTURES, d_small_keys, pipeline, plain
 

@@ -48,8 +48,9 @@ class DPoly:
         self.P = Pbw(W.sp, W.conn, W.N)
         self.alg = W.alg
         self.c_vert = W.vertical_commutator()
-        self._q_slot_cache = {}
-        self._slide_cache = {}
+        # the per-argument tables, each built once per instance
+        self._q_slot = cache(self._q_slot)
+        self._slides = cache(self._slides)
 
     def deg(self, key):
         w, slots = key
@@ -91,9 +92,8 @@ class DPoly:
         """Action of the flat differential on a slot monomial inside the
         enveloping algebra: coefficients produced by the commutator are
         commuted to the front past the remaining letters, which costs
-        higher Leibniz terms.  Returns a Vec over (word, slot) pairs."""
-        if J in self._q_slot_cache:
-            return self._q_slot_cache[J]
+        higher Leibniz terms.  Returns a Vec over (word, slot) pairs,
+        shared: callers must not mutate it."""
         out = Vec()
         k0 = next((k for k, e in enumerate(J) if e), None)
         if k0 is not None:
@@ -107,7 +107,6 @@ class DPoly:
                 for w2, c2 in dw.items():
                     out.iadd_term((w2, M), c2)
                 out.iadd_term((w, mi_add(M, mi_unit(self.r, k0))), c)
-        self._q_slot_cache[J] = out
         return out
 
     def rho(self, x, max_weight=None):
@@ -182,21 +181,16 @@ class DPoly:
         middle slots, int coefficient, weight of the coefficient word),
         built once per (J, w2, S2) and shared: callers must not mutate
         it."""
-        key = (J, w2, S2)
-        out = self._slide_cache.get(key)
-        if out is None:
-            if not S2:
-                c = falling(w2[-1], J)
-                out = [(w2[:-1] + (mi_sub(w2[-1], J),), (), c)] if c else []
-            else:
-                out = [
-                    (w2b, (J0,) + tuple(map(mi_add, parts[1:], S2[1:])),
-                     c0 * mult)
-                    for parts, mult in multi_splits(J, len(S2))
-                    for w2b, J0, c0 in self._slot_into(parts[0], w2, S2[0])]
-            out = [(w2b, mid, c, mi_weight(w2b[-1])) for w2b, mid, c in out]
-            self._slide_cache[key] = out
-        return out
+        if not S2:
+            c = falling(w2[-1], J)
+            out = [(w2[:-1] + (mi_sub(w2[-1], J),), (), c)] if c else []
+        else:
+            out = [
+                (w2b, (J0,) + tuple(map(mi_add, parts[1:], S2[1:])),
+                 c0 * mult)
+                for parts, mult in multi_splits(J, len(S2))
+                for w2b, J0, c0 in self._slot_into(parts[0], w2, S2[0])]
+        return [(w2b, mid, c, mi_weight(w2b[-1])) for w2b, mid, c in out]
 
     def star(self, x, y, max_weight=None):
         """The insertion product, keeping the words of weight at most

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liepairs.cli import second_choice
 from liepairs.core import EVEN, Vec, WordAlgebra, mi_unit, mi_weight
-from liepairs.liepair import Connection
+from liepairs.liepair import Connection, default_connection
 from liepairs.weyl import Weyl
 
 from helpers import (
@@ -185,6 +186,45 @@ def test_correction_shape(machines):
             for w, c in coeff.items():
                 assert W.alg.form_deg(w) == 1, (name, k, w)
                 assert mi_weight(w[-1]) >= 2, (name, k, w)
+
+
+def fedosov_step_defects(W, X):
+    """The k with X_k != h(rho_X(rho_X(chi_k))), where rho_X is the odd
+    derivation with the images of d plus X_k on chi_k, applied by the
+    term-by-term Leibniz rule."""
+    table = dict(W._d_images)
+    for k, xk in X.items():
+        if xk:
+            table[(EVEN, k)] = table.get((EVEN, k), Vec()) + xk
+    bad = []
+    for k, xk in X.items():
+        chi = Vec({W.alg.even_word(mi_unit(W.r, k)): 1})
+        once = oracle_derive(W.alg, table, 1, chi)
+        if W.h(oracle_derive(W.alg, table, 1, once)) != xk:
+            bad.append(k)
+    return bad
+
+
+@pytest.mark.parametrize("choice", ["default", "second"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_correction_is_fedosov_fixed_point(name, choice):
+    pair, sp, conn = load(name)
+    conn = default_connection(sp)
+    if choice == "second":
+        conn = second_choice(sp, conn)
+    W = Weyl(sp, conn, N)
+    X = W.solve()
+    for k, xk in X.items():
+        chi = Vec({W.alg.even_word(mi_unit(W.r, k)): 1})
+        assert W.h(W.rho(W.rho(chi))) == xk, (name, choice, k)
+    assert fedosov_step_defects(W, X) == [], (name, choice)
+    # negative control: one entry of X changed, its first word's
+    # coefficient (or, where X_0 = 0, that of alpha_0 chi_0^2) raised by one
+    bad = {k: Vec(xk) for k, xk in X.items()}
+    w = next(iter(bad[0]),
+             W.alg.make_word(((0,), ()), (2,) + (0,) * (W.r - 1)))
+    bad[0].iadd_term(w, 1)
+    assert fedosov_step_defects(W, bad), (name, choice)
 
 
 def test_q_squares_to_zero(machines):

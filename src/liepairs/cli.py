@@ -164,9 +164,11 @@ def run_contraction(run, p):
     run.all_zero("contraction:t:homotopy",
                  ((w, ct.defect_homotopy(Vec({w: 1})))
                   for w in T.alg.words(max_weight=trunc - 1)))
-    run.all_zero("contraction:t:side-conditions",
-                 ((w, ct.defect_side_sh(Vec({w: 1})))
-                  for w in T.alg.words(max_weight=trunc - 1)))
+    # hh: h raises the weight by one, so over trunc - 2 the cap empties it
+    run.all_zero("contraction:t:side-conditions", itertools.chain(
+        ((w, ct.defect_side_hh(Vec({w: 1})))
+         for w in T.alg.words(max_weight=trunc - 2)),
+        ((k, ct.defect_side_ht(Vec({k: 1}))) for k in tkeys)))
     # perturbed contraction identities, exact within the weight window
     for side, c, keys in (("t", pt, tkeys), ("d", pd, dkeys)):
         run.all_zero("contraction:%s:perturbed-projection" % side,

@@ -42,8 +42,8 @@ capped composition below equals the restricted one:
   * h'(d'(x, c - 1), c) and d'(h'(x, c + 1), c) in defect_homotopy:
     h' raises the weight by at least one, and d' = d_big + rho lowers it
     by at most one;
-  * sigma(h(x, 0)) for sigma h, and sigma(rho(tau x, 0)) in d_small':
-    sigma reads weight 0 only.
+  * sigma(rho(tau x, 0)) in d_small': sigma reads weight 0 only, and
+    so sigma h = sigma(h(x, 0)) is zero on every word.
 
 d_small' needs no series at all: sigma rho h = 0, since rho h keeps
 weight at least one, so sigma rho of each term (h rho)^k tau with k >= 1
@@ -131,10 +131,13 @@ class Contraction:
         out -= self.tau(self.sigma(x))
         return out
 
-    def defect_side_sh(self, x):
-        """sigma h on a big element; sigma reads weight 0 only, so h is
-        capped there."""
-        return self.sigma(self.h(x, 0))
+    def defect_side_ht(self, x):
+        """h tau on a small element."""
+        return self.h(self.tau(x))
+
+    def defect_side_hh(self, x):
+        """h h on a big element."""
+        return self.h(self.h(x))
 
     def defect_chain_sigma(self, x):
         """sigma d_big - d_small sigma on a big element."""

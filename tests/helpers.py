@@ -70,14 +70,10 @@ def include_a(W, x):
     return Vec({(w[0], (), zero): c for w, c in x.items()})
 
 
-def defect_side_ht(C, x):
-    """h tau of a Contraction on a small element."""
-    return C.h(C.tau(x))
-
-
-def defect_side_hh(C, x):
-    """h h of a Contraction on a big element."""
-    return C.h(C.h(x))
+def defect_side_sh(C, x):
+    """sigma h of a Contraction on a big element; sigma reads weight 0
+    only, so h is capped there, and the value is zero word by word."""
+    return C.sigma(C.h(x, 0))
 
 
 def evaluate(D, x, args):

@@ -51,7 +51,7 @@ from liepairs.weyl import Weyl
 
 from helpers import (
     FIXTURES, MATCHED, N, compare_on_cohomology, d_small_keys,
-    defect_side_hh, defect_side_ht, load, mult_element, pipeline, plain,
+    defect_side_sh, load, mult_element, pipeline, plain,
 )
 
 
@@ -117,7 +117,7 @@ def test_acc1_lifted_contraction_identities(pipelines):
         for key in d_small_keys(sp):
             x = Vec({key: 1})
             assert cd.defect_projection(x).is_zero(), (name, key)
-            assert defect_side_ht(cd, x).is_zero(), (name, key)
+            assert cd.defect_side_ht(x).is_zero(), (name, key)
         e0 = mi_unit(D.r, 0)
         for w in D.W.alg.words(max_weight=N - 1):
             for slots in [(mi_zero(D.r),), (e0,), (e0, mi_zero(D.r))]:
@@ -126,7 +126,7 @@ def test_acc1_lifted_contraction_identities(pipelines):
                 assert D.delta(D.delta(x)).is_zero(), (name, w, slots)
                 if wt <= N - 2:
                     assert D.h(D.h(x)).is_zero(), (name, w, slots)
-                    assert cd.defect_side_sh(x).is_zero(), (name, w, slots)
+                    assert defect_side_sh(cd, x).is_zero(), (name, w, slots)
                     assert cd.defect_homotopy(x).is_zero(), \
                         (name, w, slots)
 
@@ -174,23 +174,23 @@ def test_acc3_perturbed_identities(pipelines):
         for key in t_complex_keys(sp):
             x = Vec({key: 1})
             assert pt.defect_projection(x).is_zero(), (name, key)
-            assert defect_side_ht(pt, x).is_zero(), (name, key)
+            assert pt.defect_side_ht(x).is_zero(), (name, key)
         for key in d_small_keys(sp):
             x = Vec({key: 1})
             assert pd.defect_projection(x).is_zero(), (name, key)
-            assert defect_side_ht(pd, x).is_zero(), (name, key)
+            assert pd.defect_side_ht(x).is_zero(), (name, key)
         for w in T.alg.words(max_weight=1):
             x = Vec({w: 1})
-            assert pt.defect_side_sh(x).is_zero(), (name, w)
-            assert defect_side_hh(pt, x).is_zero(), (name, w)
+            assert defect_side_sh(pt, x).is_zero(), (name, w)
+            assert pt.defect_side_hh(x).is_zero(), (name, w)
             defect = pt.defect_homotopy(x)
             assert T.restrict_weight(defect, N - 3).is_zero(), (name, w)
         e0 = mi_unit(D.r, 0)
         for w in list(D.W.alg.words(max_weight=1))[::2]:
             for slots in [(mi_zero(D.r),), (e0, mi_zero(D.r))]:
                 x = Vec({(w, slots): 1})
-                assert pd.defect_side_sh(x).is_zero(), (name, w, slots)
-                assert defect_side_hh(pd, x).is_zero(), (name, w, slots)
+                assert defect_side_sh(pd, x).is_zero(), (name, w, slots)
+                assert pd.defect_side_hh(x).is_zero(), (name, w, slots)
                 defect = pd.defect_homotopy(x)
                 assert D.restrict_weight(defect, N - 3).is_zero(), \
                     (name, w, slots)

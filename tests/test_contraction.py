@@ -8,10 +8,10 @@ from liepairs.contraction import Contraction, contraction, perturbed
 from liepairs.core import EVEN, Vec, mi_weight, mi_zero
 from liepairs.liepair import d_a_bott
 from liepairs.pbw import d_a_u
-from liepairs.weyl import Weyl
+from liepairs.weyl import Weyl, _h_core, _koszul
 
 from helpers import (
-    FIXTURES, N, assert_window_is_restriction, d_small_keys, defect_side_ht,
+    FIXTURES, N, assert_window_is_restriction, d_small_keys, defect_side_sh,
     is_normalised, pipeline,
 )
 
@@ -37,15 +37,36 @@ def test_unperturbed_identities(sides):
         for key in t_complex_keys(T.sp):
             x = Vec({key: 1})
             assert ct.defect_projection(x).is_zero(), (name, key)
-            assert defect_side_ht(ct, x).is_zero(), (name, key)
+            assert ct.defect_side_ht(x).is_zero(), (name, key)
         for key in d_small_keys(D.sp):
             x = Vec({key: 1})
             assert cd.defect_projection(x).is_zero(), (name, key)
-            assert defect_side_ht(cd, x).is_zero(), (name, key)
+            assert cd.defect_side_ht(x).is_zero(), (name, key)
         for w in T.alg.words(max_weight=N - 1):
             x = Vec({w: 1})
             assert ct.defect_homotopy(x).is_zero(), (name, w)
-            assert ct.defect_side_sh(x).is_zero(), (name, w)
+            assert defect_side_sh(ct, x).is_zero(), (name, w)
+
+
+def test_side_condition_hh_fails_for_unsigned_homotopy(sides):
+    # hh = 0 is a cancellation between the two orders of contracting a
+    # pair of chi_k-form letters: an h without the sign (-1)^p of the
+    # letter it contracts fails it on the words of the report's
+    # side-conditions check
+    T, D = sides["sl2_h"]
+    ct = contraction(T)
+
+    def unsigned(S, J):
+        return tuple((S2, J2, 1) for S2, J2, f in _h_core(S, J))
+
+    def unsigned_h(x, max_weight=None):
+        return _koszul(x, T.alg.out_cap(max_weight) - 1, unsigned, True)
+
+    bad = Contraction(ct.sigma, ct.tau, unsigned_h, ct.d_big, ct.d_small,
+                      ct.kmax)
+    words = list(T.alg.words(max_weight=N - 2))
+    assert all(ct.defect_side_hh(Vec({w: 1})).is_zero() for w in words)
+    assert any(bad.defect_side_hh(Vec({w: 1})) for w in words)
 
 
 def test_sigma_rho_h_vanishes(sides):

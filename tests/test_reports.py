@@ -14,19 +14,20 @@ from helpers import PAIRS_DIR, run_cli
 # sha256 of the report file at --trunc 4 --arity 2 --seed 0.  Re-recorded
 # when the six strided checks began to report `exhaustive: false` and
 # their `stride`, and again when `transfer-d:jacobi-arity-1` began to run
-# over every key (its `count` doubled, `exhaustive: true`, no `stride`);
-# nothing else in the reports changed.
+# over every key (its `count` doubled, `exhaustive: true`, no `stride`),
+# and again when `contraction:t:side-conditions` began to check hh and
+# h tau (its `count` changed); nothing else in the reports changed.
 GOLDEN = {
     "abelian":
-        "cc0f970dc65aff569e42a40b76dcbeb6a265194655b2bbb67d87ed652242d586",
+        "152db76aa7f3fd16d402602138ec9081339629c881992dc5ad72757457e686f4",
     "heisenberg_center":
-        "551753498b44379df51da3554b6ba3ca8df685ebf6eec115669779534c77633f",
+        "b6b34ee41946d7126691e450a82d67f517d76f19b38f350f4a4b05875e0ab266",
     "heisenberg_x":
-        "2b342fdfa18aaad6ac7a7d018162c5e5909eb8f43e655a42cd65c98288b814ee",
+        "357788519f850a04c894d8d84cbe6d80858841152c6844973d872595e3ceae05",
     "sl2_borel":
-        "cdb455f374f8b8b4c4d4db177c0fc4151b86a737407e3d83e14f3e97a0f9a471",
+        "a29ba4e5e371346fe54a36306bec48186a96652f79a428303b6f0b0f25b904e2",
     "sl2_h":
-        "da2e8be1b54c4044992f98f4171acd1873a9ecdbce944c04e756321c4bb6897b",
+        "e7a1beaef2c968bfbf80dd6374fc3b4850c4953b789719b8efa71e001fbcd008",
 }
 
 
@@ -34,15 +35,15 @@ GOLDEN = {
 # --seed 0: the only reports that run the arity-3 Jacobi checks
 DEFAULTS = {
     "abelian":
-        "f832b9d6d454b463b676a3b7fbbfdd70c7a496731bff9bd2cee46d49c09f17f6",
+        "50177a7a10dfb0c01307b930e6121f8943b956d5576cf68c66515b30c090a673",
     "heisenberg_center":
-        "08485cc472b6aebcc7e8a38aee3021eed63338e29fa9336c815e47dd43ee3d58",
+        "adfe8caf15564dadff7eccc9eb2f1d5711f7faeb3d03618cd446f72e1d8de88a",
     "heisenberg_x":
-        "95389c48d083d7909fdba90c4bcf4a360ac6cd74765ac092e4a8f79f8832704b",
+        "336de17d6d385f9954419ab1e610054d5de6eee1daf357b68723fb0f67bc29c2",
     "sl2_borel":
-        "73416ea0b278b1abeabf9fe7923166feff027b396179dcc89adf09e7ae38d43b",
+        "5d921bc625f1d503c30fc66b0b755373f387f31da8fb23e9b4844d190b7b1a58",
     "sl2_h":
-        "80f7235a857a181f340131bf4bac52d47a449f671cb53a165665394dc5a1bdaf",
+        "be7d2b5398e270b5af6f67ba8110f25a6fa360764f349cacd522b61b683a104e",
 }
 
 
@@ -62,10 +63,11 @@ RANK3_COHOMOLOGY = \
 # sha256 of the heis5_lag (dim 5, r = 3) reports at --trunc 4 --arity 2
 # --seed 0: the wide small complexes of the contraction and cohomology
 # suites, where the perturbed tau/d_small, the PBW inverse and the exact
-# reduction do the work
+# reduction do the work.  The contraction digest was re-recorded when
+# `contraction:t:side-conditions` changed its `count`, as above.
 WIDE = {
     "contraction":
-        "23b04bd723f6144a2357bc84aef1d9c9c9e1c90412948304542b1a85df8aa0fe",
+        "91ede840250f1c4329c896c2ad43ef439afa4670c5fc21bcdd9762b45dc4c6a8",
     "cohomology":
         "5ee63d10e629b1f2a59f182dcd11e655418a31b7c70e94a8b06880ea335168e7",
 }

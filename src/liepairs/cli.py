@@ -10,7 +10,7 @@ means the configuration or input file was unusable.
 
 import argparse
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 import itertools
 import json
 import os
@@ -316,12 +316,11 @@ def run_uniqueness(run, p):
         # with A = L there is no complement to choose: one admissible choice
         run.add("uniqueness:not-applicable", True, count=0)
         return
-    D2 = DPoly(Weyl(sp, second_choice(sp, p.conn), trunc))
-    uni = Uniqueness(p.D, D2)
-    pd2 = perturbed(D2)
+    p2 = Pipeline(sp, second_choice(sp, p.conn), trunc)
+    uni = Uniqueness(p.D, p2.D)
     run.all_zero(
         "uniqueness:composition-is-identity",
-        ((k, uni.composition(p.pd, pd2, Vec({k: 1}))
+        ((k, uni.composition(p.pd, p2.pd, Vec({k: 1}))
           - uni.small_relabel(Vec({k: 1})))
          for k in d_complex_keys(sp)))
     run.all_zero(
@@ -338,6 +337,7 @@ def run_cohomology(run, p):
         "polyvector-dims": {str(n): d for n, d in coh.dims().items()}}
     lam2 = lambda x, y: tr.lam((x, y))
     cup = t_cup(T, pt)
+    cup_table = cache(lambda a, b: induced_table(coh, cup, a, b, a + b + 1))
     tables = {}
     defects = []
     for n1 in coh.degrees:
@@ -349,8 +349,7 @@ def run_cohomology(run, p):
                         tables["bracket(%d,%d,%d,%d)" % (n1, i, n2, j)] \
                             = [frac_str(c) for c in v]
             if n1 + n2 + 1 in coh.degrees:
-                tab = induced_table(coh, cup, n1, n2, n1 + n2 + 1)
-                back = induced_table(coh, cup, n2, n1, n1 + n2 + 1)
+                tab, back = cup_table(n1, n2), cup_table(n2, n1)
                 s = -1 if ((n1 + 1) * (n2 + 1)) % 2 else 1
                 for (i, j), v in tab.items():
                     if any(v):

@@ -784,10 +784,6 @@ def kernel_basis(rows, ncols):
     return list(basis.values())
 
 
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def mat_inv(a):
     """Inverse of the square matrix a (a list of rows), as a list of
     rows, by the reduced echelon form of (a | 1)."""

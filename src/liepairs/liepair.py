@@ -13,8 +13,8 @@ from functools import cached_property
 import itertools
 
 from .core import (
-    Derivation, Vec, WordAlgebra, linear, mat_inv, mat_vec, on_first,
-    sort_sign,
+    Derivation, Vec, WordAlgebra, linear, mat_inv, on_first, sort_sign,
+    tensor_product,
 )
 
 
@@ -79,19 +79,6 @@ class LiePair:
             return dict(self._c.get((i, j), {}))
         return {k: -v for k, v in self._c.get((j, i), {}).items()}
 
-    def bracket(self, x, y):
-        """Bracket of coordinate vectors (length-dim sequences)."""
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += xi * yj * c
-        return out
-
     def _validate(self):
         d = self.dim
         # Jacobi identity on basis triples: the Jacobiator of an
@@ -118,54 +105,48 @@ class LiePair:
                             "subalgebra not closed: [x%d,x%d] has x%d term"
                             % (i, j, k))
 
-    # -- canonical quotient ------------------------------------------------
-
-    def q_coords(self, x):
-        """Projection L -> B in the canonical frame (reference complement)."""
-        return [Fraction(x[c]) for c in self.comp]
-
 
 class Splitting:
     """A section j: B -> L of q, plus the data derived from it.
 
-    j is a dim x rank matrix whose columns are j(d_k) in original
+    jmatrix is a dim x rank matrix whose columns are j(d_k) in original
     coordinates; the default takes the reference complement itself.
-    The adapted basis is (A-basis..., j(d_0), ..., j(d_{r-1})), and all
-    downstream operators use adapted indices 0..dim-1 (A part first).
+    The adapted basis is (A-basis..., j(d_0), ..., j(d_{r-1})), kept in
+    `adapted` as Vec columns in original coordinates, and all downstream
+    operators use adapted indices 0..dim-1 (A part first).
     """
 
     def __init__(self, pair, jmatrix=None):
         self.pair = pair
         d, r, m = pair.dim, pair.rank, pair.dim_a
-        if jmatrix is None:
-            jmatrix = [[Fraction(int(i == pair.comp[k])) for k in range(r)]
-                       for i in range(d)]
-        self.j = [[Fraction(v) for v in row] for row in jmatrix]
-        # splitting axiom: q(j(d_k)) = d_k
+        self.adapted = [Vec({a: 1}) for a in pair.a_indices]
         for k in range(r):
-            col = [self.j[i][k] for i in range(d)]
-            if pair.q_coords(col) != [Fraction(int(t == k)) for t in range(r)]:
+            col = (Vec({pair.comp[k]: 1}) if jmatrix is None
+                   else Vec((i, row[k]) for i, row in enumerate(jmatrix)))
+            # splitting axiom: q(j(d_k)) = d_k
+            if [col[c] for c in pair.comp] != [int(t == k) for t in range(r)]:
                 raise PairError("splitting axiom q(j(b)) = b fails at k=%d" % k)
-        # adapted basis columns in original coordinates
-        self.adapted = []
-        for a in pair.a_indices:
-            self.adapted.append([Fraction(int(i == a)) for i in range(d)])
-        for k in range(r):
-            self.adapted.append([self.j[i][k] for i in range(d)])
-        # original -> adapted coordinate change
-        self._to_adapted = mat_inv([[self.adapted[u][i] for u in range(d)]
-                                    for i in range(d)])
+            self.adapted.append(col)
+        # the adapted coordinates of each original basis vector: the rows
+        # of the inverse of the matrix whose rows are the adapted columns
+        self._coords = [Vec(enumerate(row)) for row in mat_inv(
+            [[col[i] for i in range(d)] for col in self.adapted])]
         # adapted structure constants
         self.struct = {}
         for u in range(d):
             for v in range(u + 1, d):
-                br = pair.bracket(self.adapted[u], self.adapted[v])
-                coords = mat_vec(self._to_adapted, br)
-                entry = {w: c for w, c in enumerate(coords) if c != 0}
-                if entry:
-                    self.struct[(u, v)] = entry
+                br = linear(lambda ij: pair.bracket_basis(*ij),
+                            tensor_product(1, [self.adapted[u],
+                                               self.adapted[v]]))
+                coords = self.adapted_coords(br)
+                if coords:
+                    self.struct[(u, v)] = coords
         self.m = m
         self.r = r
+
+    def adapted_coords(self, x):
+        """A Vec in original coordinates, rewritten in adapted ones."""
+        return linear(self._coords.__getitem__, x)
 
     @cached_property
     def ce_base(self):
@@ -182,7 +163,7 @@ class Splitting:
         return fa, Derivation(fa, d_gen, 1)
 
     def struct_const(self, u, v):
-        """[E_u, E_v] in adapted coordinates, as {w: Fraction}."""
+        """[E_u, E_v] in adapted coordinates, as {w: coefficient}."""
         if u == v:
             return {}
         if u < v:

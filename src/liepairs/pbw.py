@@ -10,7 +10,7 @@ the left ideal U(L)A are labelled by multi-indices counting y-letters.
 from fractions import Fraction
 
 from .core import (
-    Vec, linear, mat_inv, mat_vec, mi_add, mi_all, mi_fact, mi_sub,
+    Vec, linear, mat_inv, mi_add, mi_all, mi_fact, mi_sub,
     mi_unit, mi_upto, mi_zero, tensor_product,
 )
 from .liepair import ce_differential
@@ -120,18 +120,14 @@ def relabel(src, dst):
     """The map rewriting classes labelled in src's normal form into
     dst's: each y-monomial is expanded over dst's adapted frame and
     reduced there (the identity when the two frames coincide)."""
-    dim = src.m + src.r
-    conv = [mat_vec(dst.sp._to_adapted, src.sp.adapted[i])
-            for i in range(dim)]
-    if all(conv[i][u] == (1 if i == u else 0)
-           for i in range(dim) for u in range(dim)):
+    conv = [dst.sp.adapted_coords(col) for col in src.sp.adapted]
+    if all(c == {i: 1} for i, c in enumerate(conv)):
         return lambda cls: cls
 
     def convert(cls):
         out = Vec()
         for J, c in cls.items():
-            acc = tensor_product(c, [dict(enumerate(conv[letter]))
-                                     for letter in src.y_mono(J)])
+            acc = tensor_product(c, [conv[letter] for letter in src.y_mono(J)])
             for mono, cm in acc.items():
                 out += dst.u_reduce(mono, cm)
         return out

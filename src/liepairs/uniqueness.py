@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import (
-    Vec, falling, linear, mat_vec, mi_add, mi_fact, mi_sub, mi_upto,
+    Vec, falling, linear, mi_add, mi_fact, mi_sub, mi_upto,
     mi_weight, tensor_product,
 )
 from .pbw import dual_map, relabel, transition
@@ -41,14 +41,12 @@ class Uniqueness:
         # first dual frame written in the second one: the a-form letters
         # pick up components along the chi-form letters
         alg = self.W2.alg
+        j2 = [sp1.adapted_coords(col) for col in sp2.adapted[self.m:]]
         self._frame_images = {}
         for s in range(self.m):
             img = Vec({alg.odd_word(0, s): Fraction(1)})
-            for l in range(self.r):
-                c = mat_vec(sp1._to_adapted,
-                            sp2.adapted[self.m + l])[s]
-                if c:
-                    img.iadd_term(alg.odd_word(1, l), c)
+            for l, x in enumerate(j2):
+                img.iadd_term(alg.odd_word(1, l), x[s])
             self._frame_images[(0, s)] = img
         # the per-key maps, each computed once per instance
         self.word_image = cache(self.word_image)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.core import (
     EVEN, Derivation, Vec, WordAlgebra, kernel_basis, linear, mat_inv,
-    mat_vec, mi_add, mi_all, mi_binom, mi_fact, mi_sub, mi_unit, mi_upto,
-    mi_weight, mi_zero, on_first, rref, sort_sign, sym_comul,
+    mi_add, mi_all, mi_binom, mi_fact, mi_sub, mi_unit, mi_upto, mi_weight,
+    mi_zero, on_first, rref, sort_sign, sym_comul,
 )
 
 from helpers import (
@@ -810,7 +810,7 @@ def test_kernel_basis_matches_dense_formula(case):
     rows, ncols = case
     basis = [dense(v, ncols) for v in kernel_basis(sparse(rows), ncols)]
     for v in basis:
-        assert all(e == 0 for e in mat_vec(rows, v))
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
     rank = len(oracle_rref(rows)[1]) if rows else 0
     assert len(basis) == ncols - rank
     assert basis == oracle_kernel_basis(rows, ncols)

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liepairs import liepair
 from liepairs.cohomology import t_complex_keys
-from liepairs.core import Vec
+from liepairs.core import Vec, mat_inv, mi_upto, tensor_product
 from liepairs.liepair import (
     Connection, LiePair, PairError, Splitting, a_form_algebra,
-    bott_action_on_lambda_b, d_a_bott, parse_pair_spec,
+    bott_action_on_lambda_b, d_a_bott, default_connection, parse_pair_spec,
 )
+from liepairs.pbw import Pbw, relabel
 
 from helpers import FIXTURES, PAIRS_DIR, curvature, d_a_scalar, load
 
@@ -58,6 +60,19 @@ class DenseJacobiPair(LiePair):
     """A LiePair validated by the Jacobi check as first written: dense
     Fraction vectors over all d^3 basis triples, and no subalgebra
     check (the tables below have A = 0)."""
+
+    def bracket(self, x, y):
+        """Bracket of coordinate vectors (length-dim sequences)."""
+        out = [Fraction(0)] * self.dim
+        for i, xi in enumerate(x):
+            if xi == 0:
+                continue
+            for j, yj in enumerate(y):
+                if yj == 0:
+                    continue
+                for k, c in self.bracket_basis(i, j).items():
+                    out[k] += xi * yj * c
+        return out
 
     def _validate(self):
         d = self.dim
@@ -140,10 +155,139 @@ def test_valid_nontrivial_splitting():
     # j(fbar) = f + h still projects to fbar
     j2 = [[1], [0], [1]]
     sp2 = Splitting(pair, j2)
-    assert sp2.adapted[2] == [Fraction(1), Fraction(0), Fraction(1)]
+    assert sp2.adapted[2] == {0: 1, 2: 1}
     # its canonical A-action is unchanged (it only sees the quotient class)
     sp1 = Splitting(pair)
     assert sp2.bott(0, 0) == sp1.bott(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the frame change against the dense formula it replaced: dense adapted
+# columns, the inverse of the matrix they form, and the dense bracket
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def reference_j(pair):
+    """The default splitting's matrix: j(d_k) is the k-th complement
+    basis vector."""
+    return [[int(i == c) for c in pair.comp] for i in range(pair.dim)]
+
+
+def dense_frame(pair, jmatrix):
+    """(adapted columns, original -> adapted matrix, structure constants)
+    of the splitting jmatrix, all dense."""
+    d = pair.dim
+    adapted = [[Fraction(int(i == a)) for i in range(d)]
+               for a in pair.a_indices]
+    adapted += [[Fraction(jmatrix[i][k]) for i in range(d)]
+                for k in range(pair.rank)]
+    to_adapted = mat_inv([[adapted[u][i] for u in range(d)]
+                          for i in range(d)])
+    struct = {}
+    for u, v in itertools.combinations(range(d), 2):
+        coords = mat_vec(to_adapted, DenseJacobiPair.bracket(
+            pair, adapted[u], adapted[v]))
+        if any(coords):
+            struct[(u, v)] = {w: c for w, c in enumerate(coords) if c}
+    return adapted, to_adapted, struct
+
+
+def assert_frame_matches_dense(pair, jmatrix):
+    sp = Splitting(pair, jmatrix)
+    adapted, _, struct = dense_frame(pair, jmatrix)
+    assert sp.adapted == [{i: c for i, c in enumerate(col) if c}
+                          for col in adapted]
+    for u, col in enumerate(sp.adapted):
+        assert sp.adapted_coords(col) == {u: 1}, u
+    assert sp.struct == struct
+
+
+def pbw_of(pair, jmatrix, trunc=2):
+    sp = Splitting(pair, jmatrix)
+    return Pbw(sp, default_connection(sp), trunc)
+
+
+def assert_relabel_matches_dense(pair, j1, j2):
+    # each y-letter of the first normal form expanded over the second
+    # adapted frame by the dense conversion matrix, then reduced there
+    P1, P2 = pbw_of(pair, j1), pbw_of(pair, j2)
+    to_adapted2 = dense_frame(pair, j2)[1]
+    conv = [dict(enumerate(mat_vec(to_adapted2, col)))
+            for col in dense_frame(pair, j1)[0]]
+    to_second = relabel(P1, P2)
+    for J in mi_upto(pair.rank, P1.N):
+        want = Vec()
+        for mono, c in tensor_product(Fraction(3, 2), [
+                conv[letter] for letter in P1.y_mono(J)]).items():
+            want += P2.u_reduce(mono, c)
+        assert to_second(Vec({J: Fraction(3, 2)})) == want, J
+    # back and forth is the identity on the classes
+    back = relabel(P2, P1)
+    for J in mi_upto(pair.rank, P1.N):
+        x = Vec({J: 1})
+        assert back(to_second(x)) == x, J
+
+
+SHIPPED = sorted(f[:-len(".json")] for f in os.listdir(PAIRS_DIR)
+                 if f.endswith(".json"))
+# j(fbar) = f + h on sl2_borel (h, e, f; A = <h, e>)
+BOREL_J = [[1], [0], [1]]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_frame_change_matches_dense_formula(name):
+    pair, sp, _ = load(name)
+    assert_frame_matches_dense(pair, reference_j(pair))
+    P = pbw_of(pair, reference_j(pair))
+    x = Vec({J: 1 for J in mi_upto(pair.rank, P.N)})
+    # one frame: relabel is the identity map itself
+    assert relabel(P, P)(x) is x
+
+
+def test_frame_change_matches_dense_formula_borel_complement():
+    pair = load("sl2_borel")[0]
+    assert_frame_matches_dense(pair, BOREL_J)
+    assert_relabel_matches_dense(pair, reference_j(pair), BOREL_J)
+    assert_relabel_matches_dense(pair, BOREL_J, reference_j(pair))
+
+
+@st.composite
+def complements(draw):
+    """A shipped pair and two splittings of it: each
+    column j(d_k) is d_k's reference vector plus rational A-components."""
+    pair = load(draw(st.sampled_from(SHIPPED)))[0]
+    entries = st.fractions(-2, 2, max_denominator=3)
+
+    def j():
+        out = reference_j(pair)
+        for a in pair.a_indices:
+            out[a] = [draw(entries) for _ in range(pair.rank)]
+        return out
+    return pair, j(), j()
+
+
+@settings(max_examples=40, deadline=None)
+@given(complements())
+def test_frame_change_matches_dense_formula_random(case):
+    pair, j1, j2 = case
+    assert_frame_matches_dense(pair, j1)
+    assert_relabel_matches_dense(pair, j1, j2)
+
+
+def test_transposed_inverse_fails_frame_checks(monkeypatch):
+    # negative control: with the transpose of the inverse in place of the
+    # inverse, the adapted columns no longer read as unit vectors
+    pair = load("sl2_borel")[0]
+    monkeypatch.setattr(liepair, "mat_inv", lambda a: [
+        list(col) for col in zip(*mat_inv(a))])
+    with pytest.raises(AssertionError):
+        assert_frame_matches_dense(pair, BOREL_J)
+    sp = Splitting(pair, BOREL_J)
+    assert sp.adapted_coords(sp.adapted[2]) != {2: 1}
+    assert sp.struct != dense_frame(pair, BOREL_J)[2]
 
 
 # ---------------------------------------------------------------------------

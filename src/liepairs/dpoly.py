@@ -76,9 +76,6 @@ class DPoly:
         cap = self.alg.out_cap(max_weight)
         return on_first(lambda y: self.W.d_big(y, cap), x)
 
-    def delta(self, x):
-        return -self.d_big(x)
-
     def h(self, x, max_weight=None):
         cap = self.alg.out_cap(max_weight)
         return on_first(lambda y: self.W.h(y, cap), x)

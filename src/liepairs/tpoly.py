@@ -20,7 +20,9 @@ class TPoly:
         """The polyvectors over the resolution of the Weyl W (solved
         here if it is not yet)."""
         self.W = W
-        W.solve()
+        # Weyl's rho and q_op, taken below, read x_vert as the mark of
+        # solved tables
+        self.x_vert = W.solve()
         self.sp, self.conn, self.N = W.sp, W.conn, W.N
         m, r = self.m, self.r = W.m, W.r
         # colours: 0 = alpha_s, 1 = chi_k-form, 2 = xi_k
@@ -53,7 +55,6 @@ class TPoly:
     # scalar definitions serve unchanged; rho alone perturbs the
     # contraction of this side
     d_big = Weyl.d_big
-    delta = Weyl.delta
     set_tables = Weyl.set_tables
     rho = perturbation = Weyl.rho
     q_op = Weyl.q_op

@@ -52,12 +52,11 @@ The correction X = sum_k X_k d_k is the fixed point of the Fedosov step
     X_k = h(rho_X(rho_X(chi_k))),   rho_X = d + X,
 
 iterated from X = 0.  rho_X is one derivation: its table holds the
-images of d, with X_k added to the image of chi_k, and each pass
-compiles it once into a core.Derivation.  The table of the fixed point
-is the flat part rho = d + X, and Q = -delta + rho adds the images of
--delta to it (set_tables).  The tables of d, rho and Q are each compiled
-once, so that d_l_nabla, rho and q_op each apply a compiled Leibniz
-pass.
+images of d, with X_k added to the image of chi_k, and Q = -delta +
+rho_X adds the images of -delta to it.  Each pass compiles the two
+tables once into core.Derivations (set_tables) and applies rho_X; the
+tables of the fixed point stay, so that rho and q_op each apply a
+compiled Leibniz pass.
 """
 
 from bisect import bisect_left
@@ -81,8 +80,8 @@ class Weyl:
         self.alg = WordAlgebra((m, r), r, trunc)
 
         # delta: chi_k (even) -> chi_k-form, a derivation of degree +1;
-        # delta() applies it in closed form, set_tables() reads the
-        # images for the Q table
+        # d_big applies its negative in closed form, set_tables() reads
+        # the images for the Q table
         self._delta_images = {
             (EVEN, k): Vec({self.alg.odd_word(1, k): Fraction(1)})
             for k in range(r)}
@@ -116,7 +115,6 @@ class Weyl:
                     img.iadd_term(ww, -g * sign)
             if img:
                 self._d_images[(EVEN, k)] = img
-        self._d = Derivation(self.alg, self._d_images, 1)
 
         # set by solve(): dict k -> Vec (coefficient of d_k), and the
         # derivation tables of rho and Q with their compiled derivations
@@ -139,13 +137,6 @@ class Weyl:
         max_weight + 1 (default: the cap) is skipped."""
         return _koszul(x, self.alg.out_cap(max_weight) + 1, _d_big_core,
                        False)
-
-    def delta(self, x):
-        """The Koszul differential, -d_big."""
-        return -self.d_big(x)
-
-    def d_l_nabla(self, x):
-        return self._d(x)
 
     def h(self, x, max_weight=None):
         """The Koszul homotopy in closed form on integer numerators (see
@@ -188,11 +179,11 @@ class Weyl:
             for k, xk in X.items():
                 if xk:
                     rho[(EVEN, k)] = rho.get((EVEN, k), Vec()) + xk
-            step = Derivation(self.alg, rho, 1)
+            self.set_tables(rho)
+            step = self._rho
             newX = {k: self.h(step(step(chi))) for k, chi in enumerate(chis)}
             if newX == X:
                 self.x_vert = X
-                self.set_tables(rho)
                 return X
             X = newX
         raise RuntimeError("correction-term iteration failed to stabilize; "
@@ -221,7 +212,7 @@ class Weyl:
         """The filtration-raising part of the total differential: d + X,
         keeping the words of weight at most max_weight (default: the
         cap)."""
-        if self._rho is None:
+        if self.x_vert is None:
             self.solve()
         return self._rho(x, max_weight)
 
@@ -230,7 +221,7 @@ class Weyl:
         even weight at most max_weight (default: the cap): the same
         words, coefficients and order as restrict_weight(q_op(x),
         max_weight), without forming the terms over it."""
-        if self._q is None:
+        if self.x_vert is None:
             self.solve()
         return self._q(x, max_weight)
 

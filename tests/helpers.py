@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 from liepairs.cli import Pipeline, main
 from liepairs.core import (
-    EVEN, Vec, falling, linear, mi_fact, mi_sub, mi_unit, mi_upto, mi_zero,
+    EVEN, Derivation, Vec, falling, linear, mi_fact, mi_sub, mi_unit,
+    mi_upto, mi_zero,
 )
 from liepairs.liepair import a_form_algebra, ce_differential, parse_pair_spec
 from liepairs.tpoly import TPoly
@@ -135,6 +136,17 @@ def apply_x(W, x):
     derivation sum_k X_k d_k."""
     images = {(EVEN, k): c for k, c in W.x_vert.items() if c}
     return W.alg.derive(images, 1, x)
+
+
+def delta(S, x):
+    """The Koszul differential of a Weyl, TPoly or DPoly: -d_big."""
+    return -S.d_big(x)
+
+
+def d_l_nabla(W):
+    """The covariant differential d of a Weyl alone, its table compiled
+    as one derivation; the pipeline applies it only inside rho."""
+    return Derivation(W.alg, W._d_images, 1)
 
 
 def curvature(conn, u, v, b):

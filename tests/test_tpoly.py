@@ -9,7 +9,7 @@ from liepairs.liepair import a_form_algebra, d_a_bott
 from liepairs.cohomology import t_complex_keys
 
 from helpers import (
-    FIXTURES, N, assert_window_is_restriction, pipeline, plain,
+    FIXTURES, N, assert_window_is_restriction, delta, pipeline, plain,
 )
 
 
@@ -31,13 +31,13 @@ def test_lifted_contraction_identities(machines):
         for w in all_words(T):
             x = Vec({w: 1})
             wt = mi_weight(w[-1])
-            assert T.delta(T.delta(x)).is_zero(), (name, w)
+            assert delta(T, delta(T, x)).is_zero(), (name, w)
             if wt <= N - 2:
                 assert T.h(T.h(x)).is_zero(), (name, w)
             if wt <= N - 1:
                 assert T.sigma(T.h(x)).is_zero(), (name, w)
                 lhs = x - T.tau(T.sigma(x))
-                rhs = T.h(T.delta(x)) + T.delta(T.h(x))
+                rhs = T.h(delta(T, x)) + delta(T, T.h(x))
                 assert lhs == rhs, (name, w)
 
 
@@ -323,5 +323,5 @@ def test_lifted_q_is_minus_delta_plus_rho(machines):
         for w in all_words(T, wmax=N + 1):
             x = Vec({w: Fraction(-2, 3)})
             q = T.q_op(x)
-            want = -1 * T.delta(x) + T.rho(x)
+            want = -1 * delta(T, x) + T.rho(x)
             assert q == want, (name, w)

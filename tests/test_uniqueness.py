@@ -8,7 +8,7 @@ from liepairs.core import Vec, mi_upto, mi_weight, mi_zero
 from liepairs.liepair import Splitting, default_connection
 from liepairs.uniqueness import Uniqueness
 
-from helpers import N, d_chain_defect, d_small_keys, pipeline
+from helpers import N, d_chain_defect, d_small_keys, delta, pipeline
 
 
 def second_pipeline(name, p):
@@ -139,8 +139,8 @@ def test_wrong_transport_detected(setups):
                 (alg.even_word(J), cj) for J, cj in series.items()))
         return out
 
-    q1 = lambda y: -1 * uni.W1.delta(y) + uni.W1.rho(y)
-    q2 = lambda y: -1 * uni.W2.delta(y) + uni.W2.rho(y)
+    q1 = lambda y: -1 * delta(uni.W1, y) + uni.W1.rho(y)
+    q2 = lambda y: -1 * delta(uni.W2, y) + uni.W2.rho(y)
     witness = None
     for w in uni.W1.alg.words(max_weight=2):
         d = bad_map(q1(Vec({w: 1}))) - q2(bad_map(Vec({w: 1})))

@@ -10,8 +10,8 @@ the left ideal U(L)A are labelled by multi-indices counting y-letters.
 from fractions import Fraction
 
 from .core import (
-    Vec, linear, mat_inv, mi_add, mi_all, mi_fact, mi_sub,
-    mi_unit, mi_upto, mi_zero, tensor_product,
+    Vec, linear, mat_inv, mi_add, mi_all, mi_fact, mi_sub, mi_unit,
+    mi_upto, mi_zero, tensor_product,
 )
 from .liepair import ce_differential
 

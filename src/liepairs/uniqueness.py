@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cache
 
 from .core import (
-    Vec, falling, linear, mi_add, mi_fact, mi_sub, mi_upto,
-    mi_weight, tensor_product,
+    Vec, falling, linear, mi_add, mi_fact, mi_sub, mi_upto, mi_weight,
+    tensor_product,
 )
 from .pbw import dual_map, relabel, transition
 

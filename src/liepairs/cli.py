@@ -22,7 +22,7 @@ from .cohomology import (
     t_complex_keys, t_cup,
 )
 from .contraction import contraction, perturbed
-from .core import Vec, mi_unit, mi_weight, mi_zero
+from .core import Vec, mi_unit, mi_weight, mi_zero, susp_sign
 from .dpoly import DPoly
 from .liepair import (
     Connection, PairError, SpecError, a_form_algebra, d_a_bott,
@@ -268,18 +268,17 @@ def run_matched(run, p, seed):
     tkeys = t_complex_keys(sp)
     dkeys = d_complex_keys(sp)
 
-    def de_susp(sdeg, val):
-        return -val if sdeg % 2 else val
-
+    # the transferred bracket is the suspended one: the direct bracket
+    # with k1 signed by its shifted degree
     run.all_zero(
         "matched:binary-bracket-equals-direct-schouten",
-        (((k1, k2), de_susp(small_sdeg(k1), tr.lam_keys((k1, k2)))
-          - mt.bracket(Vec({k1: 1}), Vec({k2: 1})))
+        (((k1, k2), tr.lam_keys((k1, k2))
+          - mt.bracket(susp_sign(Vec({k1: 1}), small_sdeg), Vec({k2: 1})))
          for k1 in tkeys for k2 in tkeys))
     run.all_zero(
         "matched:binary-bracket-equals-direct-gerstenhaber",
-        (((k1, k2), de_susp(small_sdeg(k1), td.lam_keys((k1, k2)))
-          - md.gerst(Vec({k1: 1}), Vec({k2: 1})))
+        (((k1, k2), td.lam_keys((k1, k2))
+          - md.gerst(susp_sign(Vec({k1: 1}), small_sdeg), Vec({k2: 1})))
          for k1 in dkeys[::2] for k2 in dkeys[::2]), stride=2)
     rng = random.Random(seed)
     sample = [tuple(tkeys[rng.randrange(len(tkeys))] for _ in range(3))

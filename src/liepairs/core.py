@@ -283,6 +283,12 @@ def on_first(op, x):
     return out
 
 
+def susp_sign(x, sdeg):
+    """The suspension sign term by term: x with each term of odd
+    shifted degree sdeg(key) negated."""
+    return Vec((key, -c if sdeg(key) % 2 else c) for key, c in x.items())
+
+
 # ---------------------------------------------------------------------------
 # the word algebra
 

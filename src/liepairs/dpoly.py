@@ -17,7 +17,7 @@ from functools import cache
 
 from .core import (
     Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, on_first,
-    sym_comul, tensor_product,
+    susp_sign, sym_comul, tensor_product,
 )
 from .pbw import Pbw
 
@@ -39,10 +39,8 @@ def multi_splits(J, parts):
 class DPoly:
 
     def __init__(self, W):
-        """The operators over the resolution of the Weyl W (solved
-        here if it is not yet)."""
+        """The operators over the resolution of the Weyl W."""
         self.W = W
-        W.solve()
         self.sp, self.conn, self.N = W.sp, W.conn, W.N
         self.m, self.r = W.m, W.r
         self.P = Pbw(W.sp, W.conn, W.N)
@@ -226,8 +224,7 @@ class DPoly:
         - star(y_1, x): at most three calls of star, each keeping the
         words of weight at most max_weight (default: the cap)."""
         y0, y1 = self._by_parity(y)
-        xs = Vec((key, -c if self.deg(key) % 2 else c)
-                 for key, c in x.items())
+        xs = susp_sign(x, self.deg)
         out = self.star(xs, y, max_weight)
         if y0:
             out -= self.star(y0, xs, max_weight)

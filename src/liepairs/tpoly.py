@@ -10,26 +10,21 @@ the whole thing a differential graded Lie algebra.
 
 from fractions import Fraction
 
-from .core import Vec, WordAlgebra, mi_zero
-from .weyl import Weyl
+from .core import Vec, WordAlgebra, mi_zero, susp_sign
+from .weyl import Weyl, koszul_delta
 
 
 class TPoly:
 
     def __init__(self, W):
-        """The polyvectors over the resolution of the Weyl W (solved
-        here if it is not yet)."""
+        """The polyvectors over the resolution of the Weyl W."""
         self.W = W
-        # Weyl's rho and q_op, taken below, read x_vert as the mark of
-        # solved tables
-        self.x_vert = W.solve()
         self.sp, self.conn, self.N = W.sp, W.conn, W.N
         m, r = self.m, self.r = W.m, W.r
         # colours: 0 = alpha_s, 1 = chi_k-form, 2 = xi_k
         self.alg = WordAlgebra((m, r, r), r, W.N)
 
-        self._delta_images = {g: self.embed(img)
-                              for g, img in self.W._delta_images.items()}
+        self._delta_images, self._d_big = koszul_delta(self.alg)
         rho = {g: self.embed(img) for g, img in self.W._rho_images.items()}
         # commutator action on the vertical directions:
         # xi_j -> sum_k c[j][k] xi_k
@@ -50,10 +45,10 @@ class TPoly:
 
     # -- lifted contraction operators ------------------------------------------
 
-    # rho and Q read the lifted tables; the homotopy, the projection and
-    # the weight cut act on the form and symmetric letters only, so the
-    # scalar definitions serve unchanged; rho alone perturbs the
-    # contraction of this side
+    # d_big, rho and Q read the lifted tables; the homotopy, the
+    # projection and the weight cut act on the form and symmetric letters
+    # only, so the scalar definitions serve unchanged; rho alone perturbs
+    # the contraction of this side
     d_big = Weyl.d_big
     set_tables = Weyl.set_tables
     rho = perturbation = Weyl.rho
@@ -100,8 +95,7 @@ class TPoly:
         add in a product and are never negative, so each factor is
         capped there too."""
         alg, mw = self.alg, max_weight
-        u_signed = Vec((w, -c if self.deg(w) % 2 == 0 else c)
-                       for w, c in u.items())
+        u_signed = susp_sign(u, lambda w: self.deg(w) - 1)
         out = Vec()
         for k in range(self.r):
             out += alg.mul(self.dxi(u, k, mw), alg.dchi(k, v, mw), mw)

@@ -8,44 +8,42 @@ The four operators delta/h/sigma/tau contract this onto the forms on A,
 and the flat structure is completed by solving for the vertical
 correction term X so that Q = -delta + d + X squares to zero.
 
-Both delta and its homotopy h are closed formulas on a word
+The differential delta is the odd derivation given by its images on
+the generators, chi_k -> dchi_k (koszul_delta, on any word algebra whose
+colour 1 is the chi_k-forms).  The code applies d_big = -delta,
+the big differential of the contraction (contraction.py) and the
+-delta part of Q: a core.Derivation of the negated images, compiled
+once.  It lowers the weight by exactly one.
+
+The homotopy h is a closed formula on a word
 w = alpha_S dchi_T chi^J with chi_k-form letters T = (k_0 < k_1 < ...)
 (any further colours, such as the xi-letters of TPoly, sit between T
-and J, are carried along and enter no sign).  The differential delta
-is the odd derivation chi_k -> dchi_k: it lowers chi_k by one and adds
-the form letter k, so
-
-    delta(c w) = sum_(k not in T, J_k > 0) (-1)^(|S| + #{t in T: t < k})
-                     J_k c alpha_S dchi_(T plus k) chi^(J - e_k).
-
-The code computes d_big = -delta, the big differential of the
-contraction (contraction.py) and the -delta part of Q, and delta is its
-negation.  The homotopy h contracts one chi_k-form letter and raises
-chi_k by one, normalised by the total weight: for v = |T| > 0,
+and J, are carried along and enter no sign).  It contracts one chi_k-form
+letter and raises chi_k by one, normalised by the total weight: for
+v = |T| > 0,
 
     h(c w) = sum_p (-1)^(|S| + p) c / (v + |J|)
                    alpha_S dchi_(T minus k_p) chi^(J + e_(k_p)),
 
 so that h delta + delta h = id - tau sigma.  A word with v = 0 maps to
-zero.  h raises the weight by exactly one and d_big lowers it by exactly
-one, so each takes an output cap max_weight (default: the truncation
-weight) by skipping the input words whose image is over it: h a word
-of weight max_weight or more, d_big one over max_weight + 1.  A capped
-call gives the words of the uncapped one up to the cap, with the same
-coefficients in the same order.
+zero.  It divides by the weight of each word, so it is not a
+derivation.  h raises the weight by exactly one, so it takes an output
+cap max_weight (default: the truncation weight) and skips the input
+words of weight max_weight or more.  A capped call gives the words of
+the uncapped one up to the cap, with the same coefficients in the same
+order.
 
-Both are one integer loop, _koszul.  Everything but the coefficient
-and the sign (-1)^|S| depends on a word only through (T, J), so a table
-per (T, J), built once, lists the T and J of each output word with its
-int factor: (-1)^p for h, -(-1)^p J_k for d_big; alpha_S and the further
-colours are carried along.  A call scales each input coefficient to an
-int by d_x, the lcm of the input's denominators, folds the sign (-1)^|S|
-into it once per input word, and sums the int products per output word,
-deleting a sum that cancels as Vec.iadd_term does, so the output keeps
-its order.  Each sum is divided once at the end, by d_x for d_big and by
-d_x (v + |J|) for h: every input word that reaches an output word of h
-has the same v + |J|, the output's number of chi_k-form letters plus its
-weight.
+h is an integer loop, _koszul.  Everything but the coefficient and the
+sign (-1)^|S| depends on a word only through (T, J), so a table per
+(T, J), built once, lists the T and J of each output word with its sign
+(-1)^p; alpha_S and the further colours are carried along.  A call
+scales each input coefficient to an int by d_x, the lcm of the input's
+denominators, folds the sign (-1)^|S| into it once per input word, and
+sums the int products per output word, deleting a sum that cancels as
+Vec.iadd_term does, so the output keeps its order.  Each sum is divided
+once at the end, by d_x (v + |J|): every input word that reaches an
+output word has the same v + |J|, the output's number of chi_k-form
+letters plus its weight.
 
 The correction X = sum_k X_k d_k is the fixed point of the Fedosov step
 
@@ -54,12 +52,11 @@ The correction X = sum_k X_k d_k is the fixed point of the Fedosov step
 iterated from X = 0.  rho_X is one derivation: its table holds the
 images of d, with X_k added to the image of chi_k, and Q = -delta +
 rho_X adds the images of -delta to it.  Each pass compiles the two
-tables once into core.Derivations (set_tables) and applies rho_X; the
-tables of the fixed point stay, so that rho and q_op each apply a
-compiled Leibniz pass.
+tables once into core.Derivations (set_tables) and applies rho_X.  A
+Weyl is solved when it is built: the tables of the fixed point stay,
+so that rho and q_op each apply a compiled Leibniz pass.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -79,12 +76,9 @@ class Weyl:
         self.m, self.r, self.dim = m, r, dim
         self.alg = WordAlgebra((m, r), r, trunc)
 
-        # delta: chi_k (even) -> chi_k-form, a derivation of degree +1;
-        # d_big applies its negative in closed form, set_tables() reads
-        # the images for the Q table
-        self._delta_images = {
-            (EVEN, k): Vec({self.alg.odd_word(1, k): Fraction(1)})
-            for k in range(r)}
+        # delta, a derivation of degree +1, and d_big = -delta compiled;
+        # set_tables() adds the images of -delta to the Q table
+        self._delta_images, self._d_big = koszul_delta(self.alg)
 
         # covariant differential: structure-constant part on the form
         # generators, dual-connection part on the even generators
@@ -116,11 +110,11 @@ class Weyl:
             if img:
                 self._d_images[(EVEN, k)] = img
 
-        # set by solve(): dict k -> Vec (coefficient of d_k), and the
-        # derivation tables of rho and Q with their compiled derivations
+        # set by solve(), run here: dict k -> Vec (coefficient of d_k),
+        # and the derivation tables of rho and Q with their compiled
+        # derivations
         self.x_vert = None
-        self._rho_images = self._q_images = None
-        self._rho = self._q = None
+        self.solve()
 
     def _form_gen(self, l):
         return (0, l) if l < self.m else (1, l - self.m)
@@ -131,19 +125,16 @@ class Weyl:
     # -- basic operators -----------------------------------------------------
 
     def d_big(self, x, max_weight=None):
-        """-delta, the big differential of the contraction, in closed form
-        on integer numerators (see the module docstring).  It lowers the
-        weight by exactly one, so an input word of weight over
-        max_weight + 1 (default: the cap) is skipped."""
-        return _koszul(x, self.alg.out_cap(max_weight) + 1, _d_big_core,
-                       False)
+        """-delta, the big differential of the contraction, keeping the
+        words of weight at most max_weight (default: the cap)."""
+        return self._d_big(x, max_weight)
 
     def h(self, x, max_weight=None):
         """The Koszul homotopy in closed form on integer numerators (see
         the module docstring).  It raises the weight by exactly one, so
         an input word of weight max_weight (default: the cap) or more is
         skipped."""
-        return _koszul(x, self.alg.out_cap(max_weight) - 1, _h_core, True)
+        return _koszul(x, self.alg.out_cap(max_weight) - 1, _h_core)
 
     def sigma(self, x):
         out = Vec()
@@ -166,8 +157,8 @@ class Weyl:
         """The vertical one-form X with h(X) = 0 making (-delta + d + X)^2
         = 0: the fixed point of X_k = h(rho_X(rho_X(chi_k))) with rho_X =
         d + X, iterated from X = 0.  It converges because each pass
-        determines one more symmetric weight.  Solved once: a later call
-        returns the stored X."""
+        determines one more symmetric weight.  Solved once, when the Weyl
+        is built: a later call returns the stored X."""
         if self.x_vert is not None:
             return self.x_vert
         r = self.r
@@ -212,8 +203,6 @@ class Weyl:
         """The filtration-raising part of the total differential: d + X,
         keeping the words of weight at most max_weight (default: the
         cap)."""
-        if self.x_vert is None:
-            self.solve()
         return self._rho(x, max_weight)
 
     def q_op(self, x, max_weight=None):
@@ -221,8 +210,6 @@ class Weyl:
         even weight at most max_weight (default: the cap): the same
         words, coefficients and order as restrict_weight(q_op(x),
         max_weight), without forming the terms over it."""
-        if self.x_vert is None:
-            self.solve()
         return self._q(x, max_weight)
 
     def vertical_commutator(self):
@@ -235,13 +222,22 @@ class Weyl:
                 for k in range(r)]
 
 
-def _koszul(x, top, table, by_weight):
-    """The Koszul operator of table (_d_big_core or _h_core) on x, on
-    integer numerators, skipping the input words of weight over top (see
-    the module docstring).  Each int sum is divided by d_x and, with
-    by_weight, by the total weight of its word: its number of chi_k-form
-    letters plus the weight of J, which is h's v + |J| for every input
-    word that reaches it."""
+def koszul_delta(alg):
+    """The images of delta, chi_k -> dchi_k, on a word algebra alg whose
+    colour 1 is the chi_k-forms, and d_big = -delta: the Derivation of
+    their negations."""
+    images = {(EVEN, k): Vec({alg.odd_word(1, k): 1})
+              for k in range(alg.n_even)}
+    return images, Derivation(alg, {g: -img for g, img in images.items()},
+                              1)
+
+
+def _koszul(x, top, table):
+    """The homotopy of table (_h_core) on x, on integer numerators,
+    skipping the input words of weight over top (see the module
+    docstring).  Each int sum is divided by d_x and by the total weight
+    of its word: its number of chi_k-form letters plus the weight of J,
+    which is h's v + |J| for every input word that reaches it."""
     dx = common_denominator(x)
     acc = {}
     get = acc.get
@@ -261,29 +257,9 @@ def _koszul(x, top, table, by_weight):
             else:
                 del acc[key]
     out = Vec()
-    if dx == 1 and not by_weight:
-        out.update(acc)
-        return out
     for w, num in acc.items():
-        out[w] = _quotient(num, dx * (len(w[1]) + sum(w[-1]))
-                           if by_weight else dx)
+        out[w] = _quotient(num, dx * (len(w[1]) + sum(w[-1])))
     return out
-
-
-@cache
-def _d_big_core(T, J):
-    """-delta on the words alpha_S dchi_T ... chi^J: for each k not in T
-    with J_k > 0, the chi_k-form letters and the multi-index of the
-    output word (k put into T at position p, J - e_k), with its factor
-    -(-1)^p J_k."""
-    entries = []
-    for k, jk in enumerate(J):
-        if jk and k not in T:
-            p = bisect_left(T, k)
-            entries.append((T[:p] + (k,) + T[p:],
-                            J[:k] + (jk - 1,) + J[k + 1:],
-                            jk if p % 2 else -jk))
-    return tuple(entries)
 
 
 @cache
@@ -299,6 +275,6 @@ def _h_core(T, J):
 @lru_cache(maxsize=4096)
 def _quotient(num, den):
     """num / den as an int when exact, else as a Fraction; the few
-    quotients the Koszul operators meet are built once each."""
+    quotients the homotopy meets are built once each."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from liepairs.cli import Pipeline, main
 from liepairs.core import (
     EVEN, Derivation, Vec, falling, linear, mi_fact, mi_sub, mi_unit,
-    mi_upto, mi_zero,
+    mi_upto, mi_zero, susp_sign,
 )
 from liepairs.liepair import a_form_algebra, ce_differential, parse_pair_spec
 from liepairs.tpoly import TPoly
@@ -222,10 +222,10 @@ def plain(side, u, v, max_weight=None):
     suspended bracket of u with its terms of odd shifted degree negated
     (a polyvector's shifted degree is its form degree less one), keeping
     the words of weight at most max_weight, as the bracket does."""
-    t = isinstance(side, TPoly)
-    u = Vec((k, -c if (side.deg(k) - t) % 2 else c) for k, c in u.items())
-    bracket = side.schouten if t else side.gerst
-    return bracket(u, v, max_weight)
+    if isinstance(side, TPoly):
+        return side.schouten(susp_sign(u, lambda w: side.deg(w) - 1), v,
+                             max_weight)
+    return side.gerst(susp_sign(u, side.deg), v, max_weight)
 
 
 # ---------------------------------------------------------------------------

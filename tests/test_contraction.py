@@ -60,7 +60,7 @@ def test_side_condition_hh_fails_for_unsigned_homotopy(sides):
         return tuple((S2, J2, 1) for S2, J2, f in _h_core(S, J))
 
     def unsigned_h(x, max_weight=None):
-        return _koszul(x, T.alg.out_cap(max_weight) - 1, unsigned, True)
+        return _koszul(x, T.alg.out_cap(max_weight) - 1, unsigned)
 
     bad = Contraction(ct.sigma, ct.tau, unsigned_h, ct.d_big, ct.d_small,
                       ct.kmax)

@@ -1,13 +1,17 @@
+from bisect import bisect_left
 from fractions import Fraction
+import itertools
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepairs.cli import second_choice
-from liepairs.core import EVEN, Vec, WordAlgebra, mi_unit, mi_weight
+from liepairs.core import (
+    EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight,
+)
 from liepairs.liepair import Connection, default_connection
-from liepairs.weyl import Weyl
+from liepairs.weyl import Weyl, koszul_delta
 
 from helpers import (
     FIXTURES, N, apply_x, assert_window_is_restriction, d_l_nabla, delta,
@@ -229,18 +233,20 @@ def test_correction_is_fedosov_fixed_point(name, choice):
     assert fedosov_step_defects(W, bad), (name, choice)
 
 
-def test_failed_solve_leaves_no_table_in_use():
-    # sl2_h's X has terms of weight 2 and 4, so two passes of the Fedosov
-    # step stop short of its fixed point; the tables of the last pass are
-    # not rho's and Q's, and every later call solves (and fails) again
+def test_unconverged_correction_raises(monkeypatch):
+    # an h that gives a new value at every call leaves the Fedosov step
+    # with no fixed point: building the Weyl raises, and no partial sum
+    # is returned
     pair, sp, conn = load("sl2_h")
-    W = Weyl(sp, conn, N)
-    W.N = 0   # solve makes N + 2 passes
-    x = Vec({W.alg.even_word(mi_unit(W.r, 0)): 1})
-    for op in (W.solve, lambda: W.rho(x), lambda: W.q_op(x)):
-        with pytest.raises(RuntimeError, match="failed to stabilize"):
-            op()
-    assert W.x_vert is None
+    calls = itertools.count(1)
+
+    def drifting_h(self, x, max_weight=None):
+        return Vec({self.alg.make_word(((), (0,)), mi_unit(self.r, 0)):
+                    next(calls)})
+
+    monkeypatch.setattr(Weyl, "h", drifting_h)
+    with pytest.raises(RuntimeError, match="failed to stabilize"):
+        Weyl(sp, conn, N)
 
 
 def test_q_squares_to_zero(machines):
@@ -308,10 +314,12 @@ def oracle_h(W, x):
 
 
 def layout(m, r, trunc, polyvector):
-    """The fields Weyl.h reads, on the Weyl word layout (alpha, chi-form,
-    J) or the TPoly one (alpha, chi-form, xi, J)."""
+    """The fields Weyl.h and Weyl.d_big read, on the Weyl word layout
+    (alpha, chi-form, J) or the TPoly one (alpha, chi-form, xi, J)."""
     counts = (m, r, r) if polyvector else (m, r)
-    return SimpleNamespace(alg=WordAlgebra(counts, r, trunc), N=trunc, r=r)
+    alg = WordAlgebra(counts, r, trunc)
+    return SimpleNamespace(alg=alg, N=trunc, r=r,
+                           _d_big=koszul_delta(alg)[1])
 
 
 def assert_same_h(W, x):
@@ -351,8 +359,8 @@ def test_h_matches_contraction_oracle(case):
 
 # ---------------------------------------------------------------------------
 # the output caps of h and -delta: each window is the restriction of the
-# uncapped value, and -delta is minus the derivation chi_k -> dchi_k with
-# its coefficients normalised
+# uncapped value, and -delta, a compiled derivation, matches its closed
+# formula with its coefficients normalised
 
 
 def koszul_ops(X):
@@ -361,8 +369,41 @@ def koszul_ops(X):
 
 
 def oracle_d_big(X, x):
-    images = {(EVEN, k): Vec({X.alg.odd_word(1, k): 1}) for k in range(X.r)}
-    return -X.alg.derive(images, 1, x)
+    """-delta in closed form on the words alpha_S dchi_T ... chi^J: for
+    each k not in T with J_k > 0, the word with k put into T at position
+    p and J - e_k, coefficient -(-1)^(|S| + p) J_k c; an output word over
+    the cap is dropped."""
+    out = Vec()
+    for w, c in x.items():
+        S, T, J = w[0], w[1], w[-1]
+        if mi_weight(J) > X.alg.trunc + 1:
+            continue
+        for k, jk in enumerate(J):
+            if jk and k not in T:
+                p = bisect_left(T, k)
+                out.iadd_term(
+                    (S, T[:p] + (k,) + T[p:], *w[2:-1],
+                     J[:k] + (jk - 1,) + J[k + 1:]),
+                    jk * c if (len(S) + p) % 2 else -jk * c)
+    return out
+
+
+def test_d_big_of_plus_delta_fails_oracle():
+    # negative control: the compiled derivation of delta's own images,
+    # not their negations, disagrees with the oracle on every word it
+    # does not kill
+    for polyvector in (False, True):
+        X = layout(2, 2, 2, polyvector)
+        plus = Derivation(X.alg, koszul_delta(X.alg)[0], 1)
+        hits = 0
+        for w in X.alg.words():
+            x = Vec({w: Fraction(3, 2)})
+            want = oracle_d_big(X, x)
+            assert Weyl.d_big(X, x) == want, w
+            if want:
+                hits += 1
+                assert plus(x) != want, w
+        assert hits
 
 
 def test_koszul_windows_exhaustive():
@@ -400,8 +441,9 @@ def test_rho_windows(machines):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form Koszul differential against the derivation it sums, on
-# the scalar and the polyvector layout, every word up to the cap
+# the Koszul differential of the pipeline against the derivation of the
+# images that Q's table reads and against its closed formula, on the
+# scalar and the polyvector layout, every word up to the cap
 
 
 DELTA_PAIRS = {name: N for name in FIXTURES}
@@ -409,7 +451,9 @@ DELTA_PAIRS.update(heis5_lag=4, sl3_borel=3)
 
 
 def assert_same_delta(X, x):
-    assert delta(X, x) == X.alg.derive(X._delta_images, 1, x)
+    got = delta(X, x)
+    assert got == X.alg.derive(X._delta_images, 1, x)
+    assert got == -oracle_d_big(X, x)
 
 
 def test_delta_matches_derivation_oracle_exhaustive():

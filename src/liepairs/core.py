@@ -101,6 +101,20 @@ def sym_comul(J):
     return out
 
 
+@cache
+def multi_splits(J, parts):
+    """All ways to write J as an ordered sum of `parts` multi-indices,
+    with the multinomial coefficient J!/(M_0! ... ).  The list is built
+    once per argument and shared: callers must not mutate it."""
+    if parts == 1:
+        return [((J,), 1)]
+    out = []
+    for K, M, c in sym_comul(J):
+        for rest, c2 in multi_splits(M, parts - 1):
+            out.append(((K,) + rest, c * c2))
+    return out
+
+
 def falling(K, J):
     """Falling-factorial coefficient of d^J on chi^K: the product of
     K_i (K_i - 1) ... (K_i - J_i + 1)."""
@@ -259,6 +273,20 @@ def tensor_product(coef, factors):
                 nxt.iadd_term(pre + (k,), cp * ck)
         acc = nxt
     return acc
+
+
+def tensor_map(x, head, slot_map):
+    """The slotwise map on (head, slots) keys: each term c of x goes to
+    c times the tensor product of the images slot_map(slot) of its
+    slots, under the head head(h); a head that maps to None drops the
+    term."""
+    out = Vec()
+    for (h, slots), c in x.items():
+        h = head(h)
+        if h is not None:
+            for slots2, c2 in tensor_product(c, map(slot_map, slots)).items():
+                out.iadd_term((h, slots2), c2)
+    return out
 
 
 def linear(images, x):

@@ -16,24 +16,10 @@ commutator with the vertical directions.
 from functools import cache
 
 from .core import (
-    Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, on_first,
-    susp_sign, sym_comul, tensor_product,
+    Vec, falling, mi_add, mi_sub, mi_unit, mi_weight, mi_zero, multi_splits,
+    on_first, susp_sign, sym_comul, tensor_map,
 )
 from .pbw import Pbw
-
-
-@cache
-def multi_splits(J, parts):
-    """All ways to write J as an ordered sum of `parts` multi-indices,
-    with the multinomial coefficient J!/(M_0! ... ).  The list is built
-    once per argument and shared: callers must not mutate it."""
-    if parts == 1:
-        return [((J,), 1)]
-    out = []
-    for K, M, c in sym_comul(J):
-        for rest, c2 in multi_splits(M, parts - 1):
-            out.append(((K,) + rest, c * c2))
-    return out
 
 
 class DPoly:
@@ -244,20 +230,11 @@ class DPoly:
     def project_small(self, x):
         """Coefficient words with no chi content survive; each slot is
         symmetrized into a class of the enveloping-algebra quotient."""
-        out = Vec()
-        for (w, slots), c in x.items():
-            if w[1] or mi_weight(w[-1]) != 0:
-                continue
-            acc = tensor_product(c, [self.P.table[J] for J in slots])
-            for cls, cc in acc.items():
-                out.iadd_term(((w[0], ()), cls), cc)
-        return out
+        return tensor_map(
+            x, lambda w: None if w[1] or mi_weight(w[-1]) else (w[0], ()),
+            self.P.table.__getitem__)
 
     def include_small(self, x):
         zero = mi_zero(self.r)
-        out = Vec()
-        for (fw, cls), c in x.items():
-            acc = tensor_product(c, [self.P.inv_table[K] for K in cls])
-            for slots, cc in acc.items():
-                out.iadd_term(((fw[0], (), zero), slots), cc)
-        return out
+        return tensor_map(x, lambda fw: (fw[0], (), zero),
+                          self.P.inv_table.__getitem__)

@@ -215,8 +215,7 @@ class Connection:
         sp = self.splitting
         out = self.nabla_vec(u, sp.q_of_adapted(v))
         out -= self.nabla_vec(v, sp.q_of_adapted(u))
-        for w, c in sp.struct_const(u, v).items():
-            out.iadd_scaled(-c, Vec(sp.q_of_adapted(w)))
+        out -= linear(sp.q_of_adapted, sp.struct_const(u, v))
         return out
 
     def is_torsion_free(self):
@@ -263,13 +262,10 @@ def ce_differential(splitting, action, x):
     for (fw, ck), coef in x.items():
         for s in range(sp.m):
             acted = action(s, ck)
-            if not acted:
-                continue
-            alpha = Vec({fa.odd_word(0, s): Fraction(1)})
-            wedged = fa.mul(alpha, Vec({fw: coef}))
-            for w2, c2 in wedged.items():
-                for ck2, c3 in acted.items():
-                    out.iadd_term((w2, ck2), c2 * c3)
+            if acted:
+                alpha = Vec({fa.odd_word(0, s): Fraction(1)})
+                out += tensor_product(
+                    1, [fa.mul(alpha, Vec({fw: coef})), acted])
     return out
 
 

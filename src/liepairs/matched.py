@@ -14,8 +14,7 @@ they serve as independent oracles for the transferred brackets.
 from fractions import Fraction
 import itertools
 
-from .core import Derivation, Vec, sort_sign
-from .dpoly import multi_splits
+from .core import Derivation, Vec, multi_splits, sort_sign
 from .liepair import a_form_algebra
 from .transfer import small_sdeg
 

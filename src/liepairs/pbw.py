@@ -32,11 +32,11 @@ class Pbw:
         # j(B)-letters (adapted index >= m) sort before A-letters
         return (0, letter) if letter >= self.m else (1, letter)
 
-    def u_reduce(self, mono, coef=Fraction(1)):
+    def u_reduce(self, mono):
         """Class of a monomial modulo the left ideal generated by A,
         as a Vec over multi-indices (sorted y-letter monomials)."""
         out = Vec()
-        stack = [(tuple(mono), Fraction(coef))]
+        stack = [(tuple(mono), 1)]
         while stack:
             mono, c = stack.pop()
             for i in range(len(mono) - 1):
@@ -64,10 +64,7 @@ class Pbw:
 
     def left_mult(self, l, cls):
         """Left action of the adapted basis vector E_l on a class."""
-        out = Vec()
-        for J, c in cls.items():
-            out += self.u_reduce((l,) + self.y_mono(J), c)
-        return out
+        return linear(lambda J: self.u_reduce((l,) + self.y_mono(J)), cls)
 
     # -- the symmetrization map ------------------------------------------------
 
@@ -125,12 +122,8 @@ def relabel(src, dst):
         return lambda cls: cls
 
     def convert(cls):
-        out = Vec()
-        for J, c in cls.items():
-            acc = tensor_product(c, [conv[letter] for letter in src.y_mono(J)])
-            for mono, cm in acc.items():
-                out += dst.u_reduce(mono, cm)
-        return out
+        return linear(lambda J: linear(dst.u_reduce, tensor_product(
+            1, [conv[letter] for letter in src.y_mono(J)])), cls)
     return convert
 
 

@@ -17,7 +17,7 @@ from functools import cache
 
 from .core import (
     Vec, falling, linear, mi_add, mi_fact, mi_sub, mi_upto, mi_weight,
-    tensor_product,
+    tensor_map,
 )
 from .pbw import dual_map, relabel, transition
 
@@ -77,14 +77,8 @@ class Uniqueness:
     def _operator_on(self, J, K):
         """Value of the conjugated slot operator on a power-series basis
         element, as a Vec over multi-indices."""
-        f = self.dual_inv[K]
-        df = Vec()
-        for I, c in f.items():
-            low = mi_sub(I, J)
-            if low is None:
-                continue
-            df.iadd_term(low, c * falling(I, J))
-        return linear(self.dual.get, df)
+        return linear(self.dual.get, linear(
+            lambda I: Vec({mi_sub(I, J): falling(I, J)}), self.dual_inv[K]))
 
     def conj_slot(self, J):
         """Normal form of the conjugated slot operator: a Vec over pairs
@@ -149,13 +143,7 @@ class Uniqueness:
         labels in the second normal form (identity when the complements
         coincide).  The a-form part is shared and untouched."""
         to_second = relabel(self.D1.P, self.D2.P)
-        out = Vec()
-        for (fw, cls), c in x.items():
-            acc = tensor_product(c, [to_second(Vec({K: Fraction(1)}))
-                                     for K in cls])
-            for cls2, cc in acc.items():
-                out.iadd_term((fw, cls2), cc)
-        return out
+        return tensor_map(x, lambda fw: fw, lambda K: to_second(Vec({K: 1})))
 
     def composition(self, pd1, pd2, x):
         """Second projection after the isomorphism after the first

@@ -14,9 +14,10 @@ from typing import NamedTuple
 from liepairs.cli import Pipeline, main
 from liepairs.core import (
     EVEN, Derivation, Vec, falling, linear, mi_fact, mi_sub, mi_unit,
-    mi_upto, mi_zero, susp_sign,
+    mi_upto, mi_weight, mi_zero, on_first, susp_sign, tensor_product,
 )
 from liepairs.liepair import a_form_algebra, ce_differential, parse_pair_spec
+from liepairs.pbw import relabel
 from liepairs.tpoly import TPoly
 
 PAIRS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "pairs")
@@ -317,6 +318,112 @@ def oracle_kernel_basis(rows, ncols):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the per-term loops that the slotwise maps replaced, kept as their
+# oracles: each takes the pipeline object the map belongs to
+
+
+def typed_items(v):
+    """The terms of v in order, each with its coefficient's type."""
+    return [(k, type(c), c) for k, c in v.items()]
+
+
+def loop_project_small(D, x):
+    """DPoly.project_small of x."""
+    out = Vec()
+    for (w, slots), c in x.items():
+        if w[1] or mi_weight(w[-1]) != 0:
+            continue
+        acc = tensor_product(c, [D.P.table[J] for J in slots])
+        for cls, cc in acc.items():
+            out.iadd_term(((w[0], ()), cls), cc)
+    return out
+
+
+def loop_include_small(D, x):
+    """DPoly.include_small of x."""
+    zero = mi_zero(D.r)
+    out = Vec()
+    for (fw, cls), c in x.items():
+        acc = tensor_product(c, [D.P.inv_table[K] for K in cls])
+        for slots, cc in acc.items():
+            out.iadd_term(((fw[0], (), zero), slots), cc)
+    return out
+
+
+def loop_left_mult(P, l, cls):
+    """Pbw.left_mult of the class cls."""
+    out = Vec()
+    for J, c in cls.items():
+        out += P.u_reduce((l,) + P.y_mono(J)) * c
+    return out
+
+
+def loop_relabel(src, dst):
+    """pbw.relabel(src, dst), with no shortcut for equal frames."""
+    conv = [dst.sp.adapted_coords(col) for col in src.sp.adapted]
+
+    def convert(cls):
+        out = Vec()
+        for J, c in cls.items():
+            acc = tensor_product(c, [conv[letter] for letter in src.y_mono(J)])
+            for mono, cm in acc.items():
+                out += dst.u_reduce(mono) * cm
+        return out
+    return convert
+
+
+def loop_small_relabel(uni, x):
+    """Uniqueness.small_relabel of x."""
+    to_second = relabel(uni.D1.P, uni.D2.P)
+    out = Vec()
+    for (fw, cls), c in x.items():
+        acc = tensor_product(c, [to_second(Vec({K: Fraction(1)}))
+                                 for K in cls])
+        for cls2, cc in acc.items():
+            out.iadd_term((fw, cls2), cc)
+    return out
+
+
+def loop_operator_on(uni, J, K):
+    """Uniqueness._operator_on(J, K)."""
+    f = uni.dual_inv[K]
+    df = Vec()
+    for I, c in f.items():
+        low = mi_sub(I, J)
+        if low is None:
+            continue
+        df.iadd_term(low, c * falling(I, J))
+    return linear(uni.dual.get, df)
+
+
+def loop_torsion(conn, u, v):
+    """Connection.torsion(u, v)."""
+    sp = conn.splitting
+    out = conn.nabla_vec(u, sp.q_of_adapted(v))
+    out -= conn.nabla_vec(v, sp.q_of_adapted(u))
+    for w, c in sp.struct_const(u, v).items():
+        out.iadd_scaled(-c, Vec(sp.q_of_adapted(w)))
+    return out
+
+
+def loop_ce_differential(sp, action, x):
+    """liepair.ce_differential(sp, action, x)."""
+    fa, d_a = sp.ce_base
+    out = on_first(d_a, x)
+    for (fw, ck), coef in x.items():
+        for s in range(sp.m):
+            acted = action(s, ck)
+            if not acted:
+                continue
+            alpha = Vec({fa.odd_word(0, s): Fraction(1)})
+            wedged = fa.mul(alpha, Vec({fw: coef}))
+            for w2, c2 in wedged.items():
+                for ck2, c3 in acted.items():
+                    out.iadd_term((w2, ck2), c2 * c3)
+    return out
 
 
 class CliResult(NamedTuple):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.cohomology import d_complex_keys
 from liepairs.core import (
-    Vec, mi_add, mi_unit, mi_upto, mi_weight, mi_zero, tensor_product,
+    Vec, mi_add, mi_unit, mi_upto, mi_weight, mi_zero, multi_splits,
+    tensor_product,
 )
-from liepairs.dpoly import multi_splits
 from liepairs.pbw import d_a_u
 
 from helpers import (

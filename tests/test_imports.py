@@ -96,3 +96,26 @@ def test_no_dead_definitions():
             sources[path] = f.read()
     assert [(path, name) for path, name in dead_definitions(sources)
             if path in PACKAGE] == []
+
+
+def package_imports(module):
+    """The package modules that src/liepairs/<module>.py imports, directly
+    or through other package modules."""
+    seen, todo = set(), [module]
+    while todo:
+        path = os.path.join(ROOT, "src", "liepairs", todo.pop() + ".py")
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module not in seen):
+                seen.add(node.module)
+                todo.append(node.module)
+    return seen
+
+
+def test_matched_oracle_shares_no_code_with_the_resolution():
+    # matched.py checks the transferred brackets from outside: it may not
+    # reach the resolution side, even through another module
+    assert package_imports("matched") & {
+        "dpoly", "tpoly", "weyl", "contraction"} == set()

@@ -222,7 +222,7 @@ def assert_relabel_matches_dense(pair, j1, j2):
         want = Vec()
         for mono, c in tensor_product(Fraction(3, 2), [
                 conv[letter] for letter in P1.y_mono(J)]).items():
-            want += P2.u_reduce(mono, c)
+            want.iadd_scaled(c, P2.u_reduce(mono))
         assert to_second(Vec({J: Fraction(3, 2)})) == want, J
     # back and forth is the identity on the classes
     back = relabel(P2, P1)

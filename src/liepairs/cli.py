@@ -139,7 +139,7 @@ def run_fedosov(run, p):
     X = W.solve()
     run.all_zero("fedosov:homotopy-normalization",
                  ((k, W.h(X[k])) for k in range(sp.r)))
-    low = Vec(((w, c) for k in range(sp.r)
+    low = Vec((((k, w), c) for k in range(sp.r)
                for w, c in X[k].items() if mi_weight(w[-1]) < 2))
     run.all_zero("fedosov:correction-weight-at-least-two", [("X", low)])
     words = list(W.alg.words(max_weight=trunc - 1))

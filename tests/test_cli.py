@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from liepairs.cli import Runner, run_fedosov
+from liepairs.core import Vec, mi_unit
 from liepairs.weyl import Weyl
 
-from helpers import PAIRS_DIR, run_cli
+from helpers import PAIRS_DIR, pipeline, run_cli
 
 # a fresh interpreter that imports the sources under test
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -272,6 +274,21 @@ def test_fedosov_correction_vanishes_for_default_connection():
     report = json.loads(res.stdout)
     assert all(series == [] for series in
                report["artifacts"]["fedosov"]["correction"])
+
+
+def test_correction_weight_check_keeps_each_component_apart():
+    # X_0 = chi^(e_0) and X_1 = -chi^(e_0): each has a weight-1 word, so
+    # the check fails, though the two words would cancel in one sum
+    p = pipeline("sl2_h")
+    w = p.W.alg.even_word(mi_unit(p.sp.r, 0))
+    p.W.x_vert = {0: Vec({w: 1}), 1: Vec({w: -1})}
+    run = Runner()
+    run_fedosov(run, p)
+    check = next(c for c in run.checks
+                 if c["name"] == "fedosov:correction-weight-at-least-two")
+    assert check["status"] == "fail"
+    assert check["witness"]["defect"] == [(repr((0, w)), "1"),
+                                          (repr((1, w)), "-1")]
 
 
 def test_report_is_deterministic(tmp_path):

@@ -123,12 +123,9 @@ class Pipeline:
 
 
 def run_validate(run, pair, sp, conn):
-    ok, witness = conn.extends_bott()
-    run.add("validate:connection-extends-canonical-action", ok,
-            witness=None if ok else {"input": repr(witness)})
-    ok, witness = conn.is_torsion_free()
-    run.add("validate:connection-torsion-free", ok,
-            witness=None if ok else {"input": repr(witness)})
+    run.all_zero("validate:connection-extends-canonical-action",
+                 conn.bott_defects())
+    run.all_zero("validate:connection-torsion-free", conn.torsions())
     run.artifacts["pair"] = {"name": pair.name, "dimL": pair.dim,
                              "dimA": pair.dim_a,
                              "complement-closed": is_matched(sp)}

@@ -202,13 +202,16 @@ class Connection:
     def nabla_vec(self, l, bvec):
         return linear(lambda b: self.nabla(l, b), bvec)
 
-    def extends_bott(self):
+    def bott_defects(self):
+        """nabla_{E_s} d_b minus the canonical flat A-action on d_b,
+        keyed (s, b), for each A-direction s and B-index b in turn."""
         sp = self.splitting
         for s in range(sp.m):
             for b in range(sp.r):
-                if self.nabla(s, b) != sp.bott(s, b):
-                    return False, (s, b)
-        return True, None
+                yield (s, b), self.nabla(s, b) - Vec(sp.bott(s, b))
+
+    def extends_bott(self):
+        return _first_nonzero(self.bott_defects())
 
     def torsion(self, u, v):
         """T(E_u, E_v) = nabla_u q(E_v) - nabla_v q(E_u) - q[E_u, E_v]."""
@@ -218,13 +221,20 @@ class Connection:
         out -= linear(sp.q_of_adapted, sp.struct_const(u, v))
         return out
 
+    def torsions(self):
+        """T(E_u, E_v), keyed (u, v), for each basis pair u < v in turn."""
+        for uv in itertools.combinations(range(self.splitting.pair.dim), 2):
+            yield uv, self.torsion(*uv)
+
     def is_torsion_free(self):
-        d = self.splitting.pair.dim
-        for u in range(d):
-            for v in range(u + 1, d):
-                if self.torsion(u, v):
-                    return False, (u, v)
-        return True, None
+        return _first_nonzero(self.torsions())
+
+
+def _first_nonzero(defects):
+    """(True, None) when every (key, defect) pair has a zero defect,
+    else (False, the first key whose defect is not)."""
+    witness = next((key for key, v in defects if v), None)
+    return witness is None, witness
 
 
 def default_connection(splitting):

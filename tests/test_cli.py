@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from liepairs.cli import Runner, run_fedosov
+from liepairs.cli import Runner, run_fedosov, run_validate
 from liepairs.core import Vec, mi_unit
+from liepairs.liepair import Connection
 from liepairs.weyl import Weyl
 
-from helpers import PAIRS_DIR, pipeline, run_cli
+from helpers import PAIRS_DIR, load, pipeline, run_cli
 
 # a fresh interpreter that imports the sources under test
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -289,6 +290,32 @@ def test_correction_weight_check_keeps_each_component_apart():
     assert check["status"] == "fail"
     assert check["witness"]["defect"] == [(repr((0, w)), "1"),
                                           (repr((1, w)), "-1")]
+
+
+def test_connection_checks_count_the_cases_examined():
+    # every (A-direction, B-index) and every basis pair u < v when they
+    # pass; up to and including the first failing pair when one fails
+    pair, sp, conn = load("heis5_lag")
+    run = Runner()
+    run_validate(run, pair, sp, conn)
+    assert [(c["status"], c["count"]) for c in run.checks] == [
+        ("pass", 2 * 3), ("pass", 5 * 4 // 2)]
+    pair, sp, conn = load("heisenberg_center")
+    gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    gamma[pair.dim_a + 0][1][0] += 1   # torsion at (E_1, E_2) only
+    run = Runner()
+    run_validate(run, pair, sp, Connection(sp, gamma))
+    assert [(c["status"], c["count"]) for c in run.checks] == [
+        ("pass", 1 * 2), ("fail", 3)]
+    assert run.checks[1]["witness"]["input"] == repr((1, 2))
+    # off the canonical A-action at (E_0, d_1), the second case
+    gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    gamma[0][1][0] += 1
+    bad = Connection(sp, gamma)
+    assert bad.extends_bott() == (False, (0, 1))
+    run = Runner()
+    run_validate(run, pair, sp, bad)
+    assert [(c["status"], c["count"]) for c in run.checks][0] == ("fail", 2)
 
 
 def test_report_is_deterministic(tmp_path):

@@ -16,34 +16,38 @@ from helpers import PAIRS_DIR, run_cli
 # their `stride`, and again when `transfer-d:jacobi-arity-1` began to run
 # over every key (its `count` doubled, `exhaustive: true`, no `stride`),
 # and again when `contraction:t:side-conditions` began to check hh and
-# h tau (its `count` changed); nothing else in the reports changed.
+# h tau (its `count` changed), and again when the two
+# `validate:connection-*` checks began to count the cases they examine
+# (their `count` went from 0 to m r and d(d-1)/2); nothing else in the
+# reports changed.
 GOLDEN = {
     "abelian":
-        "152db76aa7f3fd16d402602138ec9081339629c881992dc5ad72757457e686f4",
+        "d814b2bf5d73543b7c6721a30800356a1ffd3a4e37468e01040f20a7c737ec79",
     "heisenberg_center":
-        "b6b34ee41946d7126691e450a82d67f517d76f19b38f350f4a4b05875e0ab266",
+        "307769093005aaf50e98461212b6fa697cc675d5ae11fddac7ca4b60d66af886",
     "heisenberg_x":
-        "357788519f850a04c894d8d84cbe6d80858841152c6844973d872595e3ceae05",
+        "96cc42b391c990aa95d80f3cc4e9d978ea2b1c222570271d0365dbe81cf12d63",
     "sl2_borel":
-        "a29ba4e5e371346fe54a36306bec48186a96652f79a428303b6f0b0f25b904e2",
+        "dc38a0abcad705335354c498d780b4cc488ef725ca725846ebd661c71750a0d9",
     "sl2_h":
-        "e7a1beaef2c968bfbf80dd6374fc3b4850c4953b789719b8efa71e001fbcd008",
+        "26414fd90ef73c9970c33a8a7e6e462cb03adcc345b004a6a57583eb583d62c7",
 }
 
 
 # sha256 of the report file at the defaults (--trunc 5 --arity 3) and
-# --seed 0: the only reports that run the arity-3 Jacobi checks
+# --seed 0: the only reports that run the arity-3 Jacobi checks.
+# Re-recorded with GOLDEN when the `validate:connection-*` counts changed.
 DEFAULTS = {
     "abelian":
-        "50177a7a10dfb0c01307b930e6121f8943b956d5576cf68c66515b30c090a673",
+        "8c3a10330f2769bb5d83dd84428d0f75421384cc7666b5eed3b3ea95af475941",
     "heisenberg_center":
-        "adfe8caf15564dadff7eccc9eb2f1d5711f7faeb3d03618cd446f72e1d8de88a",
+        "af9a5b332580012b57d5e530a2904f89a7867ffea6cb9d3c13d3bc448ec681d7",
     "heisenberg_x":
-        "336de17d6d385f9954419ab1e610054d5de6eee1daf357b68723fb0f67bc29c2",
+        "be264b142861e95cb9290c9b5c3597b2314b1e75439bf434e56085c6c362e9d9",
     "sl2_borel":
-        "5d921bc625f1d503c30fc66b0b755373f387f31da8fb23e9b4844d190b7b1a58",
+        "3caffd7091abaf9e75a0c4b79fa1d42dfe58976b6fa630a49ecaecd68d1696cd",
     "sl2_h":
-        "be7d2b5398e270b5af6f67ba8110f25a6fa360764f349cacd522b61b683a104e",
+        "306bf4a147fdbd8a2ef93540d1952a50451faea0a40011172d5b31587eaedc03",
 }
 
 

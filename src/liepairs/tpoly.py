@@ -11,7 +11,7 @@ the whole thing a differential graded Lie algebra.
 from fractions import Fraction
 
 from .core import Vec, WordAlgebra, mi_zero, susp_sign
-from .weyl import Weyl, koszul_delta
+from .weyl import Weyl, koszul_delta, koszul_kappa
 
 
 class TPoly:
@@ -25,6 +25,7 @@ class TPoly:
         self.alg = WordAlgebra((m, r, r), r, W.N)
 
         self._delta_images, self._d_big = koszul_delta(self.alg)
+        self._kappa = koszul_kappa(self.alg)
         rho = {g: self.embed(img) for g, img in self.W._rho_images.items()}
         # commutator action on the vertical directions:
         # xi_j -> sum_k c[j][k] xi_k
@@ -45,10 +46,10 @@ class TPoly:
 
     # -- lifted contraction operators ------------------------------------------
 
-    # d_big, rho and Q read the lifted tables; the homotopy, the
-    # projection and the weight cut act on the form and symmetric letters
-    # only, so the scalar definitions serve unchanged; rho alone perturbs
-    # the contraction of this side
+    # d_big, h (through kappa), rho and Q read this side's compiled
+    # tables, the projection and the weight cut act on the form and
+    # symmetric letters only, so the scalar definitions serve unchanged;
+    # rho alone perturbs the contraction of this side
     d_big = Weyl.d_big
     set_tables = Weyl.set_tables
     rho = perturbation = Weyl.rho

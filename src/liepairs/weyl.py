@@ -15,35 +15,23 @@ the big differential of the contraction (contraction.py) and the
 -delta part of Q: a core.Derivation of the negated images, compiled
 once.  It lowers the weight by exactly one.
 
-The homotopy h is a closed formula on a word
-w = alpha_S dchi_T chi^J with chi_k-form letters T = (k_0 < k_1 < ...)
-(any further colours, such as the xi-letters of TPoly, sit between T
-and J, are carried along and enter no sign).  It contracts one chi_k-form
-letter and raises chi_k by one, normalised by the total weight: for
-v = |T| > 0,
+The homotopy h is Fedosov's delta^-1.  kappa is the odd derivation
+with images dchi_k -> chi_k (koszul_kappa, on the same word algebras
+as koszul_delta), compiled once.  delta kappa + kappa delta is the even
+derivation that fixes every chi_k and chi_k-form letter and kills the
+other letters, so on a word w = alpha_S dchi_T ... chi^J with v = |T|
+it is the Euler operator
 
-    h(c w) = sum_p (-1)^(|S| + p) c / (v + |J|)
-                   alpha_S dchi_(T minus k_p) chi^(J + e_(k_p)),
+    delta kappa + kappa delta = (v + |J|) id,
 
-so that h delta + delta h = id - tau sigma.  A word with v = 0 maps to
-zero.  It divides by the weight of each word, so it is not a
-derivation.  h raises the weight by exactly one, so it takes an output
-cap max_weight (default: the truncation weight) and skips the input
-words of weight max_weight or more.  A capped call gives the words of
-the uncapped one up to the cap, with the same coefficients in the same
-order.
-
-h is an integer loop, _koszul.  Everything but the coefficient and the
-sign (-1)^|S| depends on a word only through (T, J), so a table per
-(T, J), built once, lists the T and J of each output word with its sign
-(-1)^p; alpha_S and the further colours are carried along.  A call
-scales each input coefficient to an int by d_x, the lcm of the input's
-denominators, folds the sign (-1)^|S| into it once per input word, and
-sums the int products per output word, deleting a sum that cancels as
-Vec.iadd_term does, so the output keeps its order.  Each sum is divided
-once at the end, by d_x (v + |J|): every input word that reaches an
-output word has the same v + |J|, the output's number of chi_k-form
-letters plus its weight.
+and h = kappa / (v + |J|) gives h delta + delta h = id - tau sigma.
+kappa moves one letter from T to J, so every input word that reaches an
+output word has the same v + |J|: the output's number of chi_k-form
+letters plus its weight.  h applies kappa and divides each output
+coefficient once by that weight; it is not a derivation.  h raises the
+weight by exactly one and takes kappa's output cap max_weight (default:
+the truncation weight): a capped call gives the words of the uncapped
+one up to the cap, with the same coefficients in the same order.
 
 The correction X = sum_k X_k d_k is the fixed point of the Fedosov step
 
@@ -58,11 +46,10 @@ so that rho and q_op each apply a compiled Leibniz pass.
 """
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .core import (
-    EVEN, Derivation, Vec, WordAlgebra, common_denominator, mi_unit,
-    mi_weight,
+    EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight,
 )
 
 
@@ -77,8 +64,10 @@ class Weyl:
         self.alg = WordAlgebra((m, r), r, trunc)
 
         # delta, a derivation of degree +1, and d_big = -delta compiled;
-        # set_tables() adds the images of -delta to the Q table
+        # set_tables() adds the images of -delta to the Q table; kappa
+        # compiled
         self._delta_images, self._d_big = koszul_delta(self.alg)
+        self._kappa = koszul_kappa(self.alg)
 
         # covariant differential: structure-constant part on the form
         # generators, dual-connection part on the even generators
@@ -130,11 +119,13 @@ class Weyl:
         return self._d_big(x, max_weight)
 
     def h(self, x, max_weight=None):
-        """The Koszul homotopy in closed form on integer numerators (see
-        the module docstring).  It raises the weight by exactly one, so
-        an input word of weight max_weight (default: the cap) or more is
-        skipped."""
-        return _koszul(x, self.alg.out_cap(max_weight) - 1, _h_core)
+        """The Koszul homotopy kappa / (v + |J|) (see the module
+        docstring), keeping the words of weight at most max_weight
+        (default: the cap)."""
+        out = self._kappa(x, max_weight)
+        for w, c in out.items():
+            out[w] = _quotient(c, len(w[1]) + sum(w[-1]))
+        return out
 
     def sigma(self, x):
         out = Vec()
@@ -232,49 +223,18 @@ def koszul_delta(alg):
                               1)
 
 
-def _koszul(x, top, table):
-    """The homotopy of table (_h_core) on x, on integer numerators,
-    skipping the input words of weight over top (see the module
-    docstring).  Each int sum is divided by d_x and by the total weight
-    of its word: its number of chi_k-form letters plus the weight of J,
-    which is h's v + |J| for every input word that reaches it."""
-    dx = common_denominator(x)
-    acc = {}
-    get = acc.get
-    for w, c in x.items():
-        if sum(w[-1]) > top:
-            continue
-        c = (c * dx if type(c) is int
-             else c.numerator * (dx // c.denominator))
-        if len(w[0]) % 2:
-            c = -c
-        S, mid = w[0], w[2:-1]
-        for T, J, f in table(w[1], w[-1]):
-            key = (S, T, *mid, J)
-            new = get(key, 0) + f * c
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-    out = Vec()
-    for w, num in acc.items():
-        out[w] = _quotient(num, dx * (len(w[1]) + sum(w[-1])))
-    return out
-
-
-@cache
-def _h_core(T, J):
-    """h on the words alpha_S dchi_T ... chi^J: for each letter k_p of T,
-    the chi_k-form letters and the multi-index of the output word (k_p
-    taken out of T, J + e_(k_p)), with its sign (-1)^p."""
-    return tuple((T[:p] + T[p + 1:], J[:k] + (J[k] + 1,) + J[k + 1:],
-                  -1 if p % 2 else 1)
-                 for p, k in enumerate(T))
+def koszul_kappa(alg):
+    """kappa, the odd derivation dchi_k -> chi_k, compiled on a word
+    algebra alg whose colour 1 is the chi_k-forms."""
+    r = alg.n_even
+    return Derivation(alg, {(1, k): Vec({alg.even_word(mi_unit(r, k)): 1})
+                            for k in range(r)}, 1)
 
 
 @lru_cache(maxsize=4096)
 def _quotient(num, den):
-    """num / den as an int when exact, else as a Fraction; the few
-    quotients the homotopy meets are built once each."""
+    """num / den, for an int or Fraction num and an int den: an int when
+    exact, else a Fraction; the few quotients the homotopy meets are
+    built once each."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q

@@ -5,6 +5,7 @@ from outside them, so it lives beside the tests."""
 
 import contextlib
 from fractions import Fraction
+from functools import cache
 import io
 import itertools
 import json
@@ -13,8 +14,9 @@ from typing import NamedTuple
 
 from liepairs.cli import Pipeline, main
 from liepairs.core import (
-    EVEN, Derivation, Vec, falling, linear, mi_fact, mi_sub, mi_unit,
-    mi_upto, mi_weight, mi_zero, on_first, susp_sign, tensor_product,
+    EVEN, Derivation, Vec, common_denominator, falling, linear, mi_fact,
+    mi_sub, mi_unit, mi_upto, mi_weight, mi_zero, on_first, susp_sign,
+    tensor_product,
 )
 from liepairs.liepair import a_form_algebra, ce_differential, parse_pair_spec
 from liepairs.pbw import relabel
@@ -423,6 +425,58 @@ def loop_ce_differential(sp, action, x):
             for w2, c2 in wedged.items():
                 for ck2, c3 in acted.items():
                     out.iadd_term((w2, ck2), c2 * c3)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the closed-form integer loop that Weyl.h was before it applied the
+# compiled kappa, kept as its oracle
+
+
+@cache
+def h_table(T, J):
+    """h on the words alpha_S dchi_T ... chi^J: for each letter k_p of T,
+    the chi_k-form letters and the multi-index of the output word (k_p
+    taken out of T, J + e_(k_p)), with its sign (-1)^p."""
+    return tuple((T[:p] + T[p + 1:], J[:k] + (J[k] + 1,) + J[k + 1:],
+                  -1 if p % 2 else 1)
+                 for p, k in enumerate(T))
+
+
+def loop_h(X, x, max_weight=None, table=h_table):
+    """Weyl.h of x on the word algebra of X (a Weyl or a TPoly): for
+    v = |T| > 0,
+
+        h(c w) = sum_p (-1)^(|S| + p) c / (v + |J|)
+                       alpha_S dchi_(T minus k_p) ... chi^(J + e_(k_p)),
+
+    the letters between T and J carried along, skipping the input words
+    of weight max_weight (default: the cap) or more.  The int numerators
+    are summed per output word, a sum that cancels deleted, and each
+    divided once by d_x (v + |J|), d_x the lcm of the input's
+    denominators."""
+    top = X.alg.out_cap(max_weight) - 1
+    dx = common_denominator(x)
+    acc = {}
+    for w, c in x.items():
+        if sum(w[-1]) > top:
+            continue
+        c = c * dx if type(c) is int else c.numerator * (dx // c.denominator)
+        if len(w[0]) % 2:
+            c = -c
+        S, mid = w[0], w[2:-1]
+        for T, J, f in table(w[1], w[-1]):
+            key = (S, T, *mid, J)
+            new = acc.get(key, 0) + f * c
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+    out = Vec()
+    for w, num in acc.items():
+        den = dx * (len(w[1]) + sum(w[-1]))
+        q, r = divmod(num, den)
+        out[w] = Fraction(num, den) if r else q
     return out
 
 

@@ -8,11 +8,11 @@ from liepairs.contraction import Contraction, contraction, perturbed
 from liepairs.core import EVEN, Vec, mi_weight, mi_zero
 from liepairs.liepair import d_a_bott
 from liepairs.pbw import d_a_u
-from liepairs.weyl import Weyl, _h_core, _koszul
+from liepairs.weyl import Weyl
 
 from helpers import (
     FIXTURES, N, assert_window_is_restriction, d_small_keys, defect_side_sh,
-    is_normalised, pipeline,
+    h_table, is_normalised, loop_h, pipeline,
 )
 
 
@@ -57,10 +57,10 @@ def test_side_condition_hh_fails_for_unsigned_homotopy(sides):
     ct = contraction(T)
 
     def unsigned(S, J):
-        return tuple((S2, J2, 1) for S2, J2, f in _h_core(S, J))
+        return tuple((S2, J2, 1) for S2, J2, f in h_table(S, J))
 
     def unsigned_h(x, max_weight=None):
-        return _koszul(x, T.alg.out_cap(max_weight) - 1, unsigned)
+        return loop_h(T, x, max_weight, unsigned)
 
     bad = Contraction(ct.sigma, ct.tau, unsigned_h, ct.d_big, ct.d_small,
                       ct.kmax)

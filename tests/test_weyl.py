@@ -1,6 +1,7 @@
 from bisect import bisect_left
 from fractions import Fraction
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -11,11 +12,12 @@ from liepairs.core import (
     EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight,
 )
 from liepairs.liepair import Connection, default_connection
-from liepairs.weyl import Weyl, koszul_delta
+from liepairs.weyl import Weyl, koszul_delta, koszul_kappa
 
 from helpers import (
     FIXTURES, N, apply_x, assert_window_is_restriction, d_l_nabla, delta,
-    include_a, is_normalised, load, oracle_derive, pipeline, project_a,
+    include_a, is_normalised, load, loop_h, oracle_derive, pipeline,
+    project_a, typed_items,
 )
 
 
@@ -319,7 +321,8 @@ def layout(m, r, trunc, polyvector):
     counts = (m, r, r) if polyvector else (m, r)
     alg = WordAlgebra(counts, r, trunc)
     return SimpleNamespace(alg=alg, N=trunc, r=r,
-                           _d_big=koszul_delta(alg)[1])
+                           _d_big=koszul_delta(alg)[1],
+                           _kappa=koszul_kappa(alg))
 
 
 def assert_same_h(W, x):
@@ -355,6 +358,80 @@ def layouts_and_vecs(draw):
 @given(layouts_and_vecs())
 def test_h_matches_contraction_oracle(case):
     assert_same_h(*case)
+
+
+# ---------------------------------------------------------------------------
+# h, the compiled kappa over the weight, against the closed-form loop it
+# replaced: the same words, coefficients, coefficient types and order, on
+# every word of every shipped pair at every cap, Weyl and TPoly; and the
+# Euler identity delta kappa + kappa delta = (v + |J|) id that makes it
+# the homotopy
+
+
+@pytest.fixture(scope="module")
+def kappa_sides():
+    sides = []
+    for name, trunc in DELTA_PAIRS.items():
+        T = pipeline(name, trunc).T
+        sides += [(name, T.W), (name, T)]
+    return sides
+
+
+def random_inputs(X, rng, n=100, terms=6):
+    words = list(X.alg.words(max_weight=X.N + 1))
+    return [Vec({rng.choice(words): Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 12))
+                 for _ in range(terms)}) for _ in range(n)]
+
+
+def assert_h_is_loop(X, x, cap):
+    assert typed_items(Weyl.h(X, x, cap)) == typed_items(loop_h(X, x, cap))
+
+
+def test_h_matches_loop_every_word_and_cap(kappa_sides):
+    coefs = (1, Fraction(-3, 2), -2, Fraction(5, 7))
+    for name, X in kappa_sides:
+        words = list(X.alg.words(max_weight=X.N + 1))
+        for cap in (None, *range(X.N + 1)):
+            for i, w in enumerate(words):
+                assert_h_is_loop(X, Vec({w: coefs[i % 4]}), cap)
+
+
+def test_h_matches_loop_on_random_inputs(kappa_sides):
+    rng = random.Random(29)
+    for name, X in kappa_sides:
+        for cap in (None, *range(X.N + 1)):
+            for x in random_inputs(X, rng):
+                assert_h_is_loop(X, x, cap)
+
+
+def euler_defect(X, kappa, w):
+    """delta kappa + kappa delta - (v + |J|) id on the word w."""
+    x = Vec({w: 1})
+    out = -X.d_big(kappa(x)) - kappa(X.d_big(x))
+    out.iadd_term(w, -(len(w[1]) + mi_weight(w[-1])))
+    return out
+
+
+def test_kappa_is_euler_contraction(kappa_sides):
+    for name, X in kappa_sides:
+        for w in X.alg.words(max_weight=X.N - 1):
+            assert euler_defect(X, X._kappa, w).is_zero(), (name, w)
+
+
+def test_kappa_with_one_image_negated_fails_both(kappa_sides):
+    # negative control: negate the image of dchi_0 and both the loop
+    # oracle and the Euler identity find a word that tells
+    for name, X in kappa_sides[:4]:
+        alg = X.alg
+        bad = Derivation(alg, {(1, k): Vec({alg.even_word(mi_unit(X.r, k)):
+                                            -1 if k == 0 else 1})
+                               for k in range(X.r)}, 1)
+        mutant = SimpleNamespace(alg=alg, _kappa=bad)
+        words = list(alg.words(max_weight=X.N - 1))
+        assert any(Weyl.h(mutant, Vec({w: 1})) != loop_h(X, Vec({w: 1}))
+                   for w in words), name
+        assert any(euler_defect(X, bad, w) for w in words), name
 
 
 # ---------------------------------------------------------------------------

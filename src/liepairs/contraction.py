@@ -24,7 +24,7 @@ fix how each operator moves it:
   * d_big = -delta lowers it by exactly one (Weyl.d_big);
   * rho never lowers it: on words it is a derivation whose generator
     images have weight at least that of their generator (1 for an even
-    letter, 0 for an odd one), which Weyl.set_tables checks when the
+    letter, 0 for an odd one), which Weyl.set_rho checks when the
     table is set and raises otherwise; DPoly's slot part multiplies the
     coefficient word by further words, and the insertion coboundary
     d_h leaves the word alone.

@@ -39,7 +39,8 @@ class TPoly:
                         Vec({self.alg.odd_word(2, k): Fraction(1)}))
             if img:
                 rho[(2, j)] = img
-        self.set_tables(rho)
+        self.set_rho(rho)
+        self.set_q()
 
     def embed(self, x):
         return Vec({(w[0], w[1], (), w[2]): c for w, c in x.items()})
@@ -51,7 +52,8 @@ class TPoly:
     # symmetric letters only, so the scalar definitions serve unchanged;
     # rho alone perturbs the contraction of this side
     d_big = Weyl.d_big
-    set_tables = Weyl.set_tables
+    set_rho = Weyl.set_rho
+    set_q = Weyl.set_q
     rho = perturbation = Weyl.rho
     q_op = Weyl.q_op
     h = Weyl.h

@@ -39,10 +39,10 @@ The correction X = sum_k X_k d_k is the fixed point of the Fedosov step
 
 iterated from X = 0.  rho_X is one derivation: its table holds the
 images of d, with X_k added to the image of chi_k, and Q = -delta +
-rho_X adds the images of -delta to it.  Each pass compiles the two
-tables once into core.Derivations (set_tables) and applies rho_X.  A
-Weyl is solved when it is built: the tables of the fixed point stay,
-so that rho and q_op each apply a compiled Leibniz pass.
+rho_X adds the images of -delta to it.  Each pass compiles the rho_X
+table into a core.Derivation (set_rho) and applies it; Q is compiled
+once, from the fixed point's table (set_q).  A Weyl is solved when it
+is built, so that rho and q_op each apply a compiled Leibniz pass.
 """
 
 from fractions import Fraction
@@ -64,8 +64,7 @@ class Weyl:
         self.alg = WordAlgebra((m, r), r, trunc)
 
         # delta, a derivation of degree +1, and d_big = -delta compiled;
-        # set_tables() adds the images of -delta to the Q table; kappa
-        # compiled
+        # set_q() adds the images of -delta to the Q table; kappa compiled
         self._delta_images, self._d_big = koszul_delta(self.alg)
         self._kappa = koszul_kappa(self.alg)
 
@@ -161,33 +160,37 @@ class Weyl:
             for k, xk in X.items():
                 if xk:
                     rho[(EVEN, k)] = rho.get((EVEN, k), Vec()) + xk
-            self.set_tables(rho)
+            self.set_rho(rho)
             step = self._rho
             newX = {k: self.h(step(step(chi))) for k, chi in enumerate(chis)}
             if newX == X:
+                self.set_q()
                 self.x_vert = X
                 return X
             X = newX
         raise RuntimeError("correction-term iteration failed to stabilize; "
                            "weight grading should force convergence")
 
-    def set_tables(self, rho_images):
-        """Take rho_images as the generator images of rho, and the same
-        plus those of -delta as the images of Q.  Raises ValueError if
-        an image term has lower chi-weight than its generator: rho must
-        not lower the weight, or sigma rho h = 0 fails and the one-pass
-        perturbed small differential of contraction.py is wrong.  An odd
-        letter has weight 0, so only the even letters (weight 1) can
-        fail."""
+    def set_rho(self, rho_images):
+        """Take rho_images as the generator images of rho and compile
+        them.  Raises ValueError if an image term has lower chi-weight
+        than its generator: rho must not lower the weight, or sigma rho h
+        = 0 fails and the one-pass perturbed small differential of
+        contraction.py is wrong.  An odd letter has weight 0, so only the
+        even letters (weight 1) can fail."""
         for g, img in rho_images.items():
             if g[0] == EVEN and any(mi_weight(w[-1]) < 1 for w in img):
                 raise ValueError("rho image of generator %r lowers the "
                                  "weight" % (g,))
         self._rho_images = rho_images
-        self._q_images = dict(rho_images)
+        self._rho = Derivation(self.alg, rho_images, 1)
+
+    def set_q(self):
+        """Compile Q = -delta + rho: the images of rho's table plus those
+        of -delta."""
+        self._q_images = dict(self._rho_images)
         for g, img in self._delta_images.items():
             self._q_images[g] = self._q_images.get(g, Vec()) - img
-        self._rho = Derivation(self.alg, self._rho_images, 1)
         self._q = Derivation(self.alg, self._q_images, 1)
 
     def rho(self, x, max_weight=None):

@@ -94,12 +94,12 @@ def test_rho_table_lowering_the_weight_raises(sides):
         g = (EVEN, 0)
         table[g] = table.get(g, Vec()) + Vec({side.alg.odd_word(0, 0): 1})
         with pytest.raises(ValueError, match="lowers the weight"):
-            side.set_tables(table)
+            side.set_rho(table)
     # a weight-0 term in the image of an odd letter keeps the weight
     table = dict(D.W._rho_images)
     table[(0, 0)] = Vec({D.W.alg.odd_word(1, 0): 1})
     W = Weyl(D.sp, D.conn, N)
-    W.set_tables(table)
+    W.set_rho(table)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from liepairs.core import (
     EVEN, Derivation, Vec, WordAlgebra, mi_unit, mi_weight,
 )
 from liepairs.liepair import Connection, default_connection
+from liepairs import weyl
 from liepairs.weyl import Weyl, koszul_delta, koszul_kappa
 
 from helpers import (
@@ -233,6 +234,35 @@ def test_correction_is_fedosov_fixed_point(name, choice):
              W.alg.make_word(((0,), ()), (2,) + (0,) * (W.r - 1)))
     bad[0].iadd_term(w, 1)
     assert fedosov_step_defects(W, bad), (name, choice)
+
+
+def test_solve_compiles_rho_per_pass_and_q_once(monkeypatch):
+    # a Weyl compiles -delta and kappa, then the rho table of each pass
+    # of the Fedosov step, then Q once, from the fixed point's table
+    built = []
+
+    class Counted(Derivation):
+        def __init__(self, alg, images, parity):
+            built.append(images)
+            super().__init__(alg, images, parity)
+
+    h_calls = itertools.count()
+    real_h = Weyl.h
+
+    def counted_h(self, x, max_weight=None):
+        next(h_calls)
+        return real_h(self, x, max_weight)
+
+    monkeypatch.setattr(weyl, "Derivation", Counted)
+    monkeypatch.setattr(Weyl, "h", counted_h)
+    pair, sp, conn = load("sl3_borel")
+    W = Weyl(sp, conn, 3)
+    # one h per chi_k and pass
+    passes = next(h_calls) // W.r
+    assert passes == 3
+    assert len(built) == 2 + passes + 1
+    assert built[-2] is W._rho_images and built[-1] is W._q_images
+    assert sum(images is W._q_images for images in built) == 1
 
 
 def test_unconverged_correction_raises(monkeypatch):

@@ -288,8 +288,8 @@ def run_matched(run, p, seed):
     defects = []
     for fw1 in fws:
         for fw2 in fws:
+            prod = fa.mul(Vec({fw1: 1}), Vec({fw2: 1}))
             for b in range(sp.r):
-                prod = fa.mul(Vec({fw1: 1}), Vec({fw2: 1}))
                 lhs = pt.tau(Vec(((fw3, (b,)), c)
                                  for fw3, c in prod.items()))
                 rhs = T.alg.mul(pt.tau(Vec({(fw1, ()): 1})),

@@ -48,6 +48,8 @@ class Uniqueness:
             for l, x in enumerate(j2):
                 img.iadd_term(alg.odd_word(1, l), x[s])
             self._frame_images[(0, s)] = img
+        # first-choice class labels rewritten in the second normal form
+        self._to_second = relabel(D1.P, D2.P)
         # the per-key maps, each computed once per instance
         self.word_image = cache(self.word_image)
         self.conj_slot = cache(self.conj_slot)
@@ -142,8 +144,8 @@ class Uniqueness:
         classes through their own normal forms; rewrite first-choice
         labels in the second normal form (identity when the complements
         coincide).  The a-form part is shared and untouched."""
-        to_second = relabel(self.D1.P, self.D2.P)
-        return tensor_map(x, lambda fw: fw, lambda K: to_second(Vec({K: 1})))
+        return tensor_map(x, lambda fw: fw,
+                          lambda K: self._to_second(Vec({K: 1})))
 
     def composition(self, pd1, pd2, x):
         """Second projection after the isomorphism after the first

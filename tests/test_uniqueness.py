@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from liepairs.cli import Pipeline, second_choice
 from liepairs.core import Vec, mi_upto, mi_weight, mi_zero
 from liepairs.liepair import Splitting, default_connection
+from liepairs import uniqueness
 from liepairs.uniqueness import Uniqueness
 
 from helpers import N, d_chain_defect, d_small_keys, delta, pipeline
@@ -39,6 +40,26 @@ def test_second_choices_admissible(setups):
         assert ok, (name, witness)
         ok, witness = conn2.extends_bott()
         assert ok, (name, witness)
+
+
+def test_relabel_built_once_per_uniqueness(setups, monkeypatch):
+    # the two Pbws are fixed for a Uniqueness, so the conversion between
+    # their normal forms is built once, however many keys are relabelled
+    calls = []
+    real = uniqueness.relabel
+
+    def counted(src, dst):
+        calls.append((src, dst))
+        return real(src, dst)
+
+    monkeypatch.setattr(uniqueness, "relabel", counted)
+    uni = setups["sl2_borel"][2]
+    D1, D2 = uni.D1, uni.D2
+    uni2 = Uniqueness(D1, D2)
+    for k in d_small_keys(D1.sp):
+        assert uni2.small_relabel(Vec({k: 1})) == \
+            uni.small_relabel(Vec({k: 1}))
+    assert calls == [(D1.P, D2.P)]
 
 
 def test_identical_choices_trivial():

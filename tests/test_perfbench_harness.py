@@ -50,3 +50,6 @@ def test_traced_invocation_spans_every_layer(tmp_path):
                  "weyl.solve", "pbw.pbw_inv", "uniqueness.init",
                  "liepair.ce_differential"):
         assert spans[name] > 0, (name, sorted(spans))
+    # Weyl.h is counted, not spanned: the homotopy of the Fedosov step
+    # and of the contractions still reaches the patched method
+    assert meta["counts"]["weyl.h.calls"] > 0, meta["counts"]

@@ -3,9 +3,10 @@ emit a machine-readable report plus a short text summary.
 
 Every check records whether it was exhaustive at the declared depth
 bounds or not: a random sample records its seed, and a check on every
-N-th input records `stride: N`.  Failures carry a witness.  Exit code 0
-means every selected check passed, 1 means at least one check failed, 2
-means the configuration or input file was unusable.
+N-th item of its input list records `stride: N`.  Failures carry a
+witness.  Exit code 0 means every selected check passed, 1 means at
+least one check failed, 2 means the configuration or input file was
+unusable.
 """
 
 import argparse
@@ -179,8 +180,9 @@ def run_contraction(run, p):
         "contraction:d:perturbed-homotopy",
         (((w, slots), D.restrict_weight(
             pd.defect_homotopy(Vec({(w, slots): 1}), trunc - 3), trunc - 3))
-         for w in list(D.W.alg.words(max_weight=1))[::3]
-         for slots in ((zero,), (e0, zero))), stride=3)
+         for w, slots in list(itertools.product(
+             D.W.alg.words(max_weight=1), ((zero,), (e0, zero))))[::3]),
+        stride=3)
     run.all_zero(
         "contraction:t:perturbed-inclusion-chain-map",
         ((k, T.restrict_weight(pt.defect_chain_tau(Vec({k: 1})),
@@ -276,7 +278,8 @@ def run_matched(run, p, seed):
         "matched:binary-bracket-equals-direct-gerstenhaber",
         (((k1, k2), td.lam_keys((k1, k2))
           - md.gerst(susp_sign(Vec({k1: 1}), small_sdeg), Vec({k2: 1})))
-         for k1 in dkeys[::2] for k2 in dkeys[::2]), stride=2)
+         for k1, k2 in list(itertools.product(dkeys, repeat=2))[::4]),
+        stride=4)
     rng = random.Random(seed)
     sample = [tuple(tkeys[rng.randrange(len(tkeys))] for _ in range(3))
               for _ in range(40)]

@@ -1,13 +1,19 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from liepairs.cli import Runner, run_fedosov, run_validate
+from liepairs.cli import (
+    Runner, run_contraction, run_fedosov, run_matched, run_validate,
+)
+from liepairs.cohomology import d_complex_keys
 from liepairs.core import Vec, mi_unit
 from liepairs.liepair import Connection
+from liepairs.matched import MatchedD, is_matched
 from liepairs.weyl import Weyl
 
 from helpers import PAIRS_DIR, load, pipeline, run_cli
@@ -82,7 +88,7 @@ def test_strided_checks_report_their_stride():
         "contraction:d:perturbed-homotopy": 3,
         "contraction:t:perturbed-projection-chain-map": 3,
         "contraction:d:perturbed-projection-chain-map": 3,
-        "matched:binary-bracket-equals-direct-gerstenhaber": 2,
+        "matched:binary-bracket-equals-direct-gerstenhaber": 4,
     }
     for name, stride in strides.items():
         assert checks[name]["exhaustive"] is False
@@ -91,6 +97,45 @@ def test_strided_checks_report_their_stride():
         assert c["exhaustive"] == ("seed" not in c and "stride" not in c)
     # d_small' costs one pass of rho, so this one runs over every key
     assert checks["transfer-d:jacobi-arity-1"]["exhaustive"] is True
+
+
+def strided_totals(p):
+    """The length of the input list of each strided check, from the
+    pipeline's own word and key lists."""
+    t_words = len(list(p.T.alg.words(max_weight=1)))
+    d_words = len(list(p.D.W.alg.words(max_weight=1)))
+    totals = {
+        "contraction:t:perturbed-homotopy": t_words,
+        "contraction:d:perturbed-homotopy": 2 * d_words,
+        "contraction:t:perturbed-projection-chain-map": t_words,
+        "contraction:d:perturbed-projection-chain-map": d_words,
+    }
+    if is_matched(p.sp):
+        totals["matched:binary-bracket-equals-direct-gerstenhaber"] = \
+            len(d_complex_keys(p.sp)) ** 2
+    return totals
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".json")] for f in os.listdir(PAIRS_DIR)))
+def test_strided_checks_take_every_nth_input(name, monkeypatch):
+    # a check with stride N takes every N-th item of its whole input list,
+    # so it examines ceil(total / N) items.  The count depends only on the
+    # lists, so the two brackets of the d-side matched comparison (11 s
+    # of sl3_borel's matched suite) are replaced by zero
+    p = pipeline(name, 4)
+    p.td = SimpleNamespace(lam_keys=lambda keys: Vec())
+    monkeypatch.setattr(MatchedD, "gerst", lambda self, u, v: Vec())
+    run = Runner()
+    run_contraction(run, p)
+    run_matched(run, p, 0)
+    assert run.ok()
+    strided = {c["name"]: c for c in run.checks if "stride" in c}
+    totals = strided_totals(p)
+    assert set(strided) == set(totals)
+    for check, total in totals.items():
+        c = strided[check]
+        assert c["count"] == math.ceil(total / c["stride"]), (check, total)
 
 
 def test_t_side_arity_3_runs_over_every_key_triple():

@@ -47,10 +47,10 @@ class TPoly:
 
     # -- lifted contraction operators ------------------------------------------
 
-    # d_big, h (through kappa), rho and Q read this side's compiled
-    # tables, the projection and the weight cut act on the form and
-    # symmetric letters only, so the scalar definitions serve unchanged;
-    # rho alone perturbs the contraction of this side
+    # d_big, h (through kappa), rho and Q apply this side's own compiled
+    # derivations, and the projection and the weight cut read only the
+    # form and symmetric letters, so the scalar definitions serve
+    # unchanged; rho alone perturbs the contraction of this side
     d_big = Weyl.d_big
     set_rho = Weyl.set_rho
     set_q = Weyl.set_q

@@ -63,8 +63,8 @@ class Weyl:
         self.m, self.r, self.dim = m, r, dim
         self.alg = WordAlgebra((m, r), r, trunc)
 
-        # delta, a derivation of degree +1, and d_big = -delta compiled;
-        # set_q() adds the images of -delta to the Q table; kappa compiled
+        # delta, a derivation of degree +1, with d_big = -delta and kappa
+        # compiled; set_q() adds the images of -delta to the Q table
         self._delta_images, self._d_big = koszul_delta(self.alg)
         self._kappa = koszul_kappa(self.alg)
 

@@ -398,10 +398,15 @@ def test_h_matches_contraction_oracle(case):
 # the homotopy
 
 
+WORD_PAIRS = {name: N for name in FIXTURES}
+WORD_PAIRS.update(heis5_lag=4, sl3_borel=3)
+
+
 @pytest.fixture(scope="module")
-def kappa_sides():
+def word_sides():
+    """(name, Weyl) and (name, TPoly) of every shipped pair."""
     sides = []
-    for name, trunc in DELTA_PAIRS.items():
+    for name, trunc in WORD_PAIRS.items():
         T = pipeline(name, trunc).T
         sides += [(name, T.W), (name, T)]
     return sides
@@ -418,18 +423,18 @@ def assert_h_is_loop(X, x, cap):
     assert typed_items(Weyl.h(X, x, cap)) == typed_items(loop_h(X, x, cap))
 
 
-def test_h_matches_loop_every_word_and_cap(kappa_sides):
+def test_h_matches_loop_every_word_and_cap(word_sides):
     coefs = (1, Fraction(-3, 2), -2, Fraction(5, 7))
-    for name, X in kappa_sides:
+    for name, X in word_sides:
         words = list(X.alg.words(max_weight=X.N + 1))
         for cap in (None, *range(X.N + 1)):
             for i, w in enumerate(words):
                 assert_h_is_loop(X, Vec({w: coefs[i % 4]}), cap)
 
 
-def test_h_matches_loop_on_random_inputs(kappa_sides):
+def test_h_matches_loop_on_random_inputs(word_sides):
     rng = random.Random(29)
-    for name, X in kappa_sides:
+    for name, X in word_sides:
         for cap in (None, *range(X.N + 1)):
             for x in random_inputs(X, rng):
                 assert_h_is_loop(X, x, cap)
@@ -443,16 +448,16 @@ def euler_defect(X, kappa, w):
     return out
 
 
-def test_kappa_is_euler_contraction(kappa_sides):
-    for name, X in kappa_sides:
+def test_kappa_is_euler_contraction(word_sides):
+    for name, X in word_sides:
         for w in X.alg.words(max_weight=X.N - 1):
             assert euler_defect(X, X._kappa, w).is_zero(), (name, w)
 
 
-def test_kappa_with_one_image_negated_fails_both(kappa_sides):
+def test_kappa_with_one_image_negated_fails_both(word_sides):
     # negative control: negate the image of dchi_0 and both the loop
     # oracle and the Euler identity find a word that tells
-    for name, X in kappa_sides[:4]:
+    for name, X in word_sides:
         alg = X.alg
         bad = Derivation(alg, {(1, k): Vec({alg.even_word(mi_unit(X.r, k)):
                                             -1 if k == 0 else 1})
@@ -553,24 +558,18 @@ def test_rho_windows(machines):
 # scalar and the polyvector layout, every word up to the cap
 
 
-DELTA_PAIRS = {name: N for name in FIXTURES}
-DELTA_PAIRS.update(heis5_lag=4, sl3_borel=3)
-
-
 def assert_same_delta(X, x):
     got = delta(X, x)
     assert got == X.alg.derive(X._delta_images, 1, x)
     assert got == -oracle_d_big(X, x)
 
 
-def test_delta_matches_derivation_oracle_exhaustive():
-    for name, trunc in DELTA_PAIRS.items():
-        T = pipeline(name, trunc).T
-        for X in (T.W, T):
-            words = list(X.alg.words())
-            for w in words:
-                assert_same_delta(X, Vec({w: Fraction(-3, 2)}))
-            assert_same_delta(X, Vec({w: i + 1 for i, w in enumerate(words)}))
+def test_delta_matches_derivation_oracle_exhaustive(word_sides):
+    for name, X in word_sides:
+        words = list(X.alg.words())
+        for w in words:
+            assert_same_delta(X, Vec({w: Fraction(-3, 2)}))
+        assert_same_delta(X, Vec({w: i + 1 for i, w in enumerate(words)}))
 
 
 # ---------------------------------------------------------------------------

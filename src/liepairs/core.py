@@ -343,6 +343,7 @@ class WordAlgebra:
         self.n_colours = len(self.odd_counts)
         self.n_even = n_even
         self.trunc = trunc
+        self._units = {}  # generator -> _unit(generator)
 
     def out_cap(self, max_weight):
         """The output cap of an operator called with max_weight."""
@@ -451,43 +452,23 @@ class WordAlgebra:
         and apply it to x; see Derivation for the rules."""
         return Derivation(self, images, parity)(x)
 
+    def _unit(self, g):
+        """The derivation of g's parity sending the generator g to 1 and
+        every other one to zero, compiled once."""
+        if g not in self._units:
+            self._units[g] = Derivation(self, {g: self.one()}, g[0] != EVEN)
+        return self._units[g]
+
     def contract_odd(self, colour, idx, x, max_weight=None):
-        """Interior product with the dual of one odd generator, the odd
-        derivation sending it to 1, in closed form: a word holding the
-        letter loses it, with sign (-1)^(odd letters before it, in every
-        colour up to its own); a word without it maps to zero.  It keeps
-        the even weight, so a word over max_weight (default: the cap) is
-        dropped, as the Leibniz rule drops it."""
-        out = Vec()
-        cap = self.out_cap(max_weight)
-        for w, c in x.items():
-            part = w[colour]
-            if idx not in part or sum(w[-1]) > cap:
-                continue
-            p = part.index(idx)
-            before = p + sum(len(q) for q in w[:colour])
-            out[w[:colour] + (part[:p] + part[p + 1:],) + w[colour + 1:]] = \
-                -c if before % 2 else c
-        return out
+        """Interior product with the dual of one odd generator: a word
+        holding the letter loses it, with sign (-1)^(odd letters before
+        it); a word without it maps to zero."""
+        return self._unit((colour, idx))(x, max_weight)
 
     def dchi(self, k, x, max_weight=None):
-        """d/dchi_k, the even derivation sending chi_k to 1, in closed
-        form: a word with J_k > 0 is multiplied by J_k, and J_k is
-        lowered by one; a word with J_k = 0 maps to zero.  Words are
-        dropped, as the Leibniz rule drops them, when their lowered even
-        weight is over max_weight (default: the cap)."""
-        out = Vec()
-        cap = self.out_cap(max_weight)
-        for w, c in x.items():
-            J = w[-1]
-            jk = J[k]
-            if not jk or sum(J) > cap + 1:
-                continue
-            c *= jk
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            out[w[:-1] + (J[:k] + (jk - 1,) + J[k + 1:],)] = c
-        return out
+        """d/dchi_k: a word is multiplied by J_k, and J_k is lowered by
+        one; a word with J_k = 0 maps to zero."""
+        return self._unit((EVEN, k))(x, max_weight)
 
 
 class Derivation:

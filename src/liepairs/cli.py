@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 from .cohomology import (
     d_cohomology, d_complex_keys, induced_table, t_cohomology,
@@ -48,13 +49,28 @@ def vec_json(v):
     return sorted((repr(k), frac_str(c)) for k, c in v.items())
 
 
+# How far below the truncation each windowed check looks: its defects
+# are kept up to weight trunc - n, or for the raw homotopy checks its
+# input words are, so that h (or hh) of each stays under the cap.
+WINDOWS = {
+    "fedosov:differential-squares-to-zero": 1,
+    "contraction:t:homotopy": 1,
+    "contraction:t:side-conditions": 2,
+    "contraction:t:perturbed-homotopy": 3,
+    "contraction:d:perturbed-homotopy": 3,
+    "contraction:t:perturbed-inclusion-chain-map": 2,
+    "contraction:d:perturbed-inclusion-chain-map": 2,
+    "uniqueness:transport-intertwines-differentials": 1,
+}
+
+
 class Runner:
 
     def __init__(self):
         self.checks = []
         self.artifacts = {}
 
-    def add(self, name, ok, witness=None, count=0, seed=None, stride=None):
+    def add(self, name, ok, count, witness=None, seed=None, stride=None):
         """A check is exhaustive exactly when it has neither a sampling
         seed nor a stride."""
         entry = {"name": name, "status": "pass" if ok else "fail",
@@ -68,19 +84,22 @@ class Runner:
             entry["witness"] = witness
         self.checks.append(entry)
 
-    def all_zero(self, name, pairs, seed=None, stride=None):
-        """pairs: iterable of (label, defect Vec); pass iff all zero."""
+    def check(self, name, inputs, defect, stride=None, seed=None):
+        """Evaluate defect (a Vec) on every stride-th item of the iterable
+        inputs, on every item with no stride, and stop at the first
+        nonzero one; the check passes when there is none.  Its count is
+        the number of defects evaluated, and a failure's witness is the
+        input that failed, with its defect."""
         count = 0
-        for label, defect in pairs:
+        for x in itertools.islice(inputs, 0, None, stride):
             count += 1
-            if not defect.is_zero():
-                self.add(name, False,
-                         witness={"input": repr(label),
-                                  "defect": vec_json(defect)},
-                         count=count, seed=seed, stride=stride)
-                return False
-        self.add(name, True, count=count, seed=seed, stride=stride)
-        return True
+            d = defect(x)
+            if not d.is_zero():
+                self.add(name, False, count,
+                         witness={"input": repr(x), "defect": vec_json(d)},
+                         seed=seed, stride=stride)
+                return
+        self.add(name, True, count, seed=seed, stride=stride)
 
     def ok(self):
         return all(c["status"] == "pass" for c in self.checks)
@@ -123,114 +142,121 @@ class Pipeline:
         return Transfer(self.pd, self.D.gerst)
 
 
+def on_basis(op):
+    """The defect of a check whose input is a basis key: op on it."""
+    return lambda key: op(Vec({key: 1}))
+
+
+def sample(rng, keys, n, size):
+    """size tuples of n keys each, drawn with rng one key at a time."""
+    return [tuple(keys[rng.randrange(len(keys))] for _ in range(n))
+            for _ in range(size)]
+
+
 def run_validate(run, pair, sp, conn):
-    run.all_zero("validate:connection-extends-canonical-action",
-                 conn.bott_defects())
-    run.all_zero("validate:connection-torsion-free", conn.torsions())
+    run.check("validate:connection-extends-canonical-action",
+              conn.bott_keys(), conn.bott_defect)
+    run.check("validate:connection-torsion-free", conn.torsion_keys(),
+              lambda uv: conn.torsion(*uv))
     run.artifacts["pair"] = {"name": pair.name, "dimL": pair.dim,
                              "dimA": pair.dim_a,
                              "complement-closed": is_matched(sp)}
 
 
 def run_fedosov(run, p):
-    sp, trunc, W = p.sp, p.trunc, p.W
+    sp, W = p.sp, p.W
     X = W.solve()
-    run.all_zero("fedosov:homotopy-normalization",
-                 ((k, W.h(X[k])) for k in range(sp.r)))
-    low = Vec((((k, w), c) for k in range(sp.r)
-               for w, c in X[k].items() if mi_weight(w[-1]) < 2))
-    run.all_zero("fedosov:correction-weight-at-least-two", [("X", low)])
-    words = list(W.alg.words(max_weight=trunc - 1))
-    run.all_zero(
-        "fedosov:differential-squares-to-zero",
-        ((w, W.q_op(W.q_op(Vec({w: 1})), trunc - 1)) for w in words))
+    run.check("fedosov:homotopy-normalization", range(sp.r),
+              lambda k: W.h(X[k]))
+    run.check("fedosov:correction-weight-at-least-two", ["X"],
+              lambda _: Vec((((k, w), c) for k in range(sp.r)
+                             for w, c in X[k].items()
+                             if mi_weight(w[-1]) < 2)))
+    name = "fedosov:differential-squares-to-zero"
+    top = p.trunc - WINDOWS[name]
+    run.check(name, W.alg.words(max_weight=top),
+              on_basis(lambda x: W.q_op(W.q_op(x), top)))
     run.artifacts["fedosov"] = {
         "correction": [vec_json(X[k]) for k in range(sp.r)]}
 
 
 def run_contraction(run, p):
-    sp, trunc, T, D, pt, pd = p.sp, p.trunc, p.T, p.D, p.pt, p.pd
-    ct, cd = contraction(T), contraction(D)
+    """The raw and the perturbed contraction identities.  A check that
+    both sides have runs on the t-side and then on the d-side."""
+    sp, T, D = p.sp, p.T, p.D
     zero = mi_zero(sp.r)
     # with A = L (r = 0) the only slot multi-index is the empty one
     e0 = mi_unit(sp.r, 0) if sp.r else zero
-    tkeys, dkeys = t_complex_keys(sp), d_complex_keys(sp)
+    t_low = list(T.alg.words(max_weight=1))
+    d_low = list(D.W.alg.words(max_weight=1))
+    tkeys = t_complex_keys(sp)
+    # per side: the big complex, its raw and perturbed contractions, its
+    # small keys (all, and of arity one), its words of weight <= 1 as big
+    # keys (d-side: with one slot class, and with one or two for h) and
+    # the direct small differential
+    t = SimpleNamespace(big=T, raw=contraction(T), pc=p.pt, keys=tkeys,
+                        keys1=tkeys, low=t_low, low_slots=t_low,
+                        flat=lambda x: d_a_bott(sp, x))
+    d = SimpleNamespace(
+        big=D, raw=contraction(D), pc=p.pd, keys=d_complex_keys(sp),
+        keys1=d_complex_keys(sp, max_arity=1),
+        low=[(w, (e0,)) for w in d_low],
+        low_slots=[(w, slots) for w in d_low
+                   for slots in ((zero,), (e0, zero))],
+        flat=lambda x: d_a_u(D.P, x) + D.d_h(x))
+    sides = (("t", t), ("d", d))
     # raw contraction identities, exhaustive at the depth bounds
-    for side, c, keys in (("t", ct, tkeys), ("d", cd, dkeys)):
-        run.all_zero("contraction:%s:projection" % side,
-                     ((k, c.defect_projection(Vec({k: 1}))) for k in keys))
-    run.all_zero("contraction:t:homotopy",
-                 ((w, ct.defect_homotopy(Vec({w: 1})))
-                  for w in T.alg.words(max_weight=trunc - 1)))
-    # hh: h raises the weight by one, so over trunc - 2 the cap empties it
-    run.all_zero("contraction:t:side-conditions", itertools.chain(
-        ((w, ct.defect_side_hh(Vec({w: 1})))
-         for w in T.alg.words(max_weight=trunc - 2)),
-        ((k, ct.defect_side_ht(Vec({k: 1}))) for k in tkeys)))
+    for s, side in sides:
+        run.check("contraction:%s:projection" % s, side.keys,
+                  on_basis(side.raw.defect_projection))
+    name = "contraction:t:homotopy"
+    run.check(name, T.alg.words(max_weight=p.trunc - WINDOWS[name]),
+              on_basis(t.raw.defect_homotopy))
+    # hh on the words, h tau on the small keys
+    name = "contraction:t:side-conditions"
+    words = T.alg.words(max_weight=p.trunc - WINDOWS[name])
+    small = set(tkeys)
+    run.check(name, itertools.chain(words, tkeys),
+              lambda x: (t.raw.defect_side_ht if x in small
+                         else t.raw.defect_side_hh)(Vec({x: 1})))
     # perturbed contraction identities, exact within the weight window
-    for side, c, keys in (("t", pt, tkeys), ("d", pd, dkeys)):
-        run.all_zero("contraction:%s:perturbed-projection" % side,
-                     ((k, c.defect_projection(Vec({k: 1}))) for k in keys))
-    run.all_zero(
-        "contraction:t:perturbed-homotopy",
-        ((w, T.restrict_weight(pt.defect_homotopy(Vec({w: 1}), trunc - 3),
-                               trunc - 3))
-         for w in list(T.alg.words(max_weight=1))[::3]), stride=3)
-    run.all_zero(
-        "contraction:d:perturbed-homotopy",
-        (((w, slots), D.restrict_weight(
-            pd.defect_homotopy(Vec({(w, slots): 1}), trunc - 3), trunc - 3))
-         for w, slots in list(itertools.product(
-             D.W.alg.words(max_weight=1), ((zero,), (e0, zero))))[::3]),
-        stride=3)
-    run.all_zero(
-        "contraction:t:perturbed-inclusion-chain-map",
-        ((k, T.restrict_weight(pt.defect_chain_tau(Vec({k: 1})),
-                               trunc - 2))
-         for k in tkeys))
-    run.all_zero(
-        "contraction:d:perturbed-inclusion-chain-map",
-        ((k, D.restrict_weight(pd.defect_chain_tau(Vec({k: 1})),
-                               trunc - 2))
-         for k in d_complex_keys(sp, max_arity=1)))
-    run.all_zero(
-        "contraction:t:perturbed-projection-chain-map",
-        ((w, pt.defect_chain_sigma(Vec({w: 1})))
-         for w in list(T.alg.words(max_weight=1))[::3]), stride=3)
-    run.all_zero(
-        "contraction:d:perturbed-projection-chain-map",
-        ((w, pd.defect_chain_sigma(Vec({(w, (e0,)): 1})))
-         for w in list(D.W.alg.words(max_weight=1))[::3]), stride=3)
+    for s, side in sides:
+        run.check("contraction:%s:perturbed-projection" % s, side.keys,
+                  on_basis(side.pc.defect_projection))
+    for s, side in sides:
+        name = "contraction:%s:perturbed-homotopy" % s
+        top = p.trunc - WINDOWS[name]
+        run.check(name, side.low_slots, on_basis(
+            lambda x: side.big.restrict_weight(
+                side.pc.defect_homotopy(x, top), top)), stride=3)
+    for s, side in sides:
+        name = "contraction:%s:perturbed-inclusion-chain-map" % s
+        top = p.trunc - WINDOWS[name]
+        run.check(name, side.keys1, on_basis(
+            lambda x: side.big.restrict_weight(side.pc.defect_chain_tau(x),
+                                               top)))
+    for s, side in sides:
+        run.check("contraction:%s:perturbed-projection-chain-map" % s,
+                  side.low, on_basis(side.pc.defect_chain_sigma), stride=3)
     # transferred small differentials agree with the direct ones, exactly
-    run.all_zero(
-        "contraction:t:small-differential-is-flat-one",
-        ((k, pt.d_small(Vec({k: 1})) - d_a_bott(sp, Vec({k: 1})))
-         for k in tkeys))
-    run.all_zero(
-        "contraction:d:small-differential-is-flat-one",
-        ((k, pd.d_small(Vec({k: 1}))
-          - d_a_u(D.P, Vec({k: 1})) - D.d_h(Vec({k: 1})))
-         for k in dkeys))
+    for s, side in sides:
+        run.check("contraction:%s:small-differential-is-flat-one" % s,
+                  side.keys,
+                  on_basis(lambda x: side.pc.d_small(x) - side.flat(x)))
 
 
 def run_transfer_t(run, p, arity, seed):
     sp, tr = p.sp, p.tr
     keys = t_complex_keys(sp)
-    run.all_zero("transfer-t:unary-bracket-is-differential",
-                 ((k, tr.lam_keys((k,)) - d_a_bott(sp, Vec({k: 1})))
-                  for k in keys))
+    run.check("transfer-t:unary-bracket-is-differential", keys,
+              lambda k: tr.lam_keys((k,)) - d_a_bott(sp, Vec({k: 1})))
     for n in range(1, min(arity, 3) + 1):
-        run.all_zero(
-            "transfer-t:jacobi-arity-%d" % n,
-            ((tup, tr.jacobi_defect(tup))
-             for tup in itertools.product(keys, repeat=n)))
+        run.check("transfer-t:jacobi-arity-%d" % n,
+                  itertools.product(keys, repeat=n), tr.jacobi_defect)
     rng = random.Random(seed)
     for n in range(4, arity + 1):
-        sample = [tuple(keys[rng.randrange(len(keys))] for _ in range(n))
-                  for _ in range(40)]
-        run.all_zero("transfer-t:jacobi-arity-%d" % n,
-                     ((tup, tr.jacobi_defect(tup)) for tup in sample),
-                     seed=seed)
+        run.check("transfer-t:jacobi-arity-%d" % n, sample(rng, keys, n, 40),
+                  tr.jacobi_defect, seed=seed)
     table = {}
     for k1 in keys:
         for k2 in keys:
@@ -243,15 +269,12 @@ def run_transfer_t(run, p, arity, seed):
 def run_transfer_d(run, p, arity, seed):
     td = p.td
     keys = d_complex_keys(p.sp)
-    run.all_zero("transfer-d:jacobi-arity-1",
-                 (((k,), td.jacobi_defect((k,))) for k in keys))
+    run.check("transfer-d:jacobi-arity-1", [(k,) for k in keys],
+              td.jacobi_defect)
     rng = random.Random(seed)
     for n in range(2, min(arity, 3) + 1):
-        sample = [tuple(keys[rng.randrange(len(keys))] for _ in range(n))
-                  for _ in range(20)]
-        run.all_zero("transfer-d:jacobi-arity-%d" % n,
-                     ((tup, td.jacobi_defect(tup)) for tup in sample),
-                     seed=seed)
+        run.check("transfer-d:jacobi-arity-%d" % n, sample(rng, keys, n, 20),
+                  td.jacobi_defect, seed=seed)
 
 
 def run_matched(run, p, seed):
@@ -259,46 +282,37 @@ def run_matched(run, p, seed):
     matched = is_matched(sp)
     run.artifacts["matched"] = {"complement-closed": matched}
     if not matched:
-        run.add("matched:not-applicable", True, count=0)
+        run.add("matched:not-applicable", True, 0)
         return
-    T, pt, tr, td = p.T, p.pt, p.tr, p.td
-    mt = MatchedT(sp)
-    md = MatchedD(p.D.P)
+    T, pt, tr = p.T, p.pt, p.tr
     tkeys = t_complex_keys(sp)
-    dkeys = d_complex_keys(sp)
 
     # the transferred bracket is the suspended one: the direct bracket
     # with k1 signed by its shifted degree
-    run.all_zero(
-        "matched:binary-bracket-equals-direct-schouten",
-        (((k1, k2), tr.lam_keys((k1, k2))
-          - mt.bracket(susp_sign(Vec({k1: 1}), small_sdeg), Vec({k2: 1})))
-         for k1 in tkeys for k2 in tkeys))
-    run.all_zero(
-        "matched:binary-bracket-equals-direct-gerstenhaber",
-        (((k1, k2), td.lam_keys((k1, k2))
-          - md.gerst(susp_sign(Vec({k1: 1}), small_sdeg), Vec({k2: 1})))
-         for k1, k2 in list(itertools.product(dkeys, repeat=2))[::4]),
-        stride=4)
+    for name, transfer, keys, direct, stride in (
+            ("schouten", tr, tkeys, MatchedT(sp).bracket, None),
+            ("gerstenhaber", p.td, d_complex_keys(sp),
+             MatchedD(p.D.P).gerst, 4)):
+        run.check(
+            "matched:binary-bracket-equals-direct-" + name,
+            itertools.product(keys, repeat=2),
+            lambda k12: transfer.lam_keys(k12) - direct(
+                susp_sign(Vec({k12[0]: 1}), small_sdeg), Vec({k12[1]: 1})),
+            stride=stride)
     rng = random.Random(seed)
-    sample = [tuple(tkeys[rng.randrange(len(tkeys))] for _ in range(3))
-              for _ in range(40)]
-    run.all_zero("matched:ternary-bracket-vanishes",
-                 ((tup, tr.lam_keys(tup)) for tup in sample),
-                 seed=seed)
+    run.check("matched:ternary-bracket-vanishes", sample(rng, tkeys, 3, 40),
+              tr.lam_keys, seed=seed)
     fa = a_form_algebra(sp.pair)
     fws = list(fa.words(max_weight=0))
-    defects = []
-    for fw1 in fws:
-        for fw2 in fws:
-            prod = fa.mul(Vec({fw1: 1}), Vec({fw2: 1}))
-            for b in range(sp.r):
-                lhs = pt.tau(Vec(((fw3, (b,)), c)
-                                 for fw3, c in prod.items()))
-                rhs = T.alg.mul(pt.tau(Vec({(fw1, ()): 1})),
-                                pt.tau(Vec({(fw2, (b,)): 1})))
-                defects.append(((fw1, fw2, b), lhs - rhs))
-    run.all_zero("matched:inclusion-multiplicative", defects)
+
+    def multiplicative(case):
+        fw1, fw2, b = case
+        prod = fa.mul(Vec({fw1: 1}), Vec({fw2: 1}))
+        lhs = pt.tau(Vec(((fw3, (b,)), c) for fw3, c in prod.items()))
+        return lhs - T.alg.mul(pt.tau(Vec({(fw1, ()): 1})),
+                               pt.tau(Vec({(fw2, (b,)): 1})))
+    run.check("matched:inclusion-multiplicative",
+              itertools.product(fws, fws, range(sp.r)), multiplicative)
 
 
 def second_choice(sp, conn):
@@ -310,23 +324,20 @@ def second_choice(sp, conn):
 
 
 def run_uniqueness(run, p):
-    sp, trunc = p.sp, p.trunc
+    sp = p.sp
     if not sp.r:
         # with A = L there is no complement to choose: one admissible choice
-        run.add("uniqueness:not-applicable", True, count=0)
+        run.add("uniqueness:not-applicable", True, 0)
         return
-    p2 = Pipeline(sp, second_choice(sp, p.conn), trunc)
+    p2 = Pipeline(sp, second_choice(sp, p.conn), p.trunc)
     uni = Uniqueness(p.D, p2.D)
-    run.all_zero(
-        "uniqueness:composition-is-identity",
-        ((k, uni.composition(p.pd, p2.pd, Vec({k: 1}))
-          - uni.small_relabel(Vec({k: 1})))
-         for k in d_complex_keys(sp)))
-    run.all_zero(
-        "uniqueness:transport-intertwines-differentials",
-        ((w, uni.W2.restrict_weight(uni.scalar_chain_defect(Vec({w: 1})),
-                                    trunc - 1))
-         for w in uni.W1.alg.words(max_weight=2)))
+    run.check("uniqueness:composition-is-identity", d_complex_keys(sp),
+              on_basis(lambda x: uni.composition(p.pd, p2.pd, x)
+                       - uni.small_relabel(x)))
+    name = "uniqueness:transport-intertwines-differentials"
+    top = p.trunc - WINDOWS[name]
+    run.check(name, uni.W1.alg.words(max_weight=2), on_basis(
+        lambda x: uni.W2.restrict_weight(uni.scalar_chain_defect(x), top)))
 
 
 def run_cohomology(run, p):
@@ -338,7 +349,7 @@ def run_cohomology(run, p):
     cup = t_cup(T, pt)
     cup_table = cache(lambda a, b: induced_table(coh, cup, a, b, a + b + 1))
     tables = {}
-    defects = []
+    cup_pairs = []
     for n1 in coh.degrees:
         for n2 in coh.degrees:
             if n1 + n2 in coh.degrees:
@@ -348,17 +359,19 @@ def run_cohomology(run, p):
                         tables["bracket(%d,%d,%d,%d)" % (n1, i, n2, j)] \
                             = [frac_str(c) for c in v]
             if n1 + n2 + 1 in coh.degrees:
-                tab, back = cup_table(n1, n2), cup_table(n2, n1)
-                s = -1 if ((n1 + 1) * (n2 + 1)) % 2 else 1
-                for (i, j), v in tab.items():
+                for (i, j), v in cup_table(n1, n2).items():
                     if any(v):
                         tables["cup(%d,%d,%d,%d)" % (n1, i, n2, j)] \
                             = [frac_str(c) for c in v]
-                    diff = [a - s * b for a, b in zip(v, back[(j, i)])]
-                    defects.append((((n1, i), (n2, j)),
-                                    Vec({t: c for t, c in
-                                         enumerate(diff) if c})))
-    run.all_zero("cohomology:cup-graded-commutative", defects)
+                    cup_pairs.append(((n1, i), (n2, j)))
+
+    def graded_commutator(case):
+        (n1, i), (n2, j) = case
+        s = -1 if ((n1 + 1) * (n2 + 1)) % 2 else 1
+        return Vec(enumerate(a - s * b for a, b in zip(
+            cup_table(n1, n2)[(i, j)], cup_table(n2, n1)[(j, i)])))
+    run.check("cohomology:cup-graded-commutative", cup_pairs,
+              graded_commutator)
     run.artifacts["cohomology"]["tables-nonzero"] = tables
     dcoh = d_cohomology(sp, p.pd.d_small, max_weight=2)
     run.artifacts["cohomology"]["polydifferential-window-dims"] = {
@@ -456,12 +469,12 @@ def check(pair_path, trunc, arity, suite, seed, out_path):
     except SpecError as e:
         _refuse("malformed pair spec: %s" % e)
     except PairError as e:
-        run.add("validate:pair-structure", False,
+        run.add("validate:pair-structure", False, 1,
                 witness={"input": str(e)})
         _emit(run, spec.get("name") or pair_path, trunc, arity, suite,
               seed, out_path)
         sys.exit(1)
-    run.add("validate:pair-structure", True, count=1)
+    run.add("validate:pair-structure", True, 1)
 
     wanted = SUITES[:-1] if suite == "all" else [suite]
     p = Pipeline(sp, conn, trunc)

@@ -202,16 +202,19 @@ class Connection:
     def nabla_vec(self, l, bvec):
         return linear(lambda b: self.nabla(l, b), bvec)
 
-    def bott_defects(self):
-        """nabla_{E_s} d_b minus the canonical flat A-action on d_b,
-        keyed (s, b), for each A-direction s and B-index b in turn."""
+    def bott_keys(self):
+        """(s, b) for each A-direction s and B-index b in turn."""
         sp = self.splitting
-        for s in range(sp.m):
-            for b in range(sp.r):
-                yield (s, b), self.nabla(s, b) - Vec(sp.bott(s, b))
+        return itertools.product(range(sp.m), range(sp.r))
+
+    def bott_defect(self, sb):
+        """nabla_{E_s} d_b minus the canonical flat A-action on d_b, at
+        sb = (s, b)."""
+        s, b = sb
+        return self.nabla(s, b) - Vec(self.splitting.bott(s, b))
 
     def extends_bott(self):
-        return _first_nonzero(self.bott_defects())
+        return _first_nonzero(self.bott_keys(), self.bott_defect)
 
     def torsion(self, u, v):
         """T(E_u, E_v) = nabla_u q(E_v) - nabla_v q(E_u) - q[E_u, E_v]."""
@@ -221,19 +224,19 @@ class Connection:
         out -= linear(sp.q_of_adapted, sp.struct_const(u, v))
         return out
 
-    def torsions(self):
-        """T(E_u, E_v), keyed (u, v), for each basis pair u < v in turn."""
-        for uv in itertools.combinations(range(self.splitting.pair.dim), 2):
-            yield uv, self.torsion(*uv)
+    def torsion_keys(self):
+        """(u, v) for each basis pair u < v in turn."""
+        return itertools.combinations(range(self.splitting.pair.dim), 2)
 
     def is_torsion_free(self):
-        return _first_nonzero(self.torsions())
+        return _first_nonzero(self.torsion_keys(),
+                              lambda uv: self.torsion(*uv))
 
 
-def _first_nonzero(defects):
-    """(True, None) when every (key, defect) pair has a zero defect,
-    else (False, the first key whose defect is not)."""
-    witness = next((key for key, v in defects if v), None)
+def _first_nonzero(keys, defect):
+    """(True, None) when defect is zero on every key, else (False, the
+    first key where it is not)."""
+    witness = next((key for key in keys if defect(key)), None)
     return witness is None, witness
 
 

@@ -16,7 +16,7 @@ from liepairs.liepair import Connection
 from liepairs.matched import MatchedD, is_matched
 from liepairs.weyl import Weyl
 
-from helpers import PAIRS_DIR, load, pipeline, run_cli
+from helpers import FIXTURES, PAIRS_DIR, load, pipeline, run_cli
 
 # a fresh interpreter that imports the sources under test
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -68,14 +68,17 @@ def test_validate_suite_passes():
 
 
 def test_report_check_fields():
+    # a sampled check records its seed, a strided one its stride, and an
+    # exhaustive one neither; this run has checks of all three kinds
     res = run_cli(["check", "--pair", pair_path("abelian"),
-                   "--suite", "transfer-t"])
+                   "--suite", "all", "--trunc", "4", "--arity", "2"])
     assert res.exit_code == 0, res.output
     report = json.loads(res.stdout)
     for c in report["checks"]:
         assert set(c) >= {"name", "status", "count", "exhaustive"}
-        if not c["exhaustive"]:
-            assert "seed" in c
+        assert c["exhaustive"] == ("seed" not in c and "stride" not in c)
+    assert any("seed" in c for c in report["checks"])
+    assert any("stride" in c for c in report["checks"])
 
 
 def test_strided_checks_report_their_stride():
@@ -291,6 +294,9 @@ def test_jacobi_violation_reported_with_witness(tmp_path):
     bad.write_text(json.dumps(spec))
     res = run_cli(["check", "--pair", str(bad), "--suite", "validate"])
     assert res.exit_code == 1
+    [check] = json.loads(res.stdout)["checks"]
+    assert (check["name"], check["status"], check["count"]) == (
+        "validate:pair-structure", "fail", 1)
     report = json.loads(res.stdout)
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert failed and failed[0]["name"] == "validate:pair-structure"
@@ -309,6 +315,9 @@ def test_subalgebra_violation_is_failure(tmp_path):
     bad.write_text(json.dumps(spec))
     res = run_cli(["check", "--pair", str(bad), "--suite", "validate"])
     assert res.exit_code == 1
+    [check] = json.loads(res.stdout)["checks"]
+    assert (check["name"], check["status"], check["count"]) == (
+        "validate:pair-structure", "fail", 1)
 
 
 def test_fedosov_correction_vanishes_for_default_connection():
@@ -335,6 +344,64 @@ def test_correction_weight_check_keeps_each_component_apart():
     assert check["status"] == "fail"
     assert check["witness"]["defect"] == [(repr((0, w)), "1"),
                                           (repr((1, w)), "-1")]
+
+
+def counting_checks(monkeypatch, plant_at=None):
+    """Wrap the defect of every check that Runner.check runs so that it
+    counts its calls; with plant_at n, the n-th call of each check
+    returns a nonzero defect.  Returns {check name: the inputs its
+    defect was called on}."""
+    seen = {}
+    check = Runner.check
+
+    def counting(self, name, inputs, defect, stride=None, seed=None):
+        calls = seen[name] = []
+
+        def counted(x):
+            calls.append(x)
+            if len(calls) == plant_at:
+                return Vec({"planted": 1})
+            return defect(x)
+        check(self, name, inputs, counted, stride, seed)
+
+    monkeypatch.setattr(Runner, "check", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_each_count_is_the_number_of_defects_evaluated(name, monkeypatch):
+    seen = counting_checks(monkeypatch)
+    res = run_cli(["check", "--pair", pair_path(name), "--suite", "all"])
+    assert res.exit_code == 0, res.output
+    checks = json.loads(res.stdout)["checks"]
+    counted = {c["name"]: c["count"] for c in checks
+               if c["name"] != "validate:pair-structure"
+               and not c["name"].endswith(":not-applicable")}
+    assert counted == {check: len(xs) for check, xs in seen.items()}
+    # the strided and the sampled checks are among them
+    assert any("stride" in c for c in checks)
+    assert any("seed" in c for c in checks)
+
+
+def test_a_failure_counts_the_inputs_up_to_it(monkeypatch):
+    # a nonzero defect on the third input of every check: each check with
+    # three inputs or more fails there, and names that input
+    seen = counting_checks(monkeypatch, plant_at=3)
+    res = run_cli(["check", "--pair", pair_path("sl2_borel"),
+                   "--trunc", "4", "--arity", "2"])
+    assert res.exit_code == 1
+    checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    failed = [name for name, xs in seen.items() if len(xs) == 3]
+    assert "contraction:d:perturbed-homotopy" in failed
+    for name in failed:
+        c = checks[name]
+        assert (c["status"], c["count"]) == ("fail", 3), name
+        assert c["witness"] == {"input": repr(seen[name][2]),
+                                "defect": [["'planted'", "1"]]}
+    for name, xs in seen.items():
+        assert len(xs) <= 3
+        if len(xs) < 3:
+            assert checks[name]["status"] == "pass", name
 
 
 def test_connection_checks_count_the_cases_examined():

@@ -3,7 +3,8 @@
 A computation truncated at weight N drops every term over the cap, so
 the values it builds are exact only inside a weight window below N
 (the filtration argument of the perturbation lemma).  Each windowed
-check restricts its defect to such a window.  If the window is right,
+check restricts its defect to such a window, or for the raw homotopy
+checks takes its input words from it.  If the window is right,
 every operator composition the check takes, restricted to it, is the
 value it would have with no cap at all, so raising the cap from N to
 N + 1 leaves it unchanged.  The defects themselves are zero at both
@@ -12,8 +13,9 @@ caps, so the compositions are compared, not the defects.
 
 import pytest
 
-from liepairs.cli import Pipeline, second_choice
+from liepairs.cli import WINDOWS, Pipeline, second_choice
 from liepairs.cohomology import d_complex_keys, t_complex_keys
+from liepairs.contraction import contraction
 from liepairs.core import Vec, mi_unit, mi_zero
 from liepairs.uniqueness import Uniqueness
 
@@ -23,17 +25,6 @@ PAIRS = ["abelian", "heisenberg_center", "heisenberg_x", "sl2_borel",
          "sl2_h"]
 CAPS = [4, 5]
 
-# how far below the cap each check's window ends, as in cli.py
-WINDOWS = {
-    "fedosov:differential-squares-to-zero": 1,
-    "contraction:t:perturbed-homotopy": 3,
-    "contraction:d:perturbed-homotopy": 3,
-    "contraction:t:perturbed-inclusion-chain-map": 2,
-    "contraction:d:perturbed-inclusion-chain-map": 2,
-    "uniqueness:transport-intertwines-differentials": 1,
-}
-
-
 def fedosov(p, window):
     """Q(w) and Q(Q(w)) on the words of the check."""
     W = p.W
@@ -41,6 +32,21 @@ def fedosov(p, window):
         q = W.q_op(Vec({w: 1}))
         yield w, [W.restrict_weight(v, window)
                   for v in (q, W.q_op(q))]
+
+
+def raw_homotopy(p, window):
+    """h(d(w)) and d(h(w)) on the words of the check."""
+    c = contraction(p.T)
+    for w in p.T.alg.words(max_weight=window):
+        x = Vec({w: 1})
+        yield w, [c.h(c.d_big(x)), c.d_big(c.h(x))]
+
+
+def side_conditions(p, window):
+    """h(w) and h(h(w)) on the words of the check."""
+    for w in p.T.alg.words(max_weight=window):
+        hx = p.T.h(Vec({w: 1}))
+        yield w, [hx, p.T.h(hx)]
 
 
 def perturbed_homotopy(side):
@@ -92,6 +98,8 @@ def transport(p, window):
 
 COMPOSITIONS = {
     "fedosov:differential-squares-to-zero": fedosov,
+    "contraction:t:homotopy": raw_homotopy,
+    "contraction:t:side-conditions": side_conditions,
     "contraction:t:perturbed-homotopy": perturbed_homotopy("t"),
     "contraction:d:perturbed-homotopy": perturbed_homotopy("d"),
     "contraction:t:perturbed-inclusion-chain-map": perturbed_inclusion("t"),
@@ -126,11 +134,16 @@ def test_windowed_compositions_survive_a_higher_cap(check, trunc):
     assert nonzero
 
 
+def test_every_window_has_an_oracle():
+    assert set(COMPOSITIONS) == set(WINDOWS)
+
+
 @pytest.mark.parametrize("check", [
     "fedosov:differential-squares-to-zero",
+    "contraction:t:homotopy",
     "uniqueness:transport-intertwines-differentials"])
 def test_widened_window_is_caught(check):
-    # these two windows are tight: one weight more reads terms that the
+    # these three windows are tight: one weight more reads terms that the
     # cap has dropped, and the oracle must see it
     trunc = CAPS[0]
     differ, _ = cap_raising_differences(check, "sl2_h", trunc,

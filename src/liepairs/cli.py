@@ -304,11 +304,12 @@ def run_matched(run, p, seed):
               tr.lam_keys, seed=seed)
     fa = a_form_algebra(sp.pair)
     fws = list(fa.words(max_weight=0))
+    prod = cache(lambda fw1, fw2: fa.mul(Vec({fw1: 1}), Vec({fw2: 1})))
 
     def multiplicative(case):
         fw1, fw2, b = case
-        prod = fa.mul(Vec({fw1: 1}), Vec({fw2: 1}))
-        lhs = pt.tau(Vec(((fw3, (b,)), c) for fw3, c in prod.items()))
+        lhs = pt.tau(Vec(((fw3, (b,)), c)
+                         for fw3, c in prod(fw1, fw2).items()))
         return lhs - T.alg.mul(pt.tau(Vec({(fw1, ()): 1})),
                                pt.tau(Vec({(fw2, (b,)): 1})))
     run.check("matched:inclusion-multiplicative",
